@@ -5,9 +5,14 @@ bit-exactly through text and identical runs produce identical bytes.
 """
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
 from .grid import PeriodicGrid, bump_density
+
+# rows formatted and written per write call: bounds the text held in memory
+_ROWS_PER_BLOCK = 4096
 
 
 def fmt_float(x) -> str:
@@ -49,31 +54,46 @@ def _write_table(path, header: str, columns) -> None:
     n = len(columns[0])
     if any(len(c) != n for c in columns):
         raise ValueError("csv columns must have equal length")
-    lines = [header]
-    for i in range(n):
-        lines.append(",".join(fmt_float(c[i]) for c in columns))
+    data = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, n, _ROWS_PER_BLOCK):
+            block = data[start:start + _ROWS_PER_BLOCK]
+            if np.all(np.isfinite(block)):
+                # "%.17g" is fmt_float's text for every finite value
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            else:
+                fh.writelines(",".join(fmt_float(v) for v in r) + "\n"
+                              for r in block.tolist())
 
 
 def _read_table(path, header: str):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != header:
-        raise ValueError(f"{path}: expected csv header '{header}'")
     width = header.count(",") + 1
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != width:
-            raise ValueError(f"{path}: malformed row '{ln}'")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ValueError(f"{path}: non-numeric value in '{ln}'") from exc
-    if not rows:
+    flat = array("d")
+    has_header = False
+    with open(path) as fh:
+        for ln in fh:
+            ln = ln.strip()
+            if not ln:
+                continue
+            if not has_header:
+                if ln != header:
+                    break
+                has_header = True
+                continue
+            parts = ln.split(",")
+            if len(parts) != width:
+                raise ValueError(f"{path}: malformed row '{ln}'")
+            try:
+                flat.extend(map(float, parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}: non-numeric value in '{ln}'") from exc
+    if not has_header:
+        raise ValueError(f"{path}: expected csv header '{header}'")
+    if not flat:
         raise ValueError(f"{path}: no data rows")
-    data = np.array(rows, dtype=float)
+    data = np.frombuffer(flat, dtype=float).reshape(-1, width)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite value")
     return [data[:, j] for j in range(width)]

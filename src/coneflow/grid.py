@@ -3,9 +3,11 @@
 All fields are sampled on n equispaced nodes.  Derivatives are Fourier
 collocation derivatives, integrals are uniform Riemann sums (exact for
 trigonometric polynomials below the Nyquist band), and off-grid evaluation
-of smooth fields is done by summing the trigonometric interpolant.  Circle
-maps are handled through their monotone lifts; lifts are interpolated with
-periodic cubic splines and inverted with safeguarded bisection/Newton.
+of smooth fields sums the trigonometric interpolant as a polynomial in
+z = exp(ix) by Horner's rule: O(P*n) time and O(P) memory for P points.
+Circle maps are handled through their monotone lifts; lifts are
+interpolated with periodic cubic splines and inverted with safeguarded
+bisection/Newton.
 """
 from __future__ import annotations
 
@@ -88,9 +90,22 @@ class PeriodicGrid:
                   order: int = 0) -> np.ndarray:
         """Evaluate the trigonometric interpolant (or its derivative) off-grid.
 
+        ``values`` must be the n nodal samples (a 1-D array of length n) and
+        ``order`` an integer >= 0; anything else raises ValueError.  The
+        result has the shape of ``points``, which may be any real array.
         The Nyquist mode is interpreted as cos(n/2 x), the standard real
-        interpolation convention.
+        interpolation convention, and contributes nothing to derivatives.
+
+        The sum over the n/2 + 1 modes is a polynomial in z = exp(ix),
+        evaluated by Horner's rule: one complex exponential per point and
+        n/2 multiply-adds, so O(P*n) time and O(P) memory for P points.
         """
+        if np.shape(values) != (self.n,):
+            raise ValueError(f"trig_eval needs the {self.n} nodal samples as "
+                             f"a 1-D array, got shape {np.shape(values)}")
+        if not isinstance(order, (int, np.integer)) or order < 0:
+            raise ValueError(f"derivative order must be an integer >= 0, "
+                             f"got {order!r}")
         points = np.asarray(points, dtype=float)
         c = np.fft.rfft(values)
         k = self._wavenumbers()
@@ -100,9 +115,13 @@ class PeriodicGrid:
         w = np.full(self.n // 2 + 1, 2.0)
         w[0] = 1.0
         w[-1] = 1.0
-        coeff = w * c / self.n
-        phase = np.exp(1j * np.outer(points, k))
-        return (phase @ coeff).real.reshape(points.shape)
+        coeff = (w * c / self.n).tolist()
+        z = np.exp(1j * points.ravel())
+        acc = np.full(z.shape, coeff[-1])
+        for a in reversed(coeff[:-1]):
+            acc *= z
+            acc += a
+        return acc.real.reshape(points.shape)
 
     # -- monotone circle-map lifts ------------------------------------------
 

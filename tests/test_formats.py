@@ -83,6 +83,62 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(u2, u)
 
 
+def test_trajectory_csv_round_trip_full_size(tmp_path):
+    grid = PeriodicGrid(256)
+    times = np.linspace(0.0, 0.25, 251)
+    rng = np.random.default_rng(74)
+    u = rng.normal(0, 1, (251, 256)) * np.exp(rng.normal(0, 30, (251, 256)))
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, times, grid.x, u)
+    t2, x2, u2 = read_trajectory_csv(path)
+    assert np.array_equal(t2, times)
+    assert np.array_equal(x2, grid.x)
+    assert np.array_equal(u2, u)
+
+
+def fmt_float_table(header, columns):
+    """Reference CSV text: every value through fmt_float, one at a time."""
+    columns = [np.asarray(c, dtype=float).ravel() for c in columns]
+    lines = [header]
+    for i in range(len(columns[0])):
+        lines.append(",".join(fmt_float(c[i]) for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_writer_bytes_match_per_value_fmt_float(tmp_path):
+    special = [-0.0, 5e-324, 1e-310, 1.7976931348623157e308, np.nan, np.inf,
+               -np.inf, 0.0, -1.7976931348623157e308, 0.1]
+    rng = np.random.default_rng(75)
+    # 9000 rows span three write blocks; only the second has non-finite values
+    a = rng.normal(0, 1, 9000) * 10.0 ** rng.uniform(-320, 307, 9000)
+    b = rng.normal(0, 1, 9000)
+    b[5000:5000 + len(special)] = special
+    tables = [
+        ("a,b", [special, special[::-1]]),
+        ("a,b", [a, b]),
+        ("a,b,c", [[], [], []]),
+    ]
+    for header, columns in tables:
+        path = tmp_path / "table.csv"
+        write_columns_csv(path, header, columns)
+        assert path.read_bytes() == fmt_float_table(header, columns).encode()
+
+
+def test_read_reports_first_bad_row_in_mid_file(tmp_path):
+    rows = [f"{0.5 * i},{i}" for i in range(10)]
+    path = tmp_path / "bad.csv"
+    bad = rows[:4] + ["2,3,4"] + rows[4:] + ["9,abc"]
+    path.write_text("x,value\n" + "\n".join(bad) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_density_csv(path)
+    assert str(err.value) == f"{path}: malformed row '2,3,4'"
+    bad = rows[:6] + ["5,abc"] + rows[6:] + ["9,Infinity"]
+    path.write_text("x,value\n" + "\n".join(bad) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_density_csv(path)
+    assert str(err.value) == f"{path}: non-numeric value in '5,abc'"
+
+
 def test_flow_csv_round_trip(tmp_path):
     grid = PeriodicGrid(16)
     times = np.linspace(0.0, 1.0, 5)

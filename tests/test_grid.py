@@ -1,4 +1,6 @@
 """Spectral grid utilities: differentiation, interpolation, monotone lifts."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,73 @@ def test_trig_eval_matches_analytic_off_grid():
     assert np.max(np.abs(grid.trig_eval(u, pts, order=1) - exact_d)) < 1e-11
     # nodal evaluation reproduces the samples
     assert np.max(np.abs(grid.trig_eval(u, grid.x) - u)) < 1e-12
+
+
+def dense_trig_eval(grid, values, points, order=0):
+    """Reference evaluator: the sum over an explicit P x (n/2 + 1) phase matrix."""
+    points = np.asarray(points, dtype=float)
+    c = np.fft.rfft(values)
+    k = np.arange(grid.n // 2 + 1, dtype=float)
+    if order > 0:
+        c = c * (1j * k) ** order
+        c[-1] = 0.0
+    w = np.full(grid.n // 2 + 1, 2.0)
+    w[0] = 1.0
+    w[-1] = 1.0
+    phase = np.exp(1j * np.outer(points, k))
+    return (phase @ (w * c / grid.n)).real.reshape(points.shape)
+
+
+@pytest.mark.parametrize("n", [8, 64, 256, 1024])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_trig_eval_matches_dense_evaluator(n, order):
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(10 * n + order)
+    values = rng.normal(size=n)
+    k = np.arange(n // 2 + 1)
+    w = np.where((k == 0) | (k == n // 2), 1.0, 2.0)
+    c_abs = np.abs(np.fft.rfft(values)) / n
+    if order > 0:
+        c_abs[-1] = 0.0
+    bound = 1e-13 * np.sum(w * c_abs * k ** order)
+    inside = rng.uniform(0.0, 2 * np.pi, 300)
+    # far points lie on the 2**-20 lattice so that k*x is exact in the
+    # reference; otherwise its phase rounding, |k x| eps / 2 per mode,
+    # exceeds the bound at n = 1024
+    far = rng.integers(-50 * 2 ** 20, 50 * 2 ** 20, size=(12, 25)) / 2 ** 20
+    far[0, :2] = (-50.0, 50.0)
+    for pts in (inside, far):
+        fast = grid.trig_eval(values, pts, order)
+        dense = dense_trig_eval(grid, values, pts, order)
+        assert fast.shape == pts.shape
+        assert np.max(np.abs(fast - dense)) <= bound
+
+
+def test_trig_eval_memory_is_linear_in_points():
+    grid = PeriodicGrid(1024)
+    rng = np.random.default_rng(4)
+    values = rng.normal(size=1024)
+    pts = rng.uniform(0.0, 2 * np.pi, 1024)
+    grid.trig_eval(values, pts)
+    tracemalloc.start()
+    try:
+        grid.trig_eval(values, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a dense 1024 x 513 complex phase matrix alone takes 8.4 MB
+    assert peak < 1_000_000
+
+
+def test_trig_eval_rejects_bad_samples_and_order():
+    grid = PeriodicGrid(8)
+    pts = np.linspace(0.0, 1.0, 5)
+    for bad in (np.ones(9), np.ones(7), np.ones((2, 8)), np.float64(1.0)):
+        with pytest.raises(ValueError, match="8 nodal samples"):
+            grid.trig_eval(bad, pts)
+    for order in (-1, 0.5, 1.0, None):
+        with pytest.raises(ValueError, match="order"):
+            grid.trig_eval(np.ones(8), pts, order)
 
 
 def test_eval_lift_reproduces_monotone_map():
