@@ -6,8 +6,9 @@ The evolution is integrated in momentum form: with m = a^2 u - b^2 u_xx,
 
 which conserves the energy int a^2 u^2 + b^2 u_x^2 dx and the mean of m.
 Spatial derivatives are Fourier collocation, quadratic products are
-dealiased with the 2/3 rule, time stepping is fixed-step RK4.  The flow
-map integrates phi' = u(t, phi) after the fact from the stored trajectory,
+dealiased with the 2/3 rule, and time stepping is fixed-step RK4 over a
+whole number of steps (grid.rk4_step, grid.step_count).  The flow map
+integrates phi' = u(t, phi) after the fact from the stored trajectory,
 together with the gauge factor lam' = (u_x/2)(t, phi) lam whose square
 must track d_x phi (isotropy residual).
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeParams
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, rk4_step, step_count
 
 # fraction of spectral energy allowed above k = n/6 before declaring breaking
 _TAIL_FRACTION_LIMIT = 0.02
@@ -106,19 +107,19 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
     """
     if dt == 0 or t_final == 0 or np.sign(dt) != np.sign(t_final):
         raise ValueError("dt and t_final must be nonzero with matching signs")
-    n_steps = int(round(t_final / dt))
+    n_steps = step_count(abs(t_final), abs(dt))
     u = np.asarray(u0, dtype=float).copy()
     if u.shape != (grid.n,):
         raise ValueError("u0 must be a nodal array on the grid")
     out = np.empty((n_steps + 1, grid.n))
     out[0] = u
     scale0 = np.max(np.abs(u)) + 1.0
+
+    def rhs(_, y):
+        return (ch_rhs(grid, y[0], params),)
+
     for i in range(n_steps):
-        k1 = ch_rhs(grid, u, params)
-        k2 = ch_rhs(grid, u + 0.5 * dt * k1, params)
-        k3 = ch_rhs(grid, u + 0.5 * dt * k2, params)
-        k4 = ch_rhs(grid, u + dt * k3, params)
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        u, = rk4_step(rhs, (u,), dt)
         t = (i + 1) * dt
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 100.0 * scale0:
             raise CHBlowupError(
@@ -166,40 +167,25 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
         raise ValueError("trajectory too short for the flow map")
     dt = traj.dt
     ux_all = grid.deriv(traj.u)
-
-    def sample(j_window: int, s: float) -> tuple[np.ndarray, np.ndarray]:
-        w = _lagrange_weights(s)
-        u_t = w @ traj.u[j_window:j_window + 4]
-        ux_t = w @ ux_all[j_window:j_window + 4]
-        return u_t, ux_t
-
     phi = np.empty((n_steps + 1, grid.n))
     lam_ode = np.empty((n_steps + 1, grid.n))
     phi[0] = grid.x
     lam_ode[0] = 1.0
-    min_phi_x = 1.0
     for j in range(n_steps):
         j0 = min(max(j - 1, 0), n_steps - 3)
-        stages = []
-        for ds in (0.0, 0.5, 1.0):
-            stages.append(sample(j0, (j - j0) + ds))
+        stages = {}  # (u, u_x) at the stage times, cubic in time
+        for c in (0.0, 0.5, 1.0):
+            w = _lagrange_weights((j - j0) + c)
+            stages[c] = w @ traj.u[j0:j0 + 4], w @ ux_all[j0:j0 + 4]
 
-        def rhs(p, l, stage):
-            u_t, ux_t = stage
-            up = grid.trig_eval(u_t, p)
-            axp = 0.5 * grid.trig_eval(ux_t, p)
-            return up, axp * l
+        def rhs(c, y):
+            u_t, ux_t = stages[c]
+            p, l = y
+            return grid.trig_eval(u_t, p), 0.5 * grid.trig_eval(ux_t, p) * l
 
-        p0, l0 = phi[j], lam_ode[j]
-        k1p, k1l = rhs(p0, l0, stages[0])
-        k2p, k2l = rhs(p0 + 0.5 * dt * k1p, l0 + 0.5 * dt * k1l, stages[1])
-        k3p, k3l = rhs(p0 + 0.5 * dt * k2p, l0 + 0.5 * dt * k2l, stages[1])
-        k4p, k4l = rhs(p0 + dt * k3p, l0 + dt * k3l, stages[2])
-        phi[j + 1] = p0 + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        lam_ode[j + 1] = l0 + (dt / 6.0) * (k1l + 2 * k2l + 2 * k3l + k4l)
+        phi[j + 1], lam_ode[j + 1] = rk4_step(rhs, (phi[j], lam_ode[j]), dt)
         phi_x = 1.0 + grid.deriv(phi[j + 1] - grid.x)
         m = float(np.min(phi_x))
-        min_phi_x = min(min_phi_x, m)
         if m < _PHI_X_FLOOR:
             raise CHBlowupError(
                 f"flow map lost invertibility at t={traj.times[j + 1]:.6g}",
@@ -209,4 +195,4 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
     lam = np.sqrt(phi_x)
     residual = float(np.max(np.abs(lam_ode ** 2 - phi_x)))
     return FlowPath(grid, traj.times.copy(), phi, lam, lam_ode, residual,
-                    float(min_phi_x))
+                    float(np.min(phi_x)))

@@ -22,7 +22,8 @@ from .euler import (AnnulusGrid, euler_residual, geodesic_form_consistency,
                     lagrangian_measure_check)
 from .formats import (grid_from_x, parse_field_spec, read_trajectory_csv,
                       to_json, write_columns_csv, write_density_csv,
-                      write_trajectory_csv, write_wfr_csv)
+                      write_time_major_csv, write_trajectory_csv,
+                      write_wfr_csv)
 from .grid import PeriodicGrid
 from .group import DensityField, VelocityPair
 from .submersion import (horizontal_lift, make_perturbation_family,
@@ -240,11 +241,8 @@ def cmd_flow_horizontal(args):
     flow = horizontal_flow(grid, rho0, phi0, args.t_final, args.dt)
     out = _out_path(args.csv)
     if out:
-        t_col = np.repeat(flow.times, grid.n)
-        x_col = np.tile(grid.x, len(flow.times))
-        write_columns_csv(out, "t,x,rho,v,alpha",
-                          [t_col, x_col, flow.rho.ravel(), flow.v.ravel(),
-                           flow.alpha.ravel()])
+        write_time_major_csv(out, "t,x,rho,v,alpha", flow.times, grid.x,
+                             [flow.rho, flow.v, flow.alpha])
     return {"n": args.n, "dt": args.dt, "t_final": args.t_final,
             "rho0": args.rho0, "phi0": args.phi0,
             "action": flow.action,

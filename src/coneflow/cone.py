@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, circle_distance, wrap
+from .grid import TWO_PI, circle_distance, rk4_step, step_count, wrap
 
 APEX_FLOOR = 1e-12
 
@@ -143,19 +143,6 @@ def cone_sectional_curvature(k_base: float, radial_plane: bool = False) -> float
     return k_base - 1.0
 
 
-def _geodesic_rhs(state: np.ndarray, params: ConeParams) -> np.ndarray:
-    x, m, dx, dm = state
-    if m <= APEX_FLOOR:
-        raise ApexError("geodesic reached the apex floor")
-    c = params.a ** 2 / (2.0 * params.b ** 2)
-    return np.array([
-        dx,
-        dm,
-        -dm * dx / m,
-        dm * dm / (2.0 * m) + c * dx * dx * m,
-    ])
-
-
 def cone_geodesic(p0: ConePoint, v0: ConeTangent, t_final: float, dt: float,
                   params: ConeParams = ConeParams()) -> ConeGeodesic:
     """Integrate the geodesic equations with fixed-step RK4.
@@ -163,21 +150,24 @@ def cone_geodesic(p0: ConePoint, v0: ConeTangent, t_final: float, dt: float,
     x'' + (m'/m) x' = 0,   m'' - m'^2/(2m) - (a^2/2b^2) x'^2 m = 0.
     Aborts with ApexError if the mass coordinate hits the 1e-12 floor.
     """
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("t_final and dt must be positive")
+    n_steps = step_count(t_final, dt)
     if p0.is_apex:
         raise ApexError("geodesic initial point is at the apex")
-    n_steps = int(round(t_final / dt))
     state = np.array([p0.x, p0.m, v0.dx, v0.dm], dtype=float)
     speed0 = np.sqrt(cone_metric(p0, v0, v0, params))
     out = np.empty((n_steps + 1, 4))
     out[0] = state
+    c = params.a ** 2 / (2.0 * params.b ** 2)
+
+    def rhs(_, y):
+        x, m, dx, dm = y[0]
+        if m <= APEX_FLOOR:
+            raise ApexError("geodesic reached the apex floor")
+        return (np.array([dx, dm, -dm * dx / m,
+                          dm * dm / (2.0 * m) + c * dx * dx * m]),)
+
     for i in range(n_steps):
-        k1 = _geodesic_rhs(state, params)
-        k2 = _geodesic_rhs(state + 0.5 * dt * k1, params)
-        k3 = _geodesic_rhs(state + 0.5 * dt * k2, params)
-        k4 = _geodesic_rhs(state + dt * k3, params)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        state, = rk4_step(rhs, (state,), dt)
         if state[1] <= APEX_FLOOR:
             raise ApexError(f"geodesic reached the apex floor at t={ (i + 1) * dt :.6g}")
         out[i + 1] = state

@@ -7,6 +7,10 @@ equation at coefficients (1, 1/2) satisfy the Euler momentum equation with
 pressure potential Psi_p(x, r) = r^2 p(x) / 2.  The Lagrangian counterpart
 Phi(theta, r) = (phi(theta), lam(theta) r) preserves the measure
 r^-3 dr dtheta exactly when lam^2 = d_x phi.
+
+eulerian_residuals computes u_dot, p and both momentum residuals on all
+interior slices of a trajectory in one pass; the Euler report, the
+geodesic-form comparison and the minimality Hessian bound read from it.
 """
 from __future__ import annotations
 
@@ -104,6 +108,28 @@ def pressure_from_state(grid: PeriodicGrid, u: np.ndarray,
     return -(alpha_dot + u * grid.deriv(alpha) + alpha ** 2 - u ** 2)
 
 
+def eulerian_residuals(traj: CHTrajectory):
+    """(u_dot, p, res_theta, res_r) on the interior slices of a trajectory.
+
+    Each is a (T-2, n) array.  u_dot is the centered time difference, p
+    the pressure recovered from the radial momentum balance, and res_theta,
+    res_r the angular and radial momentum residuals of the polar field at
+    unit radius (both scale linearly in r).
+    """
+    grid = traj.grid
+    if len(traj.times) < 3:
+        raise ValueError("trajectory too short for centered differences")
+    u = traj.u[1:-1]
+    u_dot = (traj.u[2:] - traj.u[:-2]) / (2.0 * traj.dt)
+    ux = grid.deriv(u)
+    p = pressure_from_state(grid, u, u_dot)
+    alpha = 0.5 * ux
+    alpha_dot = 0.5 * grid.deriv(u_dot)
+    res_theta = u_dot + 2.0 * u * ux + 0.5 * grid.deriv(p)
+    res_r = alpha_dot + u * grid.deriv(alpha) + alpha ** 2 - u ** 2 + p
+    return u_dot, p, res_theta, res_r
+
+
 @dataclass(frozen=True)
 class EulerResidualReport:
     times: np.ndarray
@@ -121,29 +147,11 @@ def euler_residual(traj: CHTrajectory, agrid: AnnulusGrid) -> EulerResidualRepor
     momentum residual is dominated by the angular component; both scale
     linearly in r and are reported at the largest annulus radius.
     """
-    grid = traj.grid
-    if len(traj.times) < 3:
-        raise ValueError("trajectory too short for centered differences")
-    dt = traj.dt
+    res_theta, res_r = (np.max(np.abs(field), axis=1)
+                        for field in eulerian_residuals(traj)[2:])
+    max_div = max(float(np.max(np.abs(weighted_divergence(
+        polar_velocity(agrid, u))))) for u in traj.u[1:-1])
     r_max = float(np.max(agrid.radii))
-    res_theta = []
-    res_r = []
-    max_div = 0.0
-    for j in range(1, len(traj.times) - 1):
-        u = traj.u[j]
-        u_dot = (traj.u[j + 1] - traj.u[j - 1]) / (2.0 * dt)
-        ux = grid.deriv(u)
-        p = pressure_from_state(grid, u, u_dot)
-        alpha = 0.5 * ux
-        alpha_dot = 0.5 * grid.deriv(u_dot)
-        r_th = u_dot + 2.0 * u * ux + 0.5 * grid.deriv(p)
-        r_ra = (alpha_dot + u * grid.deriv(alpha) + alpha ** 2 - u ** 2 + p)
-        res_theta.append(np.max(np.abs(r_th)))
-        res_r.append(np.max(np.abs(r_ra)))
-        div = weighted_divergence(polar_velocity(agrid, u))
-        max_div = max(max_div, float(np.max(np.abs(div))))
-    res_theta = np.array(res_theta)
-    res_r = np.array(res_r)
     max_mom = r_max * float(max(np.max(res_theta), np.max(res_r)))
     return EulerResidualReport(traj.times[1:-1].copy(), max_mom, max_div,
                                res_theta, res_r)
@@ -202,34 +210,23 @@ def geodesic_form_consistency(traj: CHTrajectory,
     """
     grid = traj.grid
     dt = traj.dt
-    angular_gap = 0.0
-    radial_gap = 0.0
-    times = traj.times[1:-1]
-    for j in range(1, len(traj.times) - 1):
-        u = traj.u[j]
-        u_dot = (traj.u[j + 1] - traj.u[j - 1]) / (2.0 * dt)
-        ux = grid.deriv(u)
-        p = pressure_from_state(grid, u, u_dot)
-        alpha = 0.5 * ux
-        alpha_dot = 0.5 * grid.deriv(u_dot)
-        res_theta = u_dot + 2.0 * u * ux + 0.5 * grid.deriv(p)
-        res_rad = alpha_dot + u * grid.deriv(alpha) + alpha ** 2 - u ** 2 + p
+    p, res_theta, res_r = eulerian_residuals(traj)[1:]
+    phi, lam = path.phi, path.lam_ode
+    phi_0, lam_0 = phi[1:-1], lam[1:-1]
+    phi_dot = (phi[2:] - phi[:-2]) / (2.0 * dt)
+    phi_ddot = (phi[2:] - 2.0 * phi_0 + phi[:-2]) / dt ** 2
+    lam_dot = (lam[2:] - lam[:-2]) / (2.0 * dt)
+    lam_ddot = (lam[2:] - 2.0 * lam_0 + lam[:-2]) / dt ** 2
 
-        phi_m, phi_0, phi_p = path.phi[j - 1], path.phi[j], path.phi[j + 1]
-        lam_m, lam_0, lam_p = (path.lam_ode[j - 1], path.lam_ode[j],
-                               path.lam_ode[j + 1])
-        phi_dot = (phi_p - phi_m) / (2.0 * dt)
-        phi_ddot = (phi_p - 2.0 * phi_0 + phi_m) / dt ** 2
-        lam_dot = (lam_p - lam_m) / (2.0 * dt)
-        lam_ddot = (lam_p - 2.0 * lam_0 + lam_m) / dt ** 2
+    def composed(fields, order=0):
+        # trig_eval takes one slice of nodal values at a time
+        return np.array([grid.trig_eval(f, x, order)
+                         for f, x in zip(fields, phi_0)])
 
-        p_at = grid.trig_eval(p, phi_0)
-        px_at = grid.trig_eval(p, phi_0, order=1)
-        lag_theta = phi_ddot + 2.0 * (lam_dot / lam_0) * phi_dot + 0.5 * px_at
-        lag_rad = lam_ddot - lam_0 * phi_dot ** 2 + lam_0 * p_at
-
-        eul_theta = grid.trig_eval(res_theta, phi_0)
-        eul_rad = lam_0 * grid.trig_eval(res_rad, phi_0)
-        angular_gap = max(angular_gap, float(np.max(np.abs(lag_theta - eul_theta))))
-        radial_gap = max(radial_gap, float(np.max(np.abs(lag_rad - eul_rad))))
-    return FormConsistencyReport(times.copy(), angular_gap, radial_gap)
+    lag_theta = phi_ddot + 2.0 * (lam_dot / lam_0) * phi_dot \
+        + 0.5 * composed(p, order=1)
+    lag_rad = lam_ddot - lam_0 * phi_dot ** 2 + lam_0 * composed(p)
+    angular_gap = float(np.max(np.abs(lag_theta - composed(res_theta))))
+    radial_gap = float(np.max(np.abs(lag_rad - lam_0 * composed(res_r))))
+    return FormConsistencyReport(traj.times[1:-1].copy(), angular_gap,
+                                 radial_gap)

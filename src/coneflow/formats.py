@@ -49,7 +49,7 @@ def to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_table(path, header: str, columns) -> None:
+def write_columns_csv(path, header: str, columns) -> None:
     columns = [np.asarray(c, dtype=float).ravel() for c in columns]
     n = len(columns[0])
     if any(len(c) != n for c in columns):
@@ -100,7 +100,7 @@ def _read_table(path, header: str):
 
 
 def write_density_csv(path, x, values) -> None:
-    _write_table(path, "x,value", [x, values])
+    write_columns_csv(path, "x,value", [x, values])
 
 
 def read_density_csv(path):
@@ -127,14 +127,18 @@ def _grid_layout(t_col, x_col):
     return times, x, n_times, n
 
 
-def write_trajectory_csv(path, times, x, u) -> None:
-    """Time-major rows (t, x, u) for a velocity trajectory."""
+def write_time_major_csv(path, header, times, x, fields) -> None:
+    """Rows (t, x, *fields) of (len(times), len(x)) fields, time-major."""
     times = np.asarray(times, dtype=float)
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    t_col = np.repeat(times, len(x))
-    x_col = np.tile(x, len(times))
-    _write_table(path, "t,x,u", [t_col, x_col, u.ravel()])
+    write_columns_csv(path, header,
+                      [np.repeat(times, len(x)), np.tile(x, len(times))]
+                      + [np.asarray(f, dtype=float).ravel() for f in fields])
+
+
+def write_trajectory_csv(path, times, x, u) -> None:
+    """Time-major rows (t, x, u) for a velocity trajectory."""
+    write_time_major_csv(path, "t,x,u", times, x, [u])
 
 
 def read_trajectory_csv(path):
@@ -143,36 +147,9 @@ def read_trajectory_csv(path):
     return times, x, u_col.reshape(n_times, n)
 
 
-def write_flow_csv(path, times, x, phi, lam) -> None:
-    """Time-major rows (t, x, phi, lam) for a group-element path."""
-    times = np.asarray(times, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t_col = np.repeat(times, len(x))
-    x_col = np.tile(x, len(times))
-    _write_table(path, "t,x,phi,lam",
-                 [t_col, x_col, np.asarray(phi).ravel(),
-                  np.asarray(lam).ravel()])
-
-
-def read_flow_csv(path):
-    t_col, x_col, p_col, l_col = _read_table(path, "t,x,phi,lam")
-    times, x, n_times, n = _grid_layout(t_col, x_col)
-    return times, x, p_col.reshape(n_times, n), l_col.reshape(n_times, n)
-
-
 def write_wfr_csv(path, t_cells, x, rho_c, m_c, mu_c) -> None:
     """Cell-centered rows (t, x, rho, m, mu) of a transport plan."""
-    t_cells = np.asarray(t_cells, dtype=float)
-    x = np.asarray(x, dtype=float)
-    t_col = np.repeat(t_cells, len(x))
-    x_col = np.tile(x, len(t_cells))
-    _write_table(path, "t,x,rho,m,mu",
-                 [t_col, x_col, np.asarray(rho_c).ravel(),
-                  np.asarray(m_c).ravel(), np.asarray(mu_c).ravel()])
-
-
-def write_columns_csv(path, header, columns) -> None:
-    _write_table(path, header, columns)
+    write_time_major_csv(path, "t,x,rho,m,mu", t_cells, x, [rho_c, m_c, mu_c])
 
 
 def grid_from_x(x) -> PeriodicGrid:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeParams
-from .grid import PeriodicGrid
+from .grid import PeriodicGrid, rk4_step
 
 _MONOTONE_TOL = 1e-10
 
@@ -167,18 +167,12 @@ def group_exponential(xi: VelocityPair, t: float, dt: float) -> GroupElement:
     phi = grid.x.copy()
     lam = np.ones(grid.n)
 
-    def rhs(p, l):
-        vp = grid.trig_eval(xi.v, p)
-        ap = grid.trig_eval(xi.alpha, p)
-        return vp, ap * l
+    def rhs(_, y):
+        p, l = y
+        return grid.trig_eval(xi.v, p), grid.trig_eval(xi.alpha, p) * l
 
     for _ in range(n_steps):
-        k1p, k1l = rhs(phi, lam)
-        k2p, k2l = rhs(phi + 0.5 * step * k1p, lam + 0.5 * step * k1l)
-        k3p, k3l = rhs(phi + 0.5 * step * k2p, lam + 0.5 * step * k2l)
-        k4p, k4l = rhs(phi + step * k3p, lam + step * k3l)
-        phi = phi + (step / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-        lam = lam + (step / 6.0) * (k1l + 2 * k2l + 2 * k3l + k4l)
+        phi, lam = rk4_step(rhs, (phi, lam), step)
     return GroupElement(grid, phi, lam)
 
 

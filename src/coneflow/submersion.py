@@ -20,11 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ch import CHTrajectory, flow_map
-from .euler import pressure_from_state
+from .euler import eulerian_residuals
 from .grid import PeriodicGrid, diff_matrix
 from .group import DensityField, VelocityPair, infinitesimal_action, lie_bracket
 
 _HORIZONTALITY_RTOL = 1e-6
+_N_X_MODES = 3
+_N_T_MODES = 3
 
 
 @dataclass(frozen=True)
@@ -183,18 +185,16 @@ def oneill_curvature(xi1: VelocityPair, xi2: VelocityPair,
 
 @dataclass(frozen=True)
 class PerturbationFamily:
-    """Seeded competitors: truncated Fourier modes in x with sine envelopes
-    in t that vanish at both endpoints.  Members are normalized so that
-    max(|eta|, |d_x eta|) = 1."""
+    """Seeded competitors: _N_X_MODES Fourier modes in x with _N_T_MODES
+    sine envelopes in t that vanish at both endpoints.  Members are
+    normalized so that max(|eta|, |d_x eta|) = 1."""
 
     members: np.ndarray  # (n_members, n_times, n)
     seed: int
 
 
 def make_perturbation_family(grid: PeriodicGrid, times: np.ndarray,
-                             n_members: int, seed: int,
-                             n_x_modes: int = 3,
-                             n_t_modes: int = 3) -> PerturbationFamily:
+                             n_members: int, seed: int) -> PerturbationFamily:
     rng = np.random.default_rng(seed)
     t0, t1 = times[0], times[-1]
     s = (times - t0) / (t1 - t0)
@@ -202,10 +202,10 @@ def make_perturbation_family(grid: PeriodicGrid, times: np.ndarray,
     members = np.empty((n_members, len(times), grid.n))
     for i in range(n_members):
         eta = np.zeros((len(times), grid.n))
-        for k in range(1, n_t_modes + 1):
+        for k in range(1, _N_T_MODES + 1):
             envelope = np.sin(np.pi * k * s)
             fx = rng.standard_normal() * np.ones(grid.n)
-            for mode in range(1, n_x_modes + 1):
+            for mode in range(1, _N_X_MODES + 1):
                 fx = fx + (rng.standard_normal() * np.cos(mode * x)
                            + rng.standard_normal() * np.sin(mode * x)) / mode
             eta += envelope[:, None] * fx[None, :]
@@ -236,20 +236,15 @@ def hessian_certificate(traj: CHTrajectory) -> tuple[float, float]:
     absolute eigenvalue over the interior trajectory times.
     """
     grid = traj.grid
-    c_max = 0.0
-    for j in range(1, len(traj.times) - 1):
-        u = traj.u[j]
-        u_dot = (traj.u[j + 1] - traj.u[j - 1]) / (2.0 * traj.dt)
-        p = pressure_from_state(grid, u, u_dot)
-        px = grid.deriv(p)
-        pxx = grid.deriv(p, 2)
-        tr = 0.5 * pxx + p
-        det = 0.5 * pxx * p - px * px
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        eig_hi = 0.5 * (tr + disc)
-        eig_lo = 0.5 * (tr - disc)
-        c_max = max(c_max, float(np.max(np.maximum(np.abs(eig_hi),
-                                                   np.abs(eig_lo)))))
+    p = eulerian_residuals(traj)[1]
+    px = grid.deriv(p)
+    pxx = grid.deriv(p, 2)
+    tr = 0.5 * pxx + p
+    det = 0.5 * pxx * p - px * px
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+    eig_hi = 0.5 * (tr + disc)
+    eig_lo = 0.5 * (tr - disc)
+    c_max = float(np.max(np.maximum(np.abs(eig_hi), np.abs(eig_lo))))
     window = np.inf if c_max == 0.0 else np.pi / np.sqrt(c_max)
     return c_max, window
 

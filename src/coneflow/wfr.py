@@ -24,7 +24,7 @@ import numpy as np
 from scipy.fft import dct, idct
 
 from .cone import ConeParams
-from .grid import PeriodicGrid, TWO_PI
+from .grid import PeriodicGrid, TWO_PI, rk4_step, step_count
 from .group import DensityField, VelocityPair, infinitesimal_action
 from .submersion import horizontal_lift
 
@@ -37,6 +37,11 @@ CONVENTIONS = {
                              "d_t rho + (rho q')' - 2 q rho = 0; a distinct "
                              "normalization kept as a diagnostic only",
 }
+
+
+_CHECK_EVERY = 25
+_MIN_ITERS = 200
+_DEFECT_EVERY = 10  # horizontal_flow steps between horizontality checks
 
 
 class WFRConvergenceError(RuntimeError):
@@ -136,14 +141,19 @@ def wfr_action(vars: WFRVariables, params: ConeParams = ConeParams()) -> float:
     with zero flux contributes nothing, zero mass with flux is infinite.
     """
     rho_c, m_c, mu_c = interpolate_centers(vars)
+    return _centered_action(vars.grid, rho_c, m_c, mu_c, params)
+
+
+def _centered_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
+                     params: ConeParams) -> float:
+    """wfr_action of cell-centred arrays, with the same inf rules."""
     quad = params.a ** 2 * m_c ** 2 + params.b ** 2 * mu_c ** 2
     if np.any(rho_c < 0):
         return float("inf")
     pos = rho_c > 0
     if np.any(quad[~pos] > 0):
         return float("inf")
-    total = np.sum(quad[pos] / rho_c[pos])
-    return float(vars.grid.cell_measure * total)
+    return grid.cell_measure * float(np.sum(quad[pos] / rho_c[pos]))
 
 
 # -- exact proximal map of the perspective integrand -------------------------
@@ -271,7 +281,6 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
               params: ConeParams = ConeParams(), balanced: bool = False,
               tol: float = 1e-7, max_iters: int = 50000,
               sigma: float = 0.95, tau: float = 0.95,
-              check_every: int = 25, min_iters: int = 200,
               init: WFRVariables | None = None) -> WFRResult:
     """Distance between two densities by primal-dual proximal splitting.
 
@@ -279,8 +288,10 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     constraint every iteration; the dual update applies the exact prox of
     the action through the Moreau identity.  Steps must satisfy
     sigma * tau * |K|^2 < 1 where K is the staggered-to-centered
-    interpolation (|K| <= 1).  Stops when the windowed relative change of
-    the action drops below tol; raises WFRConvergenceError at max_iters.
+    interpolation (|K| <= 1).  Stops when the relative change of the
+    action over _CHECK_EVERY iterations drops below tol, after at least
+    _MIN_ITERS iterations; raises WFRConvergenceError at max_iters.  In
+    balanced mode continuity_project rejects endpoints of unequal mass.
 
     The problem is convex, so the optional warm start `init` (projected
     onto the constraint set before use) changes only the iteration count,
@@ -294,11 +305,6 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
         raise ValueError("need sigma * tau < 1 for the interpolation norm")
     nx = len(rho0)
     g = StaggeredGrid(nt, nx)
-    if balanced:
-        mass_gap = g.h * float(np.sum(rho1) - np.sum(rho0))
-        scale = g.h * float(np.sum(rho0) + np.sum(rho1)) + 1.0
-        if abs(mass_gap) > 1e-9 * scale:
-            raise ValueError("balanced transport requires equal masses")
 
     if init is not None:
         if init.grid != g:
@@ -319,13 +325,6 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     w_m = np.zeros((g.nt, g.nx))
     w_mu = np.zeros((g.nt, g.nx))
     gamma = 1.0 / sigma
-    measure = g.cell_measure
-
-    def centered_action(p_rho, p_m, p_mu):
-        quad = params.a ** 2 * p_m ** 2 + params.b ** 2 * p_mu ** 2
-        pos = p_rho > 0
-        return measure * float(np.sum(quad[pos] / p_rho[pos]))
-
     action_prev = np.inf
     action = np.inf
     rel_change = np.inf
@@ -350,11 +349,11 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
         w_m = y_m - sigma * p_m
         w_mu = y_mu - sigma * p_mu
         u = u_new
-        if k % check_every == 0 or k == max_iters:
-            action = centered_action(p_rho, p_m, p_mu)
+        if k % _CHECK_EVERY == 0 or k == max_iters:
+            action = _centered_action(g, p_rho, p_m, p_mu, params)
             rel_change = abs(action - action_prev) / max(abs(action), 1e-30)
             action_prev = action
-            if k >= min_iters and rel_change < tol:
+            if k >= _MIN_ITERS and rel_change < tol:
                 converged = True
                 break
 
@@ -392,8 +391,7 @@ class HorizontalFlowResult:
 
 
 def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
-                    t_final: float, dt: float,
-                    defect_every: int = 10) -> HorizontalFlowResult:
+                    t_final: float, dt: float) -> HorizontalFlowResult:
     """Geodesic flow launched horizontally from the potential phi0.
 
     Integrates the coefficient-(1, 1/2) Eulerian system
@@ -404,18 +402,17 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
 
     from (v, alpha)(0) = (phi0_x / 2, phi0).  Horizontality (the pair
     equals the lift of its own action) is preserved; the reported defect
-    is |v - lift_v| checked every defect_every steps.
+    is |v - lift_v| checked every _DEFECT_EVERY steps and at the end.
     """
     rho0 = _validate_endpoint(rho0, "rho0")
     phi0 = np.asarray(phi0, dtype=float)
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("t_final and dt must be positive")
-    n_steps = int(round(t_final / dt))
+    n_steps = step_count(t_final, dt)
     v = 0.5 * grid.deriv(phi0)
     alpha = phi0.copy()
     rho = rho0.copy()
 
-    def rhs(v, alpha, rho):
+    def rhs(_, y):
+        v, alpha, rho = y
         vx = grid.deriv(v)
         ax = grid.deriv(alpha)
         dv = -grid.dealias(v * vx) - 2.0 * grid.dealias(alpha * v)
@@ -429,8 +426,6 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     out_v = np.empty((n_steps + 1, grid.n))
     out_a = np.empty((n_steps + 1, grid.n))
     out_rho[0], out_v[0], out_a[0] = rho, v, alpha
-    energies = [float(grid.integrate((v ** 2 + alpha ** 2) * rho))]
-    defect = 0.0
 
     def lift_defect(v, alpha, rho):
         field = DensityField(grid, np.maximum(rho, 0.0))
@@ -440,23 +435,14 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
 
     defect = lift_defect(v, alpha, rho)
     for i in range(n_steps):
-        k1 = rhs(v, alpha, rho)
-        k2 = rhs(v + 0.5 * dt * k1[0], alpha + 0.5 * dt * k1[1],
-                 rho + 0.5 * dt * k1[2])
-        k3 = rhs(v + 0.5 * dt * k2[0], alpha + 0.5 * dt * k2[1],
-                 rho + 0.5 * dt * k2[2])
-        k4 = rhs(v + dt * k3[0], alpha + dt * k3[1], rho + dt * k3[2])
-        v = v + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        alpha = alpha + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        rho = rho + (dt / 6.0) * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
+        v, alpha, rho = rk4_step(rhs, (v, alpha, rho), dt)
         if not np.all(np.isfinite(v)) or np.min(rho) < -1e-8:
             raise RuntimeError(f"horizontal flow lost positivity at "
                                f"t={(i + 1) * dt:.6g}")
         out_rho[i + 1], out_v[i + 1], out_a[i + 1] = rho, v, alpha
-        energies.append(float(grid.integrate((v ** 2 + alpha ** 2) * rho)))
-        if (i + 1) % defect_every == 0 or i + 1 == n_steps:
+        if (i + 1) % _DEFECT_EVERY == 0 or i + 1 == n_steps:
             defect = max(defect, lift_defect(v, alpha, rho))
-    energies = np.array(energies)
+    energies = grid.integrate((out_v ** 2 + out_a ** 2) * out_rho)
     action = float(np.trapezoid(energies, times))
     mass = grid.h * np.sum(out_rho, axis=1)
     return HorizontalFlowResult(times, out_rho, out_v, out_a, action,
@@ -483,11 +469,10 @@ def hamiltonian_flow(grid: PeriodicGrid, rho0: np.ndarray, q0: np.ndarray,
     rho0 = _validate_endpoint(rho0, "rho0")
     q = np.asarray(q0, dtype=float).copy()
     rho = rho0.copy()
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("t_final and dt must be positive")
-    n_steps = int(round(t_final / dt))
+    n_steps = step_count(t_final, dt)
 
-    def rhs(q, rho):
+    def rhs(_, y):
+        q, rho = y
         qx = grid.deriv(q)
         dq = -grid.dealias(qx * qx) - grid.dealias(q * q)
         dr = -grid.deriv(grid.dealias(rho * qx)) + 2.0 * grid.dealias(q * rho)
@@ -498,11 +483,6 @@ def hamiltonian_flow(grid: PeriodicGrid, rho0: np.ndarray, q0: np.ndarray,
     out_rho = np.empty((n_steps + 1, grid.n))
     out_q[0], out_rho[0] = q, rho
     for i in range(n_steps):
-        k1 = rhs(q, rho)
-        k2 = rhs(q + 0.5 * dt * k1[0], rho + 0.5 * dt * k1[1])
-        k3 = rhs(q + 0.5 * dt * k2[0], rho + 0.5 * dt * k2[1])
-        k4 = rhs(q + dt * k3[0], rho + dt * k3[1])
-        q = q + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        rho = rho + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        q, rho = rk4_step(rhs, (q, rho), dt)
         out_q[i + 1], out_rho[i + 1] = q, rho
     return HamiltonianFlowResult("displayed-hamiltonian", times, out_rho, out_q)

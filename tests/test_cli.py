@@ -196,6 +196,16 @@ def test_bad_inputs_exit_one(capsys):
     code, body = run_json(capsys, "ch", "invariants", "--traj", "missing.csv")
     assert code == 1
     assert body["error"]["type"] in ("FileNotFoundError", "OSError")
+    # a horizon that is not a whole number of steps is refused, not truncated
+    code, body = run_json(capsys, "ch", "solve", "--n", "64", "--dt", "0.1",
+                          "--t-final", "0.25", "--init", "sin:0.2")
+    assert code == 1
+    assert body["error"]["type"] == "ValueError"
+    code, body = run_json(capsys, "cone", "geodesic", "--x0", "0", "--m0", "1",
+                          "--dx0", "0.3", "--dm0", "-0.1", "--t-final", "1.0",
+                          "--dt", "0.3")
+    assert code == 1
+    assert "whole number of steps" in body["error"]["message"]
 
 
 def test_outdir_redirects_relative_paths(capsys, tmp_path, monkeypatch):

@@ -12,6 +12,7 @@ from coneflow import (
     euler_residual,
     flow_map,
     geodesic_form_consistency,
+    hessian_certificate,
     lagrangian_measure_check,
     madelung,
     polar_velocity,
@@ -21,6 +22,78 @@ from coneflow import (
 
 GRID = PeriodicGrid(128)
 ANNULUS = AnnulusGrid(GRID, np.array([0.5, 1.0, 2.0]))
+
+
+def interior_slices(traj):
+    # u, centered u_dot and the pressure at each interior time, one by one
+    for j in range(1, len(traj.times) - 1):
+        u = traj.u[j]
+        u_dot = (traj.u[j + 1] - traj.u[j - 1]) / (2.0 * traj.dt)
+        yield j, u, u_dot, pressure_from_state(traj.grid, u, u_dot)
+
+
+def slice_residuals(grid, u, u_dot, p):
+    ux = grid.deriv(u)
+    alpha = 0.5 * ux
+    alpha_dot = 0.5 * grid.deriv(u_dot)
+    res_theta = u_dot + 2.0 * u * ux + 0.5 * grid.deriv(p)
+    res_rad = alpha_dot + u * grid.deriv(alpha) + alpha ** 2 - u ** 2 + p
+    return res_theta, res_rad
+
+
+def reference_euler_residual(traj, agrid):
+    """Per-slice loop form of euler_residual."""
+    res_theta, res_r, max_div = [], [], 0.0
+    for _, u, u_dot, p in interior_slices(traj):
+        r_th, r_ra = slice_residuals(traj.grid, u, u_dot, p)
+        res_theta.append(np.max(np.abs(r_th)))
+        res_r.append(np.max(np.abs(r_ra)))
+        div = weighted_divergence(polar_velocity(agrid, u))
+        max_div = max(max_div, float(np.max(np.abs(div))))
+    res_theta, res_r = np.array(res_theta), np.array(res_r)
+    max_mom = float(np.max(agrid.radii)) * float(
+        max(np.max(res_theta), np.max(res_r)))
+    return traj.times[1:-1], max_mom, max_div, res_theta, res_r
+
+
+def reference_form_gaps(traj, path):
+    """Per-slice loop form of geodesic_form_consistency."""
+    grid, dt = traj.grid, traj.dt
+    angular_gap = radial_gap = 0.0
+    for j, u, u_dot, p in interior_slices(traj):
+        res_theta, res_rad = slice_residuals(grid, u, u_dot, p)
+        phi_m, phi_0, phi_p = path.phi[j - 1], path.phi[j], path.phi[j + 1]
+        lam_m, lam_0, lam_p = (path.lam_ode[j - 1], path.lam_ode[j],
+                               path.lam_ode[j + 1])
+        phi_dot = (phi_p - phi_m) / (2.0 * dt)
+        phi_ddot = (phi_p - 2.0 * phi_0 + phi_m) / dt ** 2
+        lam_dot = (lam_p - lam_m) / (2.0 * dt)
+        lam_ddot = (lam_p - 2.0 * lam_0 + lam_m) / dt ** 2
+        p_at = grid.trig_eval(p, phi_0)
+        px_at = grid.trig_eval(p, phi_0, order=1)
+        lag_theta = phi_ddot + 2.0 * (lam_dot / lam_0) * phi_dot + 0.5 * px_at
+        lag_rad = lam_ddot - lam_0 * phi_dot ** 2 + lam_0 * p_at
+        eul_theta = grid.trig_eval(res_theta, phi_0)
+        eul_rad = lam_0 * grid.trig_eval(res_rad, phi_0)
+        angular_gap = max(angular_gap,
+                          float(np.max(np.abs(lag_theta - eul_theta))))
+        radial_gap = max(radial_gap, float(np.max(np.abs(lag_rad - eul_rad))))
+    return traj.times[1:-1], angular_gap, radial_gap
+
+
+def reference_hessian_certificate(traj):
+    """Per-slice loop form of hessian_certificate."""
+    grid = traj.grid
+    c_max = 0.0
+    for _, _, _, p in interior_slices(traj):
+        px = grid.deriv(p)
+        pxx = grid.deriv(p, 2)
+        tr = 0.5 * pxx + p
+        det = 0.5 * pxx * p - px * px
+        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+        eig = np.maximum(np.abs(0.5 * (tr + disc)), np.abs(0.5 * (tr - disc)))
+        c_max = max(c_max, float(np.max(eig)))
+    return c_max, (np.inf if c_max == 0.0 else np.pi / np.sqrt(c_max))
 
 
 def test_weighted_divergence_vanishes_for_mapped_fields():
@@ -105,3 +178,25 @@ def test_annulus_validation():
         AnnulusGrid(GRID, np.array([0.5, -1.0]))
     with pytest.raises(ValueError):
         PolarVectorField(ANNULUS, np.zeros((2, GRID.n)), np.zeros((2, GRID.n)))
+
+
+def test_vectorised_diagnostics_equal_the_per_slice_loops():
+    # the fused pass changes only the loop structure, never the arithmetic
+    grid = PeriodicGrid(64)
+    agrid = AnnulusGrid(grid, np.array([0.5, 1.0, 2.0]))
+    traj = ch_solve(grid, 0.2 * np.sin(grid.x), 0.3, 1e-3)
+    path = flow_map(traj)
+    rep = euler_residual(traj, agrid)
+    times, max_mom, max_div, res_theta, res_r = reference_euler_residual(
+        traj, agrid)
+    assert np.array_equal(rep.times, times)
+    assert rep.max_momentum_residual == max_mom
+    assert rep.max_div == max_div
+    assert np.array_equal(rep.residual_theta, res_theta)
+    assert np.array_equal(rep.residual_r, res_r)
+    forms = geodesic_form_consistency(traj, path)
+    times, angular_gap, radial_gap = reference_form_gaps(traj, path)
+    assert np.array_equal(forms.times, times)
+    assert forms.angular_gap == angular_gap
+    assert forms.radial_gap == radial_gap
+    assert hessian_certificate(traj) == reference_hessian_certificate(traj)

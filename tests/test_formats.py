@@ -8,12 +8,10 @@ from coneflow.formats import (
     grid_from_x,
     parse_field_spec,
     read_density_csv,
-    read_flow_csv,
     read_trajectory_csv,
     to_json,
     write_columns_csv,
     write_density_csv,
-    write_flow_csv,
     write_trajectory_csv,
     write_wfr_csv,
 )
@@ -137,20 +135,6 @@ def test_read_reports_first_bad_row_in_mid_file(tmp_path):
     with pytest.raises(ValueError) as err:
         read_density_csv(path)
     assert str(err.value) == f"{path}: non-numeric value in '5,abc'"
-
-
-def test_flow_csv_round_trip(tmp_path):
-    grid = PeriodicGrid(16)
-    times = np.linspace(0.0, 1.0, 5)
-    rng = np.random.default_rng(73)
-    phi = grid.x[None, :] + 0.1 * rng.normal(0, 1, (5, 16))
-    lam = np.exp(rng.normal(0, 0.2, (5, 16)))
-    path = tmp_path / "flow.csv"
-    write_flow_csv(path, times, grid.x, phi, lam)
-    t2, x2, p2, l2 = read_flow_csv(path)
-    assert np.array_equal(t2, times)
-    assert np.array_equal(p2, phi)
-    assert np.array_equal(l2, lam)
 
 
 def test_wfr_csv_layout(tmp_path):

@@ -4,7 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from coneflow import PeriodicGrid, bump_density, circle_distance, diff_matrix, wrap
+from coneflow import (ConePoint, ConeTangent, PeriodicGrid, bump_density,
+                      ch_solve, circle_distance, cone_geodesic, diff_matrix,
+                      hamiltonian_flow, horizontal_flow, wrap)
+from coneflow.grid import rk4_step, step_count
 
 
 def random_trig(grid, rng, n_modes=5, scale=1.0):
@@ -195,3 +198,62 @@ def test_periodic_grid_validation():
         PeriodicGrid(0)
     with pytest.raises(ValueError):
         PeriodicGrid(7)  # odd sizes are rejected, rfft layout assumes even n
+
+
+def test_rk4_step_is_fourth_order_on_a_rotation():
+    # y' = (-y2, y1) from (1, 0) is (cos t, sin t); the state is a tuple
+    def rotation(_, y):
+        return -y[1], y[0]
+
+    def error(n_steps):
+        dt = 1.0 / n_steps
+        y = (np.array([1.0]), np.array([0.0]))
+        for _ in range(n_steps):
+            y = rk4_step(rotation, y, dt)
+        return max(abs(y[0][0] - np.cos(1.0)), abs(y[1][0] - np.sin(1.0)))
+
+    errors = [error(n) for n in (10, 20, 40)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(16.0, rel=0.1)
+
+
+def test_rk4_step_stage_fractions():
+    seen = []
+
+    def clock(c, y):
+        seen.append(c)
+        return (np.ones(1),)
+
+    y, = rk4_step(clock, (np.zeros(1),), 0.25)
+    assert seen == [0.0, 0.5, 0.5, 1.0]
+    assert y[0] == 0.25
+
+
+def test_step_count_requires_a_whole_number_of_steps():
+    assert step_count(1.0, 1e-3) == 1000
+    assert step_count(0.25, 1e-3) == 250
+    for t_final, dt in ((0.25, 0.1), (1.0, 0.3), (0.04, 0.1)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            step_count(t_final, dt)
+    for t_final, dt in ((1.0, 0.0), (0.0, 0.1), (-0.5, -0.1), (1.0, -0.1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            step_count(t_final, dt)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda t, dt: ch_solve(PeriodicGrid(16), 0.2 * np.sin(PeriodicGrid(16).x),
+                           t, dt),
+    lambda t, dt: cone_geodesic(ConePoint(0.0, 1.0), ConeTangent(0.3, -0.1),
+                                t, dt),
+    lambda t, dt: horizontal_flow(PeriodicGrid(16), np.ones(16),
+                                  0.1 * np.cos(PeriodicGrid(16).x), t, dt),
+    lambda t, dt: hamiltonian_flow(PeriodicGrid(16), np.ones(16),
+                                   0.1 * np.cos(PeriodicGrid(16).x), t, dt),
+], ids=["ch_solve", "cone_geodesic", "horizontal_flow", "hamiltonian_flow"])
+def test_integrators_reject_a_partial_last_step(integrate):
+    # round(t/dt)*dt would end at 0.2 and at 0.0; only whole steps are taken
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate(0.25, 0.1)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        integrate(0.04, 0.1)
+    assert integrate(0.3, 0.1).times[-1] == pytest.approx(0.3, abs=1e-15)
