@@ -17,8 +17,8 @@ from .group import (DensityField, GroupElement, VelocityPair, adjoint_action,
                     compose, cone_l2_energy, embed_diffeo, group_exponential,
                     hdiv_energy, identity, infinitesimal_action, inverse,
                     lie_bracket, pushforward_action)
-from .ch import (CHBlowupError, CHState, CHTrajectory, FlowPath, ch_invariants,
-                 ch_rhs, ch_solve, flow_map)
+from .ch import (CHBlowupError, CHTrajectory, FlowPath, ch_invariants, ch_rhs,
+                 ch_solve, flow_map)
 from .euler import (AnnulusGrid, EulerResidualReport, FormConsistencyReport,
                     MeasureReport, PolarVectorField, euler_residual,
                     geodesic_form_consistency, lagrangian_measure_check,

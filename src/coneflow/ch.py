@@ -35,29 +35,12 @@ class CHBlowupError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CHState:
-    grid: PeriodicGrid
-    u: np.ndarray
-
-    def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        if u.shape != (self.grid.n,):
-            raise ValueError("u must be a nodal array on the grid")
-        if not np.all(np.isfinite(u)):
-            raise ValueError("u must be finite")
-        object.__setattr__(self, "u", u)
-
-
-@dataclass(frozen=True)
 class CHTrajectory:
     grid: PeriodicGrid
     params: ConeParams
     dt: float
     times: np.ndarray
     u: np.ndarray  # (len(times), n)
-
-    def state(self, j: int) -> CHState:
-        return CHState(self.grid, self.u[j])
 
 
 @dataclass(frozen=True)
@@ -154,6 +137,12 @@ def _lagrange_weights(s: float) -> np.ndarray:
     return w
 
 
+# a step's stencil starts 0, 1 or 2 slices before it; its RK4 stages sit at
+# fractions 0, 1/2 and 1 of the step, so nine weight sets serve every step
+_STAGE_WEIGHTS = {(offset, c): _lagrange_weights(offset + c)
+                  for offset in range(3) for c in (0.0, 0.5, 1.0)}
+
+
 def flow_map(traj: CHTrajectory) -> FlowPath:
     """Integrate the Lagrangian flow and gauge factor along a trajectory.
 
@@ -175,7 +164,7 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
         j0 = min(max(j - 1, 0), n_steps - 3)
         stages = {}  # (u, u_x) at the stage times, cubic in time
         for c in (0.0, 0.5, 1.0):
-            w = _lagrange_weights((j - j0) + c)
+            w = _STAGE_WEIGHTS[j - j0, c]
             stages[c] = w @ traj.u[j0:j0 + 4], w @ ux_all[j0:j0 + 4]
 
         def rhs(c, y):

@@ -37,7 +37,14 @@ class CLIInputError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit-code-1 errors."""
+    """argparse variant that reports usage problems as exit-code-1 errors.
+
+    Options must be spelled out: with prefix matching, a removed or
+    mistyped option such as --a would silently bind to --amplitudes.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise CLIInputError(message)
@@ -171,10 +178,7 @@ def cmd_ch_invariants(args):
 
 
 def cmd_euler_check(args):
-    params = _params(args)
-    if (params.a, params.b) != (1.0, 0.5):
-        raise CLIInputError("euler check is defined at coefficients a=1, b=0.5")
-    traj = _load_trajectory(args.traj, params)
+    traj = _load_trajectory(args.traj, ConeParams())
     radii = np.array(_float_list(args.radii))
     if np.min(radii) <= 0:
         raise CLIInputError("--radii must be positive")
@@ -283,11 +287,10 @@ def cmd_curvature(args):
 
 
 def cmd_minimality(args):
-    params = _params(args)
     _require_positive(args, ["n", "t_final", "dt", "members"])
     grid = PeriodicGrid(args.n)
     u0 = parse_field_spec(args.init, grid)
-    traj = ch_solve(grid, u0, args.t_final, args.dt, params)
+    traj = ch_solve(grid, u0, args.t_final, args.dt)
     family = make_perturbation_family(grid, traj.times, args.members,
                                       args.seed)
     amplitudes = tuple(_float_list(args.amplitudes))
@@ -356,7 +359,6 @@ def build_parser() -> _Parser:
     p = euler_sub.add_parser("check", help="residual report for a run")
     p.add_argument("--traj", required=True)
     p.add_argument("--radii", default="0.5,1,2")
-    _add_params(p)
     p.set_defaults(func=cmd_euler_check)
 
     wfr = sub.add_parser("wfr", help="unbalanced transport distance")
@@ -415,7 +417,6 @@ def build_parser() -> _Parser:
     p.add_argument("--members", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--amplitudes", default="0.01,0.1")
-    _add_params(p)
     p.set_defaults(func=cmd_minimality)
 
     return parser

@@ -114,7 +114,9 @@ def eulerian_residuals(traj: CHTrajectory):
     Each is a (T-2, n) array.  u_dot is the centered time difference, p
     the pressure recovered from the radial momentum balance, and res_theta,
     res_r the angular and radial momentum residuals of the polar field at
-    unit radius (both scale linearly in r).
+    unit radius (both scale linearly in r).  Because p is recovered from
+    the radial balance, res_r is identically 0.0; only res_theta tests
+    the correspondence.
     """
     grid = traj.grid
     if len(traj.times) < 3:
@@ -143,9 +145,10 @@ def euler_residual(traj: CHTrajectory, agrid: AnnulusGrid) -> EulerResidualRepor
     """Momentum residual of the mapped polar field along a trajectory.
 
     Time derivatives use centered differences at the stored interior times.
-    The pressure is recovered from the radial balance, so the reported
-    momentum residual is dominated by the angular component; both scale
-    linearly in r and are reported at the largest annulus radius.
+    The pressure is recovered from the radial balance, so the radial
+    residual is identically 0.0 and the reported momentum residual is the
+    angular one; both scale linearly in r and are reported at the largest
+    annulus radius.
     """
     res_theta, res_r = (np.max(np.abs(field), axis=1)
                         for field in eulerian_residuals(traj)[2:])

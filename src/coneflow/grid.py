@@ -5,9 +5,9 @@ collocation derivatives, integrals are uniform Riemann sums (exact for
 trigonometric polynomials below the Nyquist band), and off-grid evaluation
 of smooth fields sums the trigonometric interpolant as a polynomial in
 z = exp(ix) by Horner's rule: O(P*n) time and O(P) memory for P points.
-Circle maps are handled through their monotone lifts; lifts are
-interpolated with periodic cubic splines and inverted with safeguarded
-bisection/Newton.  All fixed-step integrators use rk4_step.
+Circle maps are handled through their monotone lifts, evaluated through
+the same interpolant and inverted by safeguarded Newton.  All fixed-step
+integrators use rk4_step.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,6 +52,13 @@ class PeriodicGrid:
 
     def _wavenumbers(self) -> np.ndarray:
         return np.arange(self.n // 2 + 1, dtype=float)
+
+    def _mode_weights(self) -> np.ndarray:
+        """Weight of each rfft mode in the real interpolant: 1, 2, ..., 2, 1."""
+        w = np.full(self.n // 2 + 1, 2.0)
+        w[0] = 1.0
+        w[-1] = 1.0
+        return w
 
     def deriv(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Fourier collocation derivative along the last axis."""
@@ -112,10 +118,7 @@ class PeriodicGrid:
         if order > 0:
             c = c * (1j * k) ** order
             c[-1] = 0.0
-        w = np.full(self.n // 2 + 1, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0
-        coeff = (w * c / self.n).tolist()
+        coeff = (self._mode_weights() * c / self.n).tolist()
         z = np.exp(1j * points.ravel())
         acc = np.full(z.shape, coeff[-1])
         for a in reversed(coeff[:-1]):
@@ -125,60 +128,40 @@ class PeriodicGrid:
 
     # -- monotone circle-map lifts ------------------------------------------
 
-    def lift_spline(self, phi: np.ndarray) -> CubicSpline:
-        """Periodic cubic spline of the displacement phi - id."""
-        disp = phi - self.x
-        xs = np.append(self.x, TWO_PI)
-        ys = np.append(disp, disp[0])
-        return CubicSpline(xs, ys, bc_type="periodic")
-
     def eval_lift(self, phi: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Evaluate the lift at arbitrary reals using phi(x+2pi)=phi(x)+2pi."""
-        sp = self.lift_spline(phi)
         points = np.asarray(points, dtype=float)
-        return points + sp(wrap(points))
+        return points + self.trig_eval(phi - self.x, points)
 
-    def invert_lift(self, phi: np.ndarray, targets: np.ndarray | None = None,
-                    tol: float = 1e-13) -> np.ndarray:
-        """Solve phi(y) = target for each target (defaults to the grid nodes).
+    def invert_lift(self, phi: np.ndarray) -> np.ndarray:
+        """Solve phi(y) = x_i at every grid node x_i.
 
-        Bisection brackets the root of the monotone lift, Newton polishes it.
+        phi is read through the trigonometric interpolant of its
+        displacement d = phi - id, as in eval_lift.  |d| is bounded by the
+        1-norm S of its Fourier coefficients, so each root lies in
+        [x_i - S, x_i + S]; Newton steps that leave the shrinking bracket
+        are replaced by bisection.  It stops once |phi(y) - x_i| is within
+        1e-14 (2pi + S), the roundoff scale of y, and raises RuntimeError
+        if it stalls.
         """
-        sp = self.lift_spline(phi)
-        dsp = sp.derivative()
-        if targets is None:
-            targets = self.x
-        targets = np.asarray(targets, dtype=float)
         disp = phi - self.x
-        lo = targets - np.max(disp)
-        hi = targets - np.min(disp)
-
-        def f(y):
-            return y + sp(wrap(y)) - targets
-
-        # the displacement spline can overshoot its nodal range slightly;
-        # widen until the bracket provably straddles the root
-        pad = 1e-6 * (np.max(disp) - np.min(disp) + 1.0)
-        for _ in range(80):
-            bad_lo = f(lo) > 0
-            bad_hi = f(hi) < 0
-            if not bad_lo.any() and not bad_hi.any():
-                break
-            lo = np.where(bad_lo, lo - pad, lo)
-            hi = np.where(bad_hi, hi + pad, hi)
-            pad *= 2.0
-        for _ in range(48):
-            mid = 0.5 * (lo + hi)
-            take_lo = f(mid) <= 0.0
-            lo = np.where(take_lo, mid, lo)
-            hi = np.where(take_lo, hi, mid)
-        y = 0.5 * (lo + hi)
-        for _ in range(4):
-            y = y - f(y) / (1.0 + dsp(wrap(y)))
-            y = np.clip(y, lo, hi)
-        if np.max(np.abs(f(y))) > 100 * tol:
-            raise RuntimeError("lift inversion failed to converge")
-        return y
+        bound = float(np.sum(self._mode_weights()
+                             * np.abs(np.fft.rfft(disp)))) / self.n
+        lo = self.x - bound
+        hi = self.x + bound
+        y = self.x - disp
+        tol = 1e-14 * (TWO_PI + bound)
+        for _ in range(100):
+            f = y + self.trig_eval(disp, y) - self.x
+            if np.max(np.abs(f)) <= tol:
+                return y
+            lo = np.where(f <= 0, y, lo)
+            hi = np.where(f > 0, y, hi)
+            y_new = y - f / (1.0 + self.trig_eval(disp, y, 1))
+            # non-strict: a converged point sits on its bracket end
+            outside = (y_new < lo) | (y_new > hi)
+            y = np.where(outside, 0.5 * (lo + hi), y_new)
+        raise RuntimeError("lift inversion failed to converge")
 
 
 def step_count(t_final: float, dt: float) -> int:

@@ -161,6 +161,25 @@ def test_minimality_requires_seed(capsys):
     assert body["error"]["type"] == "CLIInputError"
 
 
+def test_minimality_runs_only_at_the_reference_coefficients(capsys):
+    # the Hessian certificate recovers the pressure with the (1, 1/2)
+    # formula, so the command takes no coefficients to integrate with
+    for flag in ("--a", "--b"):
+        code, body = run_json(capsys, "minimality", "--init", "sin:0.2",
+                              "--t-final", "0.5", "--members", "5",
+                              "--seed", "3", flag, "2")
+        assert code == 1
+        assert body["error"]["type"] == "CLIInputError"
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    probe = ("import sys, coneflow.cli; "
+             "print('scipy.interpolate' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
 def test_blowup_exits_two_with_diagnostics(capsys):
     code, body = run_json(capsys, "ch", "solve", "--n", "64", "--dt", "1e-3",
                           "--t-final", "4.0", "--init", "sin:3.0")

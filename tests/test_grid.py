@@ -143,12 +143,18 @@ def test_trig_eval_rejects_bad_samples_and_order():
 
 
 def test_eval_lift_reproduces_monotone_map():
-    # cubic-spline lift: interpolation error O(h^4), ~1e-9 at n = 256
+    # the lift is read through the trigonometric interpolant of phi - id,
+    # which reproduces a band-limited displacement to roundoff
     grid = PeriodicGrid(256)
     phi = grid.x + 0.3 * np.sin(grid.x)
     pts = np.random.default_rng(1).uniform(0, 2 * np.pi, 100)
     vals = grid.eval_lift(phi, pts)
-    assert np.max(np.abs(vals - (pts + 0.3 * np.sin(pts)))) < 1e-8
+    assert np.max(np.abs(vals - (pts + 0.3 * np.sin(pts)))) < 1e-13
+
+
+def inversion_gap(grid, phi):
+    # |phi(y_i) - x_i| for the computed preimages y_i of the nodes
+    return np.max(np.abs(grid.eval_lift(phi, grid.invert_lift(phi)) - grid.x))
 
 
 def test_invert_lift_random_monotone_maps():
@@ -157,11 +163,7 @@ def test_invert_lift_random_monotone_maps():
     for _ in range(10):
         disp = random_trig(grid, rng, n_modes=3, scale=0.2)
         disp = disp - grid.mean(disp)
-        phi = grid.x + disp
-        inv = grid.invert_lift(phi)
-        # phi(inv(x)) = x on the nodes
-        back = grid.eval_lift(phi, inv)
-        assert np.max(np.abs(back - grid.x)) < 1e-10
+        assert inversion_gap(grid, grid.x + disp) <= 1e-13
 
 
 def test_invert_lift_identity_and_near_identity():
@@ -171,6 +173,59 @@ def test_invert_lift_identity_and_near_identity():
     phi = grid.x + 1e-9 * np.sin(grid.x)
     inv = grid.invert_lift(phi)
     assert np.max(np.abs(grid.eval_lift(phi, inv) - grid.x)) < 1e-12
+
+
+def test_invert_lift_steep_map():
+    for n in (64, 256):
+        grid = PeriodicGrid(n)
+        phi = grid.x + 0.95 * np.sin(grid.x) + 1.0
+        assert np.min(1.0 + grid.deriv(phi - grid.x)) == pytest.approx(
+            0.05, abs=1e-9)
+        assert inversion_gap(grid, phi) <= 1e-13
+
+
+def test_invert_lift_when_the_interpolant_overshoots_the_nodes():
+    # an under-resolved bump: between nodes the displacement dips below its
+    # nodal minimum, so the nodal range does not bracket every root
+    grid = PeriodicGrid(16)
+    bump = np.exp((np.cos(grid.x - np.pi) - 1.0) / 0.3 ** 2)
+    disp = bump - grid.mean(bump)
+    disp *= 0.8 / np.max(np.abs(grid.deriv(disp)))
+    fine = np.linspace(0.0, 2 * np.pi, 4001)
+    assert np.min(disp) - np.min(grid.trig_eval(disp, fine)) > 1e-3
+    assert inversion_gap(grid, grid.x + disp) <= 1e-13
+
+
+def test_invert_lift_large_grid():
+    grid = PeriodicGrid(1024)
+    disp = random_trig(grid, np.random.default_rng(4), n_modes=8, scale=0.1)
+    assert np.min(1.0 + grid.deriv(disp)) > 0.1
+    assert inversion_gap(grid, grid.x + disp) <= 1e-13
+
+
+def test_invert_lift_converges_in_few_newton_rounds(monkeypatch):
+    # each round evaluates the displacement and its derivative; Newton needs
+    # 5 rounds here, bisection to roundoff over the 2S-wide bracket about 50
+    grid = PeriodicGrid(128)
+    disp = random_trig(grid, np.random.default_rng(5), n_modes=3, scale=0.2)
+    calls = []
+    trig_eval = PeriodicGrid.trig_eval
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return trig_eval(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeriodicGrid, "trig_eval", counted)
+    grid.invert_lift(grid.x + disp)
+    assert len(calls) <= 2 * 8 + 1
+
+
+def test_invert_lift_raises_when_it_cannot_converge():
+    grid = PeriodicGrid(16)
+    phi = grid.x.copy()
+    phi[3] = np.nan
+    with pytest.raises(RuntimeError, match="failed to converge"):
+        grid.invert_lift(phi)
 
 
 def test_diff_matrix_agrees_with_deriv():

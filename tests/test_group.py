@@ -61,14 +61,15 @@ def test_identity_element_is_neutral():
 
 
 def test_inverse_composes_to_identity():
-    # right inverse is exact by construction; the left one pays the O(h^4)
-    # cubic-spline composition error, ~4e-7 at n = 128
+    # phi and lam are both read through the trigonometric interpolant, so
+    # the right inverse is exact by construction and the left one is exact
+    # to roundoff for well-resolved elements
     rng = np.random.default_rng(21)
     for _ in range(5):
         g = random_element(rng)
         e = identity(GRID)
         assert element_gap(compose(g, inverse(g)), e) < 1e-12
-        assert element_gap(compose(inverse(g), g), e) < 1e-6
+        assert element_gap(compose(inverse(g), g), e) < 1e-12
 
 
 def test_composition_associative():
@@ -79,9 +80,8 @@ def test_composition_associative():
     assert element_gap(left, right) < 1e-6
 
 
-def test_composition_error_is_fourth_order():
-    # the associativity defect comes from spline lifts: h^4 decay
-    gaps = []
+def test_composition_is_associative_to_roundoff():
+    # one spectral evaluator for phi and lam: no interpolation error to decay
     for n in (128, 256, 512):
         grid = PeriodicGrid(n)
         rng = np.random.default_rng(22)
@@ -98,10 +98,7 @@ def test_composition_error_is_fourth_order():
         g1, g2, g3 = els
         left = compose(compose(g1, g2), g3)
         right = compose(g1, compose(g2, g3))
-        gaps.append(max(np.max(np.abs(left.phi - right.phi)),
-                        np.max(np.abs(left.lam - right.lam))))
-    assert gaps[1] < gaps[0] / 8
-    assert gaps[2] < gaps[1] / 8
+        assert element_gap(left, right) < 1e-12, n
 
 
 def test_embed_diffeo_isotropy_gauge():
