@@ -31,11 +31,11 @@ from .submersion import (IIResult, LiftResult, MinimalityReport,
                          minimality_test, oneill_curvature, pair_inner,
                          path_action, second_fundamental_form,
                          vertical_horizontal_split)
-from .wfr import (CONVENTIONS, HamiltonianFlowResult, HorizontalFlowResult,
-                  StaggeredGrid, WFRConvergenceError, WFRResult,
-                  WFRVariables, continuity_project, continuity_residual,
-                  hamiltonian_flow, hellinger_distance, horizontal_flow,
-                  interpolate_centers, prox_action, solve_wfr, wfr_action)
+from .wfr import (CONVENTIONS, HorizontalFlowResult, StaggeredGrid,
+                  WFRConvergenceError, WFRResult, WFRVariables,
+                  continuity_project, continuity_residual, hellinger_distance,
+                  horizontal_flow, interpolate_centers, prox_action,
+                  solve_wfr, wfr_action)
 
 __version__ = "0.1.0"
 

@@ -120,11 +120,16 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
 
 def ch_invariants(grid: PeriodicGrid, u: np.ndarray,
                   params: ConeParams = ConeParams()) -> dict:
-    """Conserved quantities: the H(div) energy and the momentum mean."""
+    """Conserved quantities: the H(div) energy and the momentum mean.
+
+    For one slice u of shape (n,) each value is a float; for a stack of
+    slices (T, n) it is a list with one float per slice.
+    """
     ux = grid.deriv(u)
     m = params.a ** 2 * u - params.b ** 2 * grid.deriv(u, 2)
     energy = grid.integrate(params.a ** 2 * u ** 2 + params.b ** 2 * ux ** 2)
-    return {"energy": float(energy), "momentum_mean": float(grid.integrate(m))}
+    return {"energy": energy.tolist(),
+            "momentum_mean": grid.integrate(m).tolist()}
 
 
 def _lagrange_weights(s: float) -> np.ndarray:

@@ -158,9 +158,9 @@ def _load_trajectory(path, params) -> CHTrajectory:
 def cmd_ch_invariants(args):
     params = _params(args)
     traj = _load_trajectory(args.traj, params)
-    values = [ch_invariants(traj.grid, u, params) for u in traj.u]
-    energy = np.array([v["energy"] for v in values])
-    momentum = np.array([v["momentum_mean"] for v in values])
+    values = ch_invariants(traj.grid, traj.u, params)
+    energy = np.array(values["energy"])
+    momentum = np.array(values["momentum_mean"])
     scale_e = max(abs(energy[0]), 1e-30)
     scale_m = max(abs(momentum[0]), 1.0)
     return {"traj": args.traj, "a": params.a, "b": params.b,

@@ -165,24 +165,21 @@ def parse_field_spec(spec: str, grid: PeriodicGrid) -> np.ndarray:
     if not isinstance(spec, str) or ":" not in spec:
         raise ValueError(f"bad field spec '{spec}'")
     kind, _, arg = spec.partition(":")
-    try:
-        if kind == "const":
-            return np.full(grid.n, float(arg))
-        if kind == "sin":
-            return float(arg) * np.sin(grid.x)
-        if kind == "bump":
-            parts = arg.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"bump spec needs center,width,mass: '{spec}'")
-            center, width, mass = (float(p) for p in parts)
-            return bump_density(grid, center, width, mass)
-        if kind == "file":
-            x, values = read_density_csv(arg)
-            if len(x) != grid.n:
-                raise ValueError(f"{arg}: {len(x)} nodes, grid has {grid.n}")
-            if np.max(np.abs(x - grid.x)) > 1e-9:
-                raise ValueError(f"{arg}: nodes do not match the grid")
-            return values
-    except ValueError:
-        raise
+    if kind == "const":
+        return np.full(grid.n, float(arg))
+    if kind == "sin":
+        return float(arg) * np.sin(grid.x)
+    if kind == "bump":
+        parts = arg.split(",")
+        if len(parts) != 3:
+            raise ValueError(f"bump spec needs center,width,mass: '{spec}'")
+        center, width, mass = (float(p) for p in parts)
+        return bump_density(grid, center, width, mass)
+    if kind == "file":
+        x, values = read_density_csv(arg)
+        if len(x) != grid.n:
+            raise ValueError(f"{arg}: {len(x)} nodes, grid has {grid.n}")
+        if np.max(np.abs(x - grid.x)) > 1e-9:
+            raise ValueError(f"{arg}: nodes do not match the grid")
+        return values
     raise ValueError(f"unknown field spec kind '{kind}'")

@@ -5,6 +5,8 @@ collocation derivatives, integrals are uniform Riemann sums (exact for
 trigonometric polynomials below the Nyquist band), and off-grid evaluation
 of smooth fields sums the trigonometric interpolant as a polynomial in
 z = exp(ix) by Horner's rule: O(P*n) time and O(P) memory for P points.
+A stack of fields of shape (..., n) is evaluated in the same pass, each
+row at its own row of points.
 Circle maps are handled through their monotone lifts, evaluated through
 the same interpolant and inverted by safeguarded Newton.  All fixed-step
 integrators use rk4_step.
@@ -96,35 +98,47 @@ class PeriodicGrid:
                   order: int = 0) -> np.ndarray:
         """Evaluate the trigonometric interpolant (or its derivative) off-grid.
 
-        ``values`` must be the n nodal samples (a 1-D array of length n) and
-        ``order`` an integer >= 0; anything else raises ValueError.  The
-        result has the shape of ``points``, which may be any real array.
-        The Nyquist mode is interpreted as cos(n/2 x), the standard real
-        interpolation convention, and contributes nothing to derivatives.
+        ``values`` holds the n nodal samples along its last axis, and
+        ``order`` is an integer >= 0; anything else raises ValueError.  The
+        result has the shape of ``points``, a real array.  Leading (batch)
+        axes of ``values`` must also lead ``points``: row i of the values
+        is evaluated at row i of the points.  The Nyquist mode is
+        interpreted as cos(n/2 x), the standard real interpolation
+        convention, and contributes nothing to derivatives.
 
         The sum over the n/2 + 1 modes is a polynomial in z = exp(ix),
         evaluated by Horner's rule: one complex exponential per point and
         n/2 multiply-adds, so O(P*n) time and O(P) memory for P points.
         """
-        if np.shape(values) != (self.n,):
-            raise ValueError(f"trig_eval needs the {self.n} nodal samples as "
-                             f"a 1-D array, got shape {np.shape(values)}")
+        points = np.asarray(points, dtype=float)
+        batch = np.shape(values)[:-1]
+        if np.shape(values)[-1:] != (self.n,) \
+                or points.shape[:len(batch)] != batch:
+            raise ValueError(f"trig_eval needs the {self.n} nodal samples on "
+                             f"the last axis and the other axes leading "
+                             f"points, got shapes {np.shape(values)} and "
+                             f"{points.shape}")
         if not isinstance(order, (int, np.integer)) or order < 0:
             raise ValueError(f"derivative order must be an integer >= 0, "
                              f"got {order!r}")
-        points = np.asarray(points, dtype=float)
         c = np.fft.rfft(values)
         k = self._wavenumbers()
         if order > 0:
             c = c * (1j * k) ** order
-            c[-1] = 0.0
-        coeff = (self._mode_weights() * c / self.n).tolist()
-        z = np.exp(1j * points.ravel())
+            c[..., -1] = 0.0
+        coeff = self._mode_weights() * c / self.n
+        if batch:
+            # one coefficient per row, broadcast over that row's points
+            coeff = np.moveaxis(coeff, -1, 0).reshape(
+                k.shape + batch + (1,) * (points.ndim - len(batch)))
+        else:
+            coeff = coeff.tolist()  # scalars keep the 1-D loop fast
+        z = np.exp(1j * points)
         acc = np.full(z.shape, coeff[-1])
         for a in reversed(coeff[:-1]):
             acc *= z
             acc += a
-        return acc.real.reshape(points.shape)
+        return acc.real
 
     # -- monotone circle-map lifts ------------------------------------------
 

@@ -11,10 +11,9 @@ first-order primal-dual iteration that alternates the exact pointwise
 proximal map of the action integrand with the Euclidean projection onto
 the continuity constraint (FFT in space, cosine transform in time).
 
-Three scalar conventions coexist in this corner of the code base and are
+Two scalar conventions coexist in this corner of the code base and are
 never converted implicitly (see CONVENTIONS): the lift potential Phi of
-horizontal pairs (Phi'/2, Phi), the geodesic pressure p, and the variable
-q of the displayed Hamiltonian system integrated by hamiltonian_flow.
+horizontal pairs (Phi'/2, Phi) and the geodesic pressure p.
 """
 from __future__ import annotations
 
@@ -33,12 +32,11 @@ CONVENTIONS = {
                       "solving -(rho Phi')'/2 + 2 Phi rho = X",
     "pressure": "geodesic forcing is (-p'/2, -lam p); p is recovered from "
                 "the radial momentum balance",
-    "displayed-hamiltonian": "d_t q + |q'|^2 + q^2 = 0, "
-                             "d_t rho + (rho q')' - 2 q rho = 0; a distinct "
-                             "normalization kept as a diagnostic only",
 }
 
 
+_SIGMA = 0.95  # dual and primal step sizes of solve_wfr
+_TAU = 0.95
 _CHECK_EVERY = 25
 _MIN_ITERS = 200
 _DEFECT_EVERY = 10  # horizontal_flow steps between horizontality checks
@@ -280,14 +278,13 @@ def _validate_endpoint(rho, nx_name="rho"):
 def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
               params: ConeParams = ConeParams(), balanced: bool = False,
               tol: float = 1e-7, max_iters: int = 50000,
-              sigma: float = 0.95, tau: float = 0.95,
               init: WFRVariables | None = None) -> WFRResult:
     """Distance between two densities by primal-dual proximal splitting.
 
     The primal iterate is kept feasible by projecting onto the continuity
     constraint every iteration; the dual update applies the exact prox of
-    the action through the Moreau identity.  Steps must satisfy
-    sigma * tau * |K|^2 < 1 where K is the staggered-to-centered
+    the action through the Moreau identity.  The steps _SIGMA and _TAU
+    satisfy _SIGMA * _TAU * |K|^2 < 1, where K is the staggered-to-centered
     interpolation (|K| <= 1).  Stops when the relative change of the
     action over _CHECK_EVERY iterations drops below tol, after at least
     _MIN_ITERS iterations; raises WFRConvergenceError at max_iters.  In
@@ -301,8 +298,6 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     rho1 = _validate_endpoint(rho1, "rho1")
     if rho0.shape != rho1.shape:
         raise ValueError("endpoint densities must share a grid")
-    if sigma * tau >= 1.0:
-        raise ValueError("need sigma * tau < 1 for the interpolation norm")
     nx = len(rho0)
     g = StaggeredGrid(nt, nx)
 
@@ -324,7 +319,7 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     w_rho = np.zeros((g.nt, g.nx))
     w_m = np.zeros((g.nt, g.nx))
     w_mu = np.zeros((g.nt, g.nx))
-    gamma = 1.0 / sigma
+    gamma = 1.0 / _SIGMA
     action_prev = np.inf
     action = np.inf
     rel_change = np.inf
@@ -334,20 +329,20 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     for k in range(1, max_iters + 1):
         iterations = k
         a_rho, a_m, a_mu = _adjoint_centers(g, w_rho, w_m, w_mu)
-        u_new = WFRVariables(g, u.rho - tau * a_rho, u.m - tau * a_m,
-                             u.mu - tau * a_mu)
+        u_new = WFRVariables(g, u.rho - _TAU * a_rho, u.m - _TAU * a_m,
+                             u.mu - _TAU * a_mu)
         u_new = continuity_project(u_new, rho0, rho1, balanced=balanced)
         bar = WFRVariables(g, 2.0 * u_new.rho - u.rho, 2.0 * u_new.m - u.m,
                            2.0 * u_new.mu - u.mu)
         v_rho, v_m, v_mu = interpolate_centers(bar)
-        y_rho = w_rho + sigma * v_rho
-        y_m = w_m + sigma * v_m
-        y_mu = w_mu + sigma * v_mu
-        p_rho, p_m, p_mu = prox_action(y_rho / sigma, y_m / sigma,
-                                       y_mu / sigma, gamma, params)
-        w_rho = y_rho - sigma * p_rho
-        w_m = y_m - sigma * p_m
-        w_mu = y_mu - sigma * p_mu
+        y_rho = w_rho + _SIGMA * v_rho
+        y_m = w_m + _SIGMA * v_m
+        y_mu = w_mu + _SIGMA * v_mu
+        p_rho, p_m, p_mu = prox_action(y_rho / _SIGMA, y_m / _SIGMA,
+                                       y_mu / _SIGMA, gamma, params)
+        w_rho = y_rho - _SIGMA * p_rho
+        w_m = y_m - _SIGMA * p_m
+        w_mu = y_mu - _SIGMA * p_mu
         u = u_new
         if k % _CHECK_EVERY == 0 or k == max_iters:
             action = _centered_action(g, p_rho, p_m, p_mu, params)
@@ -448,41 +443,3 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     return HorizontalFlowResult(times, out_rho, out_v, out_a, action,
                                 defect, mass)
 
-
-@dataclass(frozen=True)
-class HamiltonianFlowResult:
-    convention: str
-    times: np.ndarray
-    rho: np.ndarray
-    q: np.ndarray
-
-
-def hamiltonian_flow(grid: PeriodicGrid, rho0: np.ndarray, q0: np.ndarray,
-                     t_final: float, dt: float) -> HamiltonianFlowResult:
-    """Diagnostic integration of the displayed Hamiltonian system.
-
-    d_t q + |q_x|^2 + q^2 = 0 and d_t rho + (rho q_x)_x - 2 q rho = 0.
-    This normalization is NOT the lift convention used by horizontal_flow;
-    results carry the convention tag and are never mixed with lift
-    potentials or pressures.
-    """
-    rho0 = _validate_endpoint(rho0, "rho0")
-    q = np.asarray(q0, dtype=float).copy()
-    rho = rho0.copy()
-    n_steps = step_count(t_final, dt)
-
-    def rhs(_, y):
-        q, rho = y
-        qx = grid.deriv(q)
-        dq = -grid.dealias(qx * qx) - grid.dealias(q * q)
-        dr = -grid.deriv(grid.dealias(rho * qx)) + 2.0 * grid.dealias(q * rho)
-        return dq, dr
-
-    times = np.arange(n_steps + 1) * dt
-    out_q = np.empty((n_steps + 1, grid.n))
-    out_rho = np.empty((n_steps + 1, grid.n))
-    out_q[0], out_rho[0] = q, rho
-    for i in range(n_steps):
-        q, rho = rk4_step(rhs, (q, rho), dt)
-        out_q[i + 1], out_rho[i + 1] = q, rho
-    return HamiltonianFlowResult("displayed-hamiltonian", times, out_rho, out_q)

@@ -70,6 +70,16 @@ def test_invariant_values_on_sine():
     assert inv["momentum_mean"] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_invariants_of_a_stack_equal_the_per_slice_values():
+    grid = PeriodicGrid(64)
+    params = ConeParams(1.5, 0.3)
+    u = np.random.default_rng(8).normal(size=(6, grid.n))
+    stacked = ch_invariants(grid, u, params)
+    for key in ("energy", "momentum_mean"):
+        assert stacked[key] == [ch_invariants(grid, row, params)[key]
+                                for row in u]
+
+
 def test_time_reversibility():
     grid = PeriodicGrid(128)
     u0 = 0.2 * np.sin(grid.x) + 0.05 * np.cos(2 * grid.x)

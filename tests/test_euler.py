@@ -125,6 +125,31 @@ def test_weighted_divergence_rejects_inhomogeneous_input():
         weighted_divergence(PolarVectorField(ANNULUS, v_theta, v_r))
 
 
+def test_batched_divergence_checks_homogeneity_slice_by_slice():
+    # slice 1 is 1e12 times smaller than slice 0 and quadratic in r; a scale
+    # shared by the whole batch would let it pass
+    r = ANNULUS.radii[:, None]
+    s, c = np.sin(GRID.x), np.cos(GRID.x)
+    v_theta = np.stack([1e3 * r * s, 1e-9 * r ** 2 * s], axis=1)
+    v_r = np.stack([1e3 * r * c, 1e-9 * r * c], axis=1)
+    large = PolarVectorField(ANNULUS, v_theta[:, 0], v_r[:, 0])
+    assert weighted_divergence(large).shape == (3, GRID.n)
+    with pytest.raises(ValueError, match="homogeneous"):
+        weighted_divergence(PolarVectorField(ANNULUS, v_theta, v_r))
+
+
+def test_batched_polar_velocity_equals_the_per_slice_fields():
+    traj = ch_solve(GRID, 0.2 * np.sin(GRID.x), 0.01, 1e-3)
+    field = polar_velocity(ANNULUS, traj.u)
+    div = weighted_divergence(field)
+    assert field.v_theta.shape == div.shape == (3, len(traj.times), GRID.n)
+    for j, u in enumerate(traj.u):
+        one = polar_velocity(ANNULUS, u)
+        assert np.array_equal(field.v_theta[:, j], one.v_theta)
+        assert np.array_equal(field.v_r[:, j], one.v_r)
+        assert np.array_equal(div[:, j], weighted_divergence(one))
+
+
 def test_rigid_rotation_pressure_is_speed_squared():
     c = 0.7
     p = pressure_from_state(GRID, c * np.ones(GRID.n), np.zeros(GRID.n))
@@ -165,6 +190,27 @@ def test_geodesic_form_consistency_gap_is_time_discretization():
     assert rep.radial_gap < 1e-6
 
 
+def test_form_consistency_call_count_is_independent_of_slices(monkeypatch):
+    # each Eulerian field is composed with phi in one batched call
+    grid = PeriodicGrid(32)
+    trajs = [ch_solve(grid, 0.2 * np.sin(grid.x), t, 1e-3)
+             for t in (0.03, 0.3)]
+    runs = [(traj, flow_map(traj)) for traj in trajs]
+    assert [len(traj.times) for traj, _ in runs] == [31, 301]
+    trig_eval = PeriodicGrid.trig_eval
+    counts = []
+
+    def counted(self, *args, **kwargs):
+        counts[-1] += 1
+        return trig_eval(self, *args, **kwargs)
+
+    monkeypatch.setattr(PeriodicGrid, "trig_eval", counted)
+    for traj, path in runs:
+        counts.append(0)
+        geodesic_form_consistency(traj, path)
+    assert counts[0] == counts[1]
+
+
 def test_madelung_modulus_is_gauge():
     phi = GRID.x + 0.2 * np.sin(GRID.x)
     g = embed_diffeo(GRID, phi)
@@ -178,6 +224,12 @@ def test_annulus_validation():
         AnnulusGrid(GRID, np.array([0.5, -1.0]))
     with pytest.raises(ValueError):
         PolarVectorField(ANNULUS, np.zeros((2, GRID.n)), np.zeros((2, GRID.n)))
+    for bad in (np.zeros(GRID.n), np.zeros((3, 4, GRID.n - 2))):
+        with pytest.raises(ValueError):
+            PolarVectorField(ANNULUS, bad, bad)
+    with pytest.raises(ValueError):
+        PolarVectorField(ANNULUS, np.zeros((3, 4, GRID.n)),
+                         np.zeros((3, 5, GRID.n)))
 
 
 def test_vectorised_diagnostics_equal_the_per_slice_loops():

@@ -11,7 +11,6 @@ from coneflow import (
     bump_density,
     continuity_project,
     continuity_residual,
-    hamiltonian_flow,
     hellinger_distance,
     horizontal_flow,
     interpolate_centers,
@@ -333,8 +332,6 @@ def test_solver_input_validation():
     with pytest.raises(ValueError):
         solve_wfr(np.ones(16), np.ones(8), 8)
     with pytest.raises(ValueError):
-        solve_wfr(np.ones(16), np.ones(16), 8, sigma=2.0, tau=0.5)
-    with pytest.raises(ValueError):
         solve_wfr(np.ones(16), 2 * np.ones(16), 8, balanced=True)
 
 
@@ -375,18 +372,5 @@ def test_horizontal_flow_stays_horizontal():
     assert res.mass[0] == pytest.approx(grid.integrate(rho0), abs=1e-12)
 
 
-def test_hamiltonian_flow_closed_form_and_tag():
-    grid = PeriodicGrid(64)
-    c = 0.5
-    res = hamiltonian_flow(grid, 1.3 * np.ones(grid.n), c * np.ones(grid.n),
-                           1.0, 1e-3)
-    assert res.convention == "displayed-hamiltonian"
-    assert res.convention in CONVENTIONS
-    assert np.max(np.abs(res.q - c / (1 + c * res.times)[:, None])) < 1e-12
-    assert np.max(np.abs(res.rho - 1.3
-                         * ((1 + c * res.times) ** 2)[:, None])) < 1e-12
-
-
 def test_convention_registry_is_explicit():
-    assert set(CONVENTIONS) == {"lift-potential", "pressure",
-                                "displayed-hamiltonian"}
+    assert set(CONVENTIONS) == {"lift-potential", "pressure"}
