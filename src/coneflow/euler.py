@@ -82,16 +82,21 @@ def _homogeneous_profiles(field: PolarVectorField) -> tuple[np.ndarray, np.ndarr
     inhomogeneous small one.
     """
     r = field.agrid.radii.reshape((-1,) + (1,) * (field.v_theta.ndim - 1))
-    w_theta = field.v_theta / r
-    w_r = field.v_r / r
-    per_slice = (0, -1)  # the radius and angle axes
-    scale = np.maximum(np.max(np.abs(w_theta), axis=per_slice),
-                       np.max(np.abs(w_r), axis=per_slice))
-    spread = np.maximum(np.max(np.abs(w_theta - w_theta[0]), axis=per_slice),
-                        np.max(np.abs(w_r - w_r[0]), axis=per_slice))
+
+    def sup(w):  # max |w| over the radius and angle axes, with no |w| copy
+        return np.maximum(np.max(w, axis=(0, -1)), -np.min(w, axis=(0, -1)))
+
+    # one component at a time, so one (n_radii, ..., n) temporary is alive
+    profiles, scale, spread = [], 0.0, 0.0
+    for v in (field.v_theta, field.v_r):
+        w = v / r
+        scale = np.maximum(scale, sup(w))
+        profiles.append(w[0].copy())
+        w -= profiles[-1]
+        spread = np.maximum(spread, sup(w))
     if np.any(spread > _HOMOGENEITY_RTOL * np.maximum(scale, 1e-300)):
         raise ValueError("field is not radially 1-homogeneous")
-    return w_theta[0], w_r[0]
+    return profiles[0], profiles[1]
 
 
 def weighted_divergence(field: PolarVectorField) -> np.ndarray:

@@ -121,24 +121,16 @@ class PeriodicGrid:
         if not isinstance(order, (int, np.integer)) or order < 0:
             raise ValueError(f"derivative order must be an integer >= 0, "
                              f"got {order!r}")
+        return _horner(self._trig_coeffs(values, order), points)
+
+    def _trig_coeffs(self, values: np.ndarray, order: int) -> np.ndarray:
+        """Coefficients of z^0 .. z^(n/2) of the real interpolant's order-th
+        derivative, (..., n/2 + 1), for _horner."""
         c = np.fft.rfft(values)
-        k = self._wavenumbers()
         if order > 0:
-            c = c * (1j * k) ** order
+            c = c * (1j * self._wavenumbers()) ** order
             c[..., -1] = 0.0
-        coeff = self._mode_weights() * c / self.n
-        if batch:
-            # one coefficient per row, broadcast over that row's points
-            coeff = np.moveaxis(coeff, -1, 0).reshape(
-                k.shape + batch + (1,) * (points.ndim - len(batch)))
-        else:
-            coeff = coeff.tolist()  # scalars keep the 1-D loop fast
-        z = np.exp(1j * points)
-        acc = np.full(z.shape, coeff[-1])
-        for a in reversed(coeff[:-1]):
-            acc *= z
-            acc += a
-        return acc.real
+        return self._mode_weights() * c / self.n
 
     # -- monotone circle-map lifts ------------------------------------------
 
@@ -151,31 +143,54 @@ class PeriodicGrid:
         """Solve phi(y) = x_i at every grid node x_i.
 
         phi is read through the trigonometric interpolant of its
-        displacement d = phi - id, as in eval_lift.  |d| is bounded by the
-        1-norm S of its Fourier coefficients, so each root lies in
-        [x_i - S, x_i + S]; Newton steps that leave the shrinking bracket
-        are replaced by bisection.  It stops once |phi(y) - x_i| is within
-        1e-14 (2pi + S), the roundoff scale of y, and raises RuntimeError
-        if it stalls.
+        displacement d = phi - id, as in eval_lift; the coefficients of d
+        and d' are computed once, and each Newton round only sums them.
+        |d| is bounded by the 1-norm S of its Fourier coefficients, so each
+        root lies in [x_i - S, x_i + S]; Newton steps that leave the
+        shrinking bracket are replaced by bisection.  It stops once
+        |phi(y) - x_i| is within 1e-14 (2pi + S), the roundoff scale of y,
+        and raises RuntimeError if it stalls.
         """
         disp = phi - self.x
-        bound = float(np.sum(self._mode_weights()
-                             * np.abs(np.fft.rfft(disp)))) / self.n
+        coeff = self._trig_coeffs(disp, 0)
+        slope = self._trig_coeffs(disp, 1)
+        bound = float(np.sum(np.abs(coeff)))
         lo = self.x - bound
         hi = self.x + bound
         y = self.x - disp
         tol = 1e-14 * (TWO_PI + bound)
         for _ in range(100):
-            f = y + self.trig_eval(disp, y) - self.x
+            f = y + _horner(coeff, y) - self.x
             if np.max(np.abs(f)) <= tol:
                 return y
             lo = np.where(f <= 0, y, lo)
             hi = np.where(f > 0, y, hi)
-            y_new = y - f / (1.0 + self.trig_eval(disp, y, 1))
+            y_new = y - f / (1.0 + _horner(slope, y))
             # non-strict: a converged point sits on its bracket end
             outside = (y_new < lo) | (y_new > hi)
             y = np.where(outside, 0.5 * (lo + hi), y_new)
         raise RuntimeError("lift inversion failed to converge")
+
+
+def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Real part of sum_j coeff[..., j] exp(i j x) at x = points.
+
+    Leading axes of coeff are batch axes and must lead points; each row's
+    polynomial is evaluated at that row's points by Horner's rule.
+    """
+    batch = coeff.shape[:-1]
+    if batch:
+        # one coefficient per row, broadcast over that row's points
+        coeff = np.moveaxis(coeff, -1, 0).reshape(
+            coeff.shape[-1:] + batch + (1,) * (points.ndim - len(batch)))
+    else:
+        coeff = coeff.tolist()  # scalars keep the 1-D loop fast
+    z = np.exp(1j * points)
+    acc = np.full(z.shape, coeff[-1])
+    for a in reversed(coeff[:-1]):
+        acc *= z
+        acc += a
+    return acc.real
 
 
 def step_count(t_final: float, dt: float) -> int:

@@ -8,8 +8,9 @@ over solutions of d_t rho + d_x m = mu joining two measures in unit time.
 The discretization is a staggered space-time grid (densities at time
 slices, momenta at space faces, sources at cell centers) solved with a
 first-order primal-dual iteration that alternates the exact pointwise
-proximal map of the action integrand with the Euclidean projection onto
-the continuity constraint (FFT in space, cosine transform in time).
+proximal map of the action integrand (monotone Newton, warm-started from
+the previous iterate) with the Euclidean projection onto the continuity
+constraint (real FFT in space, cosine transform in time, cached symbol).
 
 Two scalar conventions coexist in this corner of the code base and are
 never converted implicitly (see CONVENTIONS): the lift potential Phi of
@@ -18,9 +19,10 @@ horizontal pairs (Phi'/2, Phi) and the geodesic pressure p.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, idct
+from scipy.fft import dct, idct, irfft, rfft
 
 from .cone import ConeParams
 from .grid import PeriodicGrid, TWO_PI, rk4_step, step_count
@@ -158,46 +160,45 @@ def _centered_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
 
 
 def prox_action(rho, m, mu, gamma: float,
-                params: ConeParams = ConeParams()):
+                params: ConeParams = ConeParams(), guess=None):
     """Pointwise prox of gamma * (a^2 m^2 + b^2 mu^2)/rho on rho >= 0.
 
-    Eliminating m and mu in closed form leaves one increasing scalar
-    equation in rho (cubic when a = b, quintic otherwise) solved by a
-    safeguarded Newton iteration to 1e-12; the prox hits the apex
-    (0, 0, 0) exactly when the root leaves the positive axis.
+    Eliminating m and mu leaves one equation f(r) = 0 (cubic when a = b,
+    quintic otherwise), increasing and concave on r >= 0 with
+    f(max(rho, 0)) <= 0 off the apex.  So Newton clamped at max(rho, 0),
+    started from max(guess, max(rho, 0)), is left of the root after one
+    step and climbs to it monotonically: a guess changes only the round
+    count.  It stops at |f| < 1e-13 (1 + max r) and raises RuntimeError
+    with the worst |f| after 200 rounds (NaN input ends there).  The prox
+    hits the apex (0, 0, 0) exactly when the root leaves the positive axis.
     """
-    rho = np.asarray(rho, dtype=float)
-    m = np.asarray(m, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    rho, m, mu = (np.asarray(v, dtype=float) for v in (rho, m, mu))
     if gamma <= 0:
         raise ValueError("prox weight gamma must be positive")
-    c1 = 2.0 * gamma * params.a ** 2
-    c2 = 2.0 * gamma * params.b ** 2
-    qm = params.a ** 2 * m ** 2
-    qmu = params.b ** 2 * mu ** 2
+    c1, c2 = 2.0 * gamma * params.a ** 2, 2.0 * gamma * params.b ** 2
+    qm, qmu = params.a ** 2 * m ** 2, params.b ** 2 * mu ** 2
     slack0 = gamma * (qm / c1 ** 2 + qmu / c2 ** 2)
     at_apex = rho + slack0 <= 0.0
+    qm, qmu = gamma * qm, gamma * qmu
 
-    lo = np.maximum(rho, 0.0)
-    hi = rho + slack0
-    hi = np.maximum(hi, lo)
-    r = 0.5 * (lo + hi)
+    floor = np.maximum(rho, 0.0)
+    r = floor if guess is None else np.maximum(guess, floor)
     # df >= 1 everywhere, so |f(r)| bounds the distance to the root and
     # apex cells (resolved analytically below) are exempt from the test.
     for _ in range(200):
-        d1 = r + c1
-        d2 = r + c2
-        f = r - rho - gamma * (qm / d1 ** 2 + qmu / d2 ** 2)
-        if np.max(np.where(at_apex, 0.0, np.abs(f))) \
-                < 1e-13 * (1.0 + np.max(np.abs(r))):
+        e1 = 1.0 / (r + c1)
+        e2 = 1.0 / (r + c2)
+        t1 = qm * e1 * e1
+        t2 = qmu * e2 * e2
+        f = r - rho - t1 - t2
+        worst = np.max(np.where(at_apex, 0.0, np.abs(f)))
+        if worst < 1e-13 * (1.0 + np.max(r)):
             break
-        lo = np.where(f <= 0, r, lo)
-        hi = np.where(f > 0, r, hi)
-        df = 1.0 + 2.0 * gamma * (qm / d1 ** 3 + qmu / d2 ** 3)
-        r_new = r - f / df
-        outside = (r_new < lo) | (r_new > hi)
-        r = np.where(outside, 0.5 * (lo + hi), r_new)
-    r = np.where(at_apex, 0.0, np.maximum(r, 0.0))
+        r = np.maximum(r - f / (1.0 + 2.0 * (t1 * e1 + t2 * e2)), floor)
+    else:
+        raise RuntimeError(f"prox Newton stalled after 200 rounds "
+                           f"(max |f| = {worst:.3e})")
+    r = np.where(at_apex, 0.0, r)
     m_out = np.where(at_apex, 0.0, r * m / (r + c1))
     mu_out = np.where(at_apex, 0.0, r * mu / (r + c2))
     return r, m_out, mu_out
@@ -206,14 +207,30 @@ def prox_action(rho, m, mu, gamma: float,
 # -- projection onto the continuity constraint --------------------------------
 
 
+@lru_cache(maxsize=16)
+def _inverse_symbol(nt: int, nx: int, balanced: bool) -> np.ndarray:
+    """Read-only inverse of the normal-equation symbol on (nt, nx//2 + 1)
+    cosine x real-Fourier modes; balanced mode zeroes the constant mode."""
+    g = StaggeredGrid(nt, nx)
+    lam_t = (2.0 - 2.0 * np.cos(np.pi * np.arange(nt) / nt)) / g.dt ** 2
+    lam_x = (2.0 - 2.0 * np.cos(g.h * np.arange(nx // 2 + 1))) / g.h ** 2
+    denom = lam_t[:, None] + lam_x[None, :] + (0.0 if balanced else 1.0)
+    if balanced:
+        denom[0, 0] = np.inf  # the Laplacian's kernel, as the pseudo-inverse
+    inv = 1.0 / denom
+    inv.setflags(write=False)
+    return inv
+
+
 def continuity_project(vars: WFRVariables, rho0: np.ndarray, rho1: np.ndarray,
                        balanced: bool = False) -> WFRVariables:
     """Euclidean projection onto d_t rho + d_x m - mu = 0 with pinned ends.
 
     The normal equations decouple as a Neumann Laplacian in time (cosine
-    transform) plus a periodic Laplacian in space (FFT) plus the identity
-    from the source term; balanced mode drops mu, requires matching
-    masses, and treats the constant mode as the pseudo-inverse does.
+    transform) plus a periodic Laplacian in space (real FFT) plus the
+    identity from the source term, with the inverse symbol cached per grid;
+    balanced mode drops mu, requires matching masses, and treats the
+    constant mode as the pseudo-inverse does.
     """
     g = vars.grid
     rho = vars.rho.copy()
@@ -221,8 +238,7 @@ def continuity_project(vars: WFRVariables, rho0: np.ndarray, rho1: np.ndarray,
     rho[-1] = rho1
     m = vars.m.copy()
     mu = np.zeros_like(vars.mu) if balanced else vars.mu.copy()
-    work = WFRVariables(g, rho, m, mu)
-    r = continuity_residual(work)
+    r = continuity_residual(WFRVariables(g, rho, m, mu))
     if balanced:
         mass_gap = g.h * float(np.sum(rho1) - np.sum(rho0))
         scale = g.h * float(np.sum(rho0) + np.sum(rho1)) + 1.0
@@ -231,16 +247,9 @@ def continuity_project(vars: WFRVariables, rho0: np.ndarray, rho1: np.ndarray,
                 "balanced projection is infeasible: mass mismatch "
                 f"{mass_gap:.3e}")
 
-    lam_t = (2.0 - 2.0 * np.cos(np.pi * np.arange(g.nt) / g.nt)) / g.dt ** 2
-    lam_x = (2.0 - 2.0 * np.cos(TWO_PI * np.arange(g.nx) / g.nx)) / g.h ** 2
-    denom = lam_t[:, None] + lam_x[None, :] + (0.0 if balanced else 1.0)
-
-    r_hat = np.fft.fft(dct(r, type=2, axis=0), axis=1)
-    if balanced:
-        denom = denom.copy()
-        denom[0, 0] = 1.0
-        r_hat[0, 0] = 0.0
-    q = idct(np.fft.ifft(r_hat / denom, axis=1).real, type=2, axis=0)
+    r_hat = rfft(dct(r, type=2, axis=0), axis=1)
+    r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
+    q = idct(irfft(r_hat, n=g.nx, axis=1), type=2, axis=0)
 
     rho[1:-1] -= (q[:-1] - q[1:]) / g.dt
     m -= (q - np.roll(q, -1, axis=1)) / g.h
@@ -289,6 +298,7 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     action over _CHECK_EVERY iterations drops below tol, after at least
     _MIN_ITERS iterations; raises WFRConvergenceError at max_iters.  In
     balanced mode continuity_project rejects endpoints of unequal mass.
+    Each prox starts from the last prox density: fewer rounds, same iterates.
 
     The problem is convex, so the optional warm start `init` (projected
     onto the constraint set before use) changes only the iteration count,
@@ -339,7 +349,7 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
         y_m = w_m + _SIGMA * v_m
         y_mu = w_mu + _SIGMA * v_mu
         p_rho, p_m, p_mu = prox_action(y_rho / _SIGMA, y_m / _SIGMA,
-                                       y_mu / _SIGMA, gamma, params)
+                                       y_mu / _SIGMA, gamma, params, p_rho)
         w_rho = y_rho - _SIGMA * p_rho
         w_m = y_m - _SIGMA * p_m
         w_mu = y_mu - _SIGMA * p_mu

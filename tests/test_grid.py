@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import coneflow.grid
+
 from coneflow import (ConePoint, ConeTangent, PeriodicGrid, bump_density,
                       ch_solve, circle_distance, cone_geodesic, diff_matrix,
                       horizontal_flow, wrap)
@@ -221,15 +223,31 @@ def test_invert_lift_converges_in_few_newton_rounds(monkeypatch):
     grid = PeriodicGrid(128)
     disp = random_trig(grid, np.random.default_rng(5), n_modes=3, scale=0.2)
     calls = []
-    trig_eval = PeriodicGrid.trig_eval
+    horner = coneflow.grid._horner
 
-    def counted(self, *args, **kwargs):
+    def counted(*args):
         calls.append(1)
-        return trig_eval(self, *args, **kwargs)
+        return horner(*args)
 
-    monkeypatch.setattr(PeriodicGrid, "trig_eval", counted)
+    monkeypatch.setattr(coneflow.grid, "_horner", counted)
     grid.invert_lift(grid.x + disp)
-    assert len(calls) <= 2 * 8 + 1
+    assert 3 <= len(calls) <= 2 * 8 + 1
+
+
+def test_invert_lift_transforms_the_displacement_once(monkeypatch):
+    # the value and slope coefficients are computed before the Newton loop
+    grid = PeriodicGrid(128)
+    disp = random_trig(grid, np.random.default_rng(5), n_modes=3, scale=0.2)
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    assert inversion_gap(grid, grid.x + disp) <= 1e-13
+    assert len(calls) == 3  # value and slope, then eval_lift's check
 
 
 def test_invert_lift_raises_when_it_cannot_converge():

@@ -4,6 +4,7 @@ import pytest
 
 from coneflow import (
     CONVENTIONS,
+    ConeParams,
     PeriodicGrid,
     StaggeredGrid,
     WFRConvergenceError,
@@ -20,6 +21,7 @@ from coneflow import (
 )
 
 
+from coneflow.wfr import _inverse_symbol
 from prox_oracle import brute_prox
 
 
@@ -167,6 +169,38 @@ def test_prox_fixed_points_and_apex():
         prox_action(rho, zero, zero, 0.0)
 
 
+@pytest.mark.parametrize("params", [ConeParams(), ConeParams(1.0, 1.0)],
+                         ids=["quintic", "cubic"])
+def test_prox_guess_changes_only_the_round_count(params):
+    rng = np.random.default_rng(67)
+    n = 4000
+    rho = rng.uniform(-1.0, 3.0, n)
+    m = rng.normal(0, 1.5, n)
+    mu = rng.normal(0, 1.5, n)
+    rho[:50] = -5.0  # deep apex cells, alongside the random ones
+    for gamma in (0.3, 1.0 / 0.95, 2.0):
+        cold = prox_action(rho, m, mu, gamma, params)
+        root = cold[0]
+        assert np.sum(root == 0.0) > 50 and np.sum(rho < 0) > 500
+        rb, mb, ub = brute_prox(rho, m, mu, gamma, params)
+        assert max(np.max(np.abs(rb - cold[0])), np.max(np.abs(mb - cold[1])),
+                   np.max(np.abs(ub - cold[2]))) < 1e-6
+        for guess in (0.0, 0.5 * root, root - 0.1, root + 0.1,
+                      2.0 * root + 1.0, 1e6 * root, root):
+            warm = prox_action(rho, m, mu, gamma, params, guess=guess)
+            for w, c in zip(warm, cold):
+                assert np.max(np.abs(w - c)) < 1e-12
+
+
+def test_prox_raises_on_nan_input():
+    rho = np.array([0.5, np.nan, 1.0])
+    zero = np.zeros(3)
+    with pytest.raises(RuntimeError, match="max \\|f\\|"):
+        prox_action(rho, zero, zero, 0.7)
+    with pytest.raises(RuntimeError):
+        prox_action(np.ones(3), np.array([0.0, np.nan, 1.0]), zero, 0.7)
+
+
 # -- continuity projection ------------------------------------------------------
 
 
@@ -210,6 +244,46 @@ def test_projection_zero_input_uniform_case():
     dense = dense_projection(zeros, rho0, rho1, balanced=False)
     assert vars_gap(fast, dense) < 1e-10
     assert np.max(np.abs(fast.mu)) > 1e-3  # growth participates
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_projection_matches_dense_kkt_at_odd_nx(balanced):
+    g = StaggeredGrid(5, 7)
+    rng = np.random.default_rng(68)
+    rho0 = 1.0 + 0.3 * np.sin(g.x)
+    rho1 = np.roll(rho0, 3) if balanced else 1.5 + 0.2 * np.cos(g.x)
+    vars = WFRVariables(g, rng.normal(1, 0.5, (6, 7)),
+                        rng.normal(0, 1, (5, 7)), rng.normal(0, 1, (5, 7)))
+    fast = continuity_project(vars, rho0, rho1, balanced=balanced)
+    dense = dense_projection(vars, rho0, rho1, balanced=balanced)
+    assert vars_gap(fast, dense) < 1e-10
+    assert np.max(np.abs(continuity_residual(fast))) < 1e-12
+
+
+def test_projection_symbol_cache_across_grids_and_modes():
+    # alternating grids and modes must never hand one case another's symbol
+    rng = np.random.default_rng(69)
+    cases = []
+    for nt, nx in ((6, 8), (5, 7)):
+        g = StaggeredGrid(nt, nx)
+        rho0 = 1.0 + 0.3 * np.sin(g.x)
+        vars = WFRVariables(g, rng.normal(1, 0.5, (nt + 1, nx)),
+                            rng.normal(0, 1, (nt, nx)),
+                            rng.normal(0, 1, (nt, nx)))
+        for balanced in (False, True):
+            rho1 = np.roll(rho0, 2) if balanced else 1.5 + 0.0 * rho0
+            dense = dense_projection(vars, rho0, rho1, balanced=balanced)
+            cases.append((vars, rho0, rho1, balanced, dense))
+    for _ in range(2):
+        for vars, rho0, rho1, balanced, dense in cases:
+            fast = continuity_project(vars, rho0, rho1, balanced=balanced)
+            assert vars_gap(fast, dense) < 1e-10
+    symbol = _inverse_symbol(5, 7, True)
+    assert symbol is _inverse_symbol(5, 7, True)
+    assert symbol.shape == (5, 4) and symbol[0, 0] == 0.0
+    assert not symbol.flags.writeable
+    with pytest.raises(ValueError):
+        symbol[1, 1] = 0.0
 
 
 def test_projection_idempotent_and_pins_ends():
