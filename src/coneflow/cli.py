@@ -75,7 +75,7 @@ def _add_params(p):
 
 def _require_positive(args, names):
     for name in names:
-        if getattr(args, name) <= 0:
+        if not getattr(args, name) > 0:  # NaN fails too
             raise CLIInputError(f"--{name.replace('_', '-')} must be positive")
 
 
@@ -203,7 +203,7 @@ def cmd_euler_check(args):
 
 def cmd_wfr_solve(args):
     params = _params(args)
-    _require_positive(args, ["n", "nt", "tol"])
+    _require_positive(args, ["n", "nt", "tol", "max_iters"])
     grid = PeriodicGrid(args.n)
     rho0 = parse_field_spec(args.rho0, grid)
     rho1 = parse_field_spec(args.rho1, grid)

@@ -11,6 +11,8 @@ first-order primal-dual iteration that alternates the exact pointwise
 proximal map of the action integrand (monotone Newton, warm-started from
 the previous iterate) with the Euclidean projection onto the continuity
 constraint (real FFT in space, cosine transform in time, cached symbol).
+The iteration runs on plain (rho, m, mu) arrays and projects in place;
+WFRVariables wraps only the warm start and the returned iterate.
 
 Two scalar conventions coexist in this corner of the code base and are
 never converted implicitly (see CONVENTIONS): the lift potential Phi of
@@ -18,6 +20,7 @@ horizontal pairs (Phi'/2, Phi) and the geodesic pressure p.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,27 +114,39 @@ class WFRVariables:
         object.__setattr__(self, "mu", mu)
 
 
+def _shift(a: np.ndarray, s: int) -> np.ndarray:
+    """np.roll(a, s, axis=-1) for 0 < |s| < a.shape[-1], by slice assignment."""
+    out = np.empty_like(a)
+    out[..., s:] = a[..., :-s]
+    out[..., :s] = a[..., -s:]
+    return out
+
+
+def _centers(rho, m, mu):
+    """Staggered arrays averaged to the cell centers; mu is returned as is."""
+    return 0.5 * (rho[:-1] + rho[1:]), 0.5 * (m + _shift(m, 1)), mu
+
+
 def interpolate_centers(vars: WFRVariables):
     """Average the staggered variables to the cell centers."""
-    rho_c = 0.5 * (vars.rho[:-1] + vars.rho[1:])
-    m_c = 0.5 * (vars.m + np.roll(vars.m, 1, axis=1))
-    return rho_c, m_c, vars.mu.copy()
+    rho_c, m_c, mu_c = _centers(vars.rho, vars.m, vars.mu)
+    return rho_c, m_c, mu_c.copy()
 
 
 def _adjoint_centers(grid: StaggeredGrid, w_rho, w_m, w_mu):
-    """Adjoint of interpolate_centers; boundary density slices receive zero."""
+    """Adjoint of _centers; boundary density slices receive zero."""
     rho = np.zeros((grid.nt + 1, grid.nx))
     rho[1:-1] = 0.5 * (w_rho[:-1] + w_rho[1:])
-    m = 0.5 * (w_m + np.roll(w_m, -1, axis=1))
-    return rho, m, w_mu.copy()
+    return rho, 0.5 * (w_m + _shift(w_m, -1)), w_mu
+
+
+def _residual(g: StaggeredGrid, rho, m, mu) -> np.ndarray:
+    return (rho[1:] - rho[:-1]) / g.dt + (m - _shift(m, 1)) / g.h - mu
 
 
 def continuity_residual(vars: WFRVariables) -> np.ndarray:
     """d_t rho + d_x m - mu at the cell centers."""
-    g = vars.grid
-    return ((vars.rho[1:] - vars.rho[:-1]) / g.dt
-            + (vars.m - np.roll(vars.m, 1, axis=1)) / g.h
-            - vars.mu)
+    return _residual(vars.grid, vars.rho, vars.m, vars.mu)
 
 
 def wfr_action(vars: WFRVariables, params: ConeParams = ConeParams()) -> float:
@@ -140,7 +155,7 @@ def wfr_action(vars: WFRVariables, params: ConeParams = ConeParams()) -> float:
     The integrand is the 1-homogeneous perspective extension: zero mass
     with zero flux contributes nothing, zero mass with flux is infinite.
     """
-    rho_c, m_c, mu_c = interpolate_centers(vars)
+    rho_c, m_c, mu_c = _centers(vars.rho, vars.m, vars.mu)
     return _centered_action(vars.grid, rho_c, m_c, mu_c, params)
 
 
@@ -222,23 +237,20 @@ def _inverse_symbol(nt: int, nx: int, balanced: bool) -> np.ndarray:
     return inv
 
 
-def continuity_project(vars: WFRVariables, rho0: np.ndarray, rho1: np.ndarray,
-                       balanced: bool = False) -> WFRVariables:
+def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
+                       mu: np.ndarray, rho0: np.ndarray, rho1: np.ndarray,
+                       balanced: bool = False):
     """Euclidean projection onto d_t rho + d_x m - mu = 0 with pinned ends.
 
-    The normal equations decouple as a Neumann Laplacian in time (cosine
-    transform) plus a periodic Laplacian in space (real FFT) plus the
-    identity from the source term, with the inverse symbol cached per grid;
-    balanced mode drops mu, requires matching masses, and treats the
-    constant mode as the pseudo-inverse does.
+    Projects in place: the float arrays rho (nt+1, nx), m and mu (nt, nx)
+    on the grid g are overwritten and returned, so pass copies of arrays
+    that must survive.  The normal equations decouple as a Neumann
+    Laplacian in time (cosine transform) plus a periodic Laplacian in space
+    (real FFT) plus the identity from the source term, with the inverse
+    symbol cached per grid; balanced mode zeroes mu, requires matching
+    masses (checked before any write), and treats the constant mode as the
+    pseudo-inverse does.
     """
-    g = vars.grid
-    rho = vars.rho.copy()
-    rho[0] = rho0
-    rho[-1] = rho1
-    m = vars.m.copy()
-    mu = np.zeros_like(vars.mu) if balanced else vars.mu.copy()
-    r = continuity_residual(WFRVariables(g, rho, m, mu))
     if balanced:
         mass_gap = g.h * float(np.sum(rho1) - np.sum(rho0))
         scale = g.h * float(np.sum(rho0) + np.sum(rho1)) + 1.0
@@ -246,16 +258,20 @@ def continuity_project(vars: WFRVariables, rho0: np.ndarray, rho1: np.ndarray,
             raise ValueError(
                 "balanced projection is infeasible: mass mismatch "
                 f"{mass_gap:.3e}")
+        mu.fill(0.0)
+    rho[0] = rho0
+    rho[-1] = rho1
+    r = _residual(g, rho, m, mu)
 
     r_hat = rfft(dct(r, type=2, axis=0), axis=1)
     r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
     q = idct(irfft(r_hat, n=g.nx, axis=1), type=2, axis=0)
 
     rho[1:-1] -= (q[:-1] - q[1:]) / g.dt
-    m -= (q - np.roll(q, -1, axis=1)) / g.h
+    m -= (q - _shift(q, -1)) / g.h
     if not balanced:
-        mu = mu + q
-    return WFRVariables(g, rho, m, mu)
+        mu += q
+    return rho, m, mu
 
 
 # -- distance solver ----------------------------------------------------------
@@ -296,14 +312,20 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     satisfy _SIGMA * _TAU * |K|^2 < 1, where K is the staggered-to-centered
     interpolation (|K| <= 1).  Stops when the relative change of the
     action over _CHECK_EVERY iterations drops below tol, after at least
-    _MIN_ITERS iterations; raises WFRConvergenceError at max_iters.  In
-    balanced mode continuity_project rejects endpoints of unequal mass.
-    Each prox starts from the last prox density: fewer rounds, same iterates.
+    _MIN_ITERS iterations (tol finite and > 0, max_iters an integer >= 1);
+    raises WFRConvergenceError at max_iters.  In balanced mode
+    continuity_project rejects endpoints of unequal mass.  Each prox
+    starts from the last prox density: fewer rounds, same iterates.  The
+    iterates are plain arrays, projected in place; only `vars` is wrapped.
 
     The problem is convex, so the optional warm start `init` (projected
-    onto the constraint set before use) changes only the iteration count,
-    never the limit.
+    onto the constraint set before use, without touching its arrays)
+    changes only the iteration count, never the limit.
     """
+    if not (np.isfinite(tol) and tol > 0
+            and isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+        raise ValueError(f"need a finite tol > 0 and an integer max_iters "
+                         f">= 1, got tol={tol!r}, max_iters={max_iters!r}")
     rho0 = _validate_endpoint(rho0, "rho0")
     rho1 = _validate_endpoint(rho1, "rho1")
     if rho0.shape != rho1.shape:
@@ -314,37 +336,31 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     if init is not None:
         if init.grid != g:
             raise ValueError("warm start lives on a different grid")
-        u = continuity_project(init, rho0, rho1, balanced=balanced)
+        u_rho, u_m, u_mu = init.rho.copy(), init.m.copy(), init.mu.copy()
     else:
         # feasible start: linear density interpolation, growth absorbed by mu
         frac = g.t_slices[:, None]
-        rho = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
-        m = np.zeros((g.nt, g.nx))
-        mu = np.zeros((g.nt, g.nx)) if balanced else \
+        u_rho = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
+        u_m = np.zeros((g.nt, g.nx))
+        u_mu = np.zeros((g.nt, g.nx)) if balanced else \
             np.broadcast_to((rho1 - rho0)[None, :], (g.nt, g.nx)).copy()
-        u = WFRVariables(g, rho, m, mu)
-        if balanced:
-            u = continuity_project(u, rho0, rho1, balanced=True)
+    if init is not None or balanced:
+        continuity_project(g, u_rho, u_m, u_mu, rho0, rho1, balanced=balanced)
 
     w_rho = np.zeros((g.nt, g.nx))
     w_m = np.zeros((g.nt, g.nx))
     w_mu = np.zeros((g.nt, g.nx))
     gamma = 1.0 / _SIGMA
     action_prev = np.inf
-    action = np.inf
-    rel_change = np.inf
-    iterations = 0
     converged = False
-    p_rho, p_m, p_mu = interpolate_centers(u)
-    for k in range(1, max_iters + 1):
-        iterations = k
+    p_rho = _centers(u_rho, u_m, u_mu)[0]
+    for iterations in range(1, max_iters + 1):
         a_rho, a_m, a_mu = _adjoint_centers(g, w_rho, w_m, w_mu)
-        u_new = WFRVariables(g, u.rho - _TAU * a_rho, u.m - _TAU * a_m,
-                             u.mu - _TAU * a_mu)
-        u_new = continuity_project(u_new, rho0, rho1, balanced=balanced)
-        bar = WFRVariables(g, 2.0 * u_new.rho - u.rho, 2.0 * u_new.m - u.m,
-                           2.0 * u_new.mu - u.mu)
-        v_rho, v_m, v_mu = interpolate_centers(bar)
+        n_rho, n_m, n_mu = continuity_project(
+            g, u_rho - _TAU * a_rho, u_m - _TAU * a_m, u_mu - _TAU * a_mu,
+            rho0, rho1, balanced=balanced)
+        v_rho, v_m, v_mu = _centers(2.0 * n_rho - u_rho, 2.0 * n_m - u_m,
+                                    2.0 * n_mu - u_mu)
         y_rho = w_rho + _SIGMA * v_rho
         y_m = w_m + _SIGMA * v_m
         y_mu = w_mu + _SIGMA * v_mu
@@ -353,18 +369,19 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
         w_rho = y_rho - _SIGMA * p_rho
         w_m = y_m - _SIGMA * p_m
         w_mu = y_mu - _SIGMA * p_mu
-        u = u_new
-        if k % _CHECK_EVERY == 0 or k == max_iters:
+        u_rho, u_m, u_mu = n_rho, n_m, n_mu
+        if iterations % _CHECK_EVERY == 0 or iterations == max_iters:
             action = _centered_action(g, p_rho, p_m, p_mu, params)
             rel_change = abs(action - action_prev) / max(abs(action), 1e-30)
             action_prev = action
-            if k >= _MIN_ITERS and rel_change < tol:
+            if iterations >= _MIN_ITERS and rel_change < tol:
                 converged = True
                 break
 
-    constraint = float(np.max(np.abs(continuity_residual(u))))
+    constraint = float(np.max(np.abs(_residual(g, u_rho, u_m, u_mu))))
     result = WFRResult(float(np.sqrt(max(action, 0.0))), action, iterations,
-                       converged, constraint, rel_change, u, p_rho, p_m, p_mu)
+                       converged, constraint, rel_change,
+                       WFRVariables(g, u_rho, u_m, u_mu), p_rho, p_m, p_mu)
     if not converged:
         raise WFRConvergenceError(
             f"no convergence in {max_iters} iterations "

@@ -225,6 +225,14 @@ def test_bad_inputs_exit_one(capsys):
                           "--dt", "0.3")
     assert code == 1
     assert "whole number of steps" in body["error"]["message"]
+    # stopping parameters that could never stop are refused up front
+    for flag, value in (("--max-iters", "0"), ("--tol", "nan")):
+        code, body = run_json(capsys, "wfr", "solve", "--rho0", "const:1",
+                              "--rho1", "const:2", "--n", "16", "--nt", "8",
+                              flag, value)
+        assert code == 1
+        assert body["error"]["type"] == "CLIInputError"
+        assert flag in body["error"]["message"]
 
 
 def test_outdir_redirects_relative_paths(capsys, tmp_path, monkeypatch):

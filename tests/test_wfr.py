@@ -1,6 +1,7 @@
 """Unbalanced transport: prox, constraint projection, solver, geodesic flows."""
 import numpy as np
 import pytest
+from scipy.fft import dct, idct, irfft, rfft
 
 from coneflow import (
     CONVENTIONS,
@@ -21,6 +22,7 @@ from coneflow import (
 )
 
 
+import coneflow.wfr as wfr
 from coneflow.wfr import _inverse_symbol
 from prox_oracle import brute_prox
 
@@ -64,6 +66,110 @@ def dense_projection(vars, rho0, rho1, balanced):
     mu = (np.zeros((nt, nx)) if balanced
           else p[n_int + n_m:].reshape(nt, nx))
     return WFRVariables(g, rho, m, mu)
+
+
+def project(vars, rho0, rho1, balanced=False):
+    """continuity_project on copies of the arrays of vars, rewrapped."""
+    g = vars.grid
+    rho, m, mu = continuity_project(g, vars.rho.copy(), vars.m.copy(),
+                                    vars.mu.copy(), rho0, rho1,
+                                    balanced=balanced)
+    return WFRVariables(g, rho, m, mu)
+
+
+def reference_centers(vars):
+    rho_c = 0.5 * (vars.rho[:-1] + vars.rho[1:])
+    m_c = 0.5 * (vars.m + np.roll(vars.m, 1, axis=1))
+    return rho_c, m_c, vars.mu.copy()
+
+
+def reference_residual(vars):
+    g = vars.grid
+    return ((vars.rho[1:] - vars.rho[:-1]) / g.dt
+            + (vars.m - np.roll(vars.m, 1, axis=1)) / g.h
+            - vars.mu)
+
+
+def reference_project(vars, rho0, rho1, balanced):
+    """continuity_project as a copying WFRVariables map with np.roll."""
+    g = vars.grid
+    rho = vars.rho.copy()
+    rho[0] = rho0
+    rho[-1] = rho1
+    m = vars.m.copy()
+    mu = np.zeros_like(vars.mu) if balanced else vars.mu.copy()
+    r = reference_residual(WFRVariables(g, rho, m, mu))
+    r_hat = rfft(dct(r, type=2, axis=0), axis=1)
+    r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
+    q = idct(irfft(r_hat, n=g.nx, axis=1), type=2, axis=0)
+    rho[1:-1] -= (q[:-1] - q[1:]) / g.dt
+    m -= (q - np.roll(q, -1, axis=1)) / g.h
+    if not balanced:
+        mu = mu + q
+    return WFRVariables(g, rho, m, mu)
+
+
+def reference_solve(rho0, rho1, nt, params=ConeParams(), balanced=False,
+                    tol=1e-7, max_iters=50000, init=None):
+    """The primal-dual loop over WFRVariables, one container per step.
+
+    Returns (vars, rho_c, m_c, mu_c, action, iterations, rel_change).
+    """
+    g = StaggeredGrid(nt, len(rho0))
+    sigma, tau = wfr._SIGMA, wfr._TAU
+    if init is not None:
+        u = reference_project(init, rho0, rho1, balanced)
+    else:
+        frac = g.t_slices[:, None]
+        rho = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
+        mu = np.zeros((nt, g.nx)) if balanced else \
+            np.broadcast_to((rho1 - rho0)[None, :], (nt, g.nx)).copy()
+        u = WFRVariables(g, rho, np.zeros((nt, g.nx)), mu)
+        if balanced:
+            u = reference_project(u, rho0, rho1, True)
+    w_rho, w_m, w_mu = (np.zeros((nt, g.nx)) for _ in range(3))
+    action_prev = action = rel_change = np.inf
+    p_rho = reference_centers(u)[0]
+    for k in range(1, max_iters + 1):
+        a_rho = np.zeros((nt + 1, g.nx))
+        a_rho[1:-1] = 0.5 * (w_rho[:-1] + w_rho[1:])
+        a_m = 0.5 * (w_m + np.roll(w_m, -1, axis=1))
+        u_new = WFRVariables(g, u.rho - tau * a_rho, u.m - tau * a_m,
+                             u.mu - tau * w_mu.copy())
+        u_new = reference_project(u_new, rho0, rho1, balanced)
+        bar = WFRVariables(g, 2.0 * u_new.rho - u.rho, 2.0 * u_new.m - u.m,
+                           2.0 * u_new.mu - u.mu)
+        v_rho, v_m, v_mu = reference_centers(bar)
+        y_rho = w_rho + sigma * v_rho
+        y_m = w_m + sigma * v_m
+        y_mu = w_mu + sigma * v_mu
+        p_rho, p_m, p_mu = prox_action(y_rho / sigma, y_m / sigma,
+                                       y_mu / sigma, 1.0 / sigma, params,
+                                       p_rho)
+        w_rho = y_rho - sigma * p_rho
+        w_m = y_m - sigma * p_m
+        w_mu = y_mu - sigma * p_mu
+        u = u_new
+        if k % wfr._CHECK_EVERY == 0 or k == max_iters:
+            action = wfr._centered_action(g, p_rho, p_m, p_mu, params)
+            rel_change = abs(action - action_prev) / max(abs(action), 1e-30)
+            action_prev = action
+            if k >= wfr._MIN_ITERS and rel_change < tol:
+                break
+    return u, p_rho, p_m, p_mu, action, k, rel_change
+
+
+def assert_same_as_reference(result, ref):
+    u, rho_c, m_c, mu_c, action, iterations, rel_change = ref
+    for got, want in ((result.vars.rho, u.rho), (result.vars.m, u.m),
+                      (result.vars.mu, u.mu), (result.rho_c, rho_c),
+                      (result.m_c, m_c), (result.mu_c, mu_c)):
+        assert np.array_equal(got, want)
+    assert result.action == action
+    assert result.iterations == iterations
+    assert result.rel_change == rel_change
+    assert result.constraint_residual == float(
+        np.max(np.abs(reference_residual(u))))
 
 
 def vars_gap(v1, v2):
@@ -212,7 +318,7 @@ def test_projection_matches_dense_kkt():
     rho1 = 1.5 + 0.2 * np.cos(x)
     vars = WFRVariables(g, rng.normal(1, 0.5, (7, 8)),
                         rng.normal(0, 1, (6, 8)), rng.normal(0, 1, (6, 8)))
-    fast = continuity_project(vars, rho0, rho1)
+    fast = project(vars, rho0, rho1)
     dense = dense_projection(vars, rho0, rho1, balanced=False)
     assert vars_gap(fast, dense) < 1e-10
     assert np.max(np.abs(continuity_residual(fast))) < 1e-12
@@ -226,7 +332,7 @@ def test_projection_matches_dense_kkt_balanced():
     rho1 = np.roll(rho0, 2)  # equal masses
     vars = WFRVariables(g, rng.normal(1, 0.5, (7, 8)),
                         rng.normal(0, 1, (6, 8)), np.zeros((6, 8)))
-    fast = continuity_project(vars, rho0, rho1, balanced=True)
+    fast = project(vars, rho0, rho1, balanced=True)
     dense = dense_projection(vars, rho0, rho1, balanced=True)
     assert vars_gap(fast, dense) < 1e-10
     assert np.max(np.abs(fast.mu)) == 0.0
@@ -240,7 +346,7 @@ def test_projection_zero_input_uniform_case():
                          np.zeros((8, 8)))
     rho0 = np.ones(8)
     rho1 = np.ones(8)
-    fast = continuity_project(zeros, rho0, rho1)
+    fast = project(zeros, rho0, rho1)
     dense = dense_projection(zeros, rho0, rho1, balanced=False)
     assert vars_gap(fast, dense) < 1e-10
     assert np.max(np.abs(fast.mu)) > 1e-3  # growth participates
@@ -254,7 +360,7 @@ def test_projection_matches_dense_kkt_at_odd_nx(balanced):
     rho1 = np.roll(rho0, 3) if balanced else 1.5 + 0.2 * np.cos(g.x)
     vars = WFRVariables(g, rng.normal(1, 0.5, (6, 7)),
                         rng.normal(0, 1, (5, 7)), rng.normal(0, 1, (5, 7)))
-    fast = continuity_project(vars, rho0, rho1, balanced=balanced)
+    fast = project(vars, rho0, rho1, balanced=balanced)
     dense = dense_projection(vars, rho0, rho1, balanced=balanced)
     assert vars_gap(fast, dense) < 1e-10
     assert np.max(np.abs(continuity_residual(fast))) < 1e-12
@@ -276,7 +382,7 @@ def test_projection_symbol_cache_across_grids_and_modes():
             cases.append((vars, rho0, rho1, balanced, dense))
     for _ in range(2):
         for vars, rho0, rho1, balanced, dense in cases:
-            fast = continuity_project(vars, rho0, rho1, balanced=balanced)
+            fast = project(vars, rho0, rho1, balanced=balanced)
             assert vars_gap(fast, dense) < 1e-10
     symbol = _inverse_symbol(5, 7, True)
     assert symbol is _inverse_symbol(5, 7, True)
@@ -294,19 +400,25 @@ def test_projection_idempotent_and_pins_ends():
     rho1 = 1.5 + 0.2 * np.cos(x)
     vars = WFRVariables(g, rng.normal(1, 0.5, (9, 16)),
                         rng.normal(0, 1, (8, 16)), rng.normal(0, 1, (8, 16)))
-    p1 = continuity_project(vars, rho0, rho1)
-    p2 = continuity_project(p1, rho0, rho1)
+    p1 = project(vars, rho0, rho1)
     assert np.max(np.abs(p1.rho[0] - rho0)) == 0.0
     assert np.max(np.abs(p1.rho[-1] - rho1)) == 0.0
-    assert vars_gap(p1, p2) < 1e-12
+    # the projection writes into the arrays it is given and returns them
+    arrays = (p1.rho.copy(), p1.m.copy(), p1.mu.copy())
+    out = continuity_project(g, *arrays, rho0, rho1)
+    assert all(a is b for a, b in zip(out, arrays))
+    assert vars_gap(p1, WFRVariables(g, *out)) < 1e-12
 
 
 def test_projection_balanced_requires_equal_masses():
     g = StaggeredGrid(6, 8)
-    zeros = WFRVariables(g, np.zeros((7, 8)), np.zeros((6, 8)),
-                         np.zeros((6, 8)))
+    arrays = (np.zeros((7, 8)), np.zeros((6, 8)), np.ones((6, 8)))
     with pytest.raises(ValueError):
-        continuity_project(zeros, np.ones(8), 2.0 * np.ones(8), balanced=True)
+        continuity_project(g, *arrays, np.ones(8), 2.0 * np.ones(8),
+                           balanced=True)
+    # the mass check runs before the projection writes anything
+    assert not np.any(arrays[0]) and not np.any(arrays[1])
+    assert np.all(arrays[2] == 1.0)
 
 
 # -- distance solver -------------------------------------------------------------
@@ -400,6 +512,68 @@ def test_solver_warm_start_reaches_same_distance():
         solve_wfr(b1, b2, 16, init=cold.vars)  # grid mismatch
 
 
+def test_solver_equals_the_wfr_variables_loop():
+    # the array loop changes only the plumbing, never the arithmetic
+    pg = PeriodicGrid(16)
+    vac0 = bump_density(pg, 1.0, 0.4, 0.5) + 3e-3
+    vac1 = bump_density(pg, 4.0, 0.5, 1.5) + 3e-3
+    b1 = bump_density(pg, 2.0, 0.8, 1.0)
+    b2 = bump_density(pg, 4.0, 0.6, 1.5)
+    cases = [((vac0, vac1, 16), {"tol": 1e-5}),
+             ((b1, np.roll(b1, 3), 8), {"tol": 1e-6, "balanced": True})]
+    for args, kw in cases:
+        res = solve_wfr(*args, **kw)
+        assert res.converged
+        assert_same_as_reference(res, reference_solve(*args, **kw))
+        warm = dict(kw, init=res.vars)
+        arrays = [a.copy() for a in (res.vars.rho, res.vars.m, res.vars.mu)]
+        assert_same_as_reference(solve_wfr(*args, **warm),
+                                 reference_solve(*args, **warm))
+        # the warm start is projected from copies, never in place
+        for a, b in zip(arrays, (res.vars.rho, res.vars.m, res.vars.mu)):
+            assert np.array_equal(a, b)
+    with pytest.raises(WFRConvergenceError) as info:
+        solve_wfr(b1, b2, 8, tol=1e-7, max_iters=30)
+    assert_same_as_reference(info.value.result,
+                             reference_solve(b1, b2, 8, tol=1e-7,
+                                             max_iters=30))
+
+
+def test_solver_calls_each_layer_once_per_iteration(monkeypatch):
+    pg = PeriodicGrid(16)
+    b1 = bump_density(pg, 2.0, 0.8, 1.0)
+    b2 = bump_density(pg, 4.0, 0.6, 1.5)
+    counts = dict(continuity_project=0, prox_action=0, vars=0)
+
+    def counting(name, func):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+        return counted
+
+    for name in ("continuity_project", "prox_action"):
+        monkeypatch.setattr(wfr, name, counting(name, getattr(wfr, name)))
+    monkeypatch.setattr(WFRVariables, "__post_init__",
+                        counting("vars", WFRVariables.__post_init__))
+    init = solve_wfr(b1, b2, 8, tol=1e-6).vars
+    # (kwargs, set-up projections): a warm start or balanced mode projects
+    # its starting point once before the loop
+    cases = [({}, 0), ({"init": init}, 1),
+             ({"balanced": True, "rho1": np.roll(b1, 3)}, 1)]
+    for kw, setup in cases:
+        built = []
+        for max_iters in (200, 975):
+            counts.update(continuity_project=0, prox_action=0, vars=0)
+            args = dict({"rho1": b2, "tol": 1e-300}, **kw)
+            with pytest.raises(WFRConvergenceError) as info:
+                solve_wfr(b1, nt=8, max_iters=max_iters, **args)
+            assert info.value.result.iterations == max_iters
+            assert counts["prox_action"] == max_iters
+            assert counts["continuity_project"] == max_iters + setup
+            built.append(counts["vars"])
+        assert built[0] == built[1]
+
+
 def test_solver_input_validation():
     with pytest.raises(ValueError):
         solve_wfr(-np.ones(16), np.ones(16), 8)
@@ -407,6 +581,12 @@ def test_solver_input_validation():
         solve_wfr(np.ones(16), np.ones(8), 8)
     with pytest.raises(ValueError):
         solve_wfr(np.ones(16), 2 * np.ones(16), 8, balanced=True)
+    # bad stopping parameters fail before the first iteration
+    for kw in ({"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0},
+               {"tol": -1e-7}, {"max_iters": 0}, {"max_iters": -5},
+               {"max_iters": 10.0}, {"max_iters": None}):
+        with pytest.raises(ValueError, match="tol|max_iters"):
+            solve_wfr(np.ones(16), 2 * np.ones(16), 8, **kw)
 
 
 def test_hellinger_distance_values():
