@@ -178,14 +178,14 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
             return grid.trig_eval(u_t, p), 0.5 * grid.trig_eval(ux_t, p) * l
 
         phi[j + 1], lam_ode[j + 1] = rk4_step(rhs, (phi[j], lam_ode[j]), dt)
-        phi_x = 1.0 + grid.deriv(phi[j + 1] - grid.x)
+        phi_x = grid.lift_slope(phi[j + 1])
         m = float(np.min(phi_x))
         if m < _PHI_X_FLOOR:
             raise CHBlowupError(
                 f"flow map lost invertibility at t={traj.times[j + 1]:.6g}",
                 {"time": float(traj.times[j + 1]), "min_phi_x": m})
 
-    phi_x = 1.0 + grid.deriv(phi - grid.x[None, :])
+    phi_x = grid.lift_slope(phi)
     lam = np.sqrt(phi_x)
     residual = float(np.max(np.abs(lam_ode ** 2 - phi_x)))
     return FlowPath(grid, traj.times.copy(), phi, lam, lam_ode, residual,

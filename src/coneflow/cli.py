@@ -81,9 +81,12 @@ def _require_positive(args, names):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p != ""]
+        values = [float(p) for p in text.split(",") if p != ""]
     except ValueError as exc:
         raise CLIInputError(f"bad numeric list '{text}'") from exc
+    if not np.all(np.isfinite(values)):
+        raise CLIInputError(f"non-finite value in numeric list '{text}'")
+    return values
 
 
 # -- cone ---------------------------------------------------------------------
@@ -179,15 +182,12 @@ def cmd_ch_invariants(args):
 
 def cmd_euler_check(args):
     traj = _load_trajectory(args.traj, ConeParams())
-    radii = np.array(_float_list(args.radii))
-    if np.min(radii) <= 0:
-        raise CLIInputError("--radii must be positive")
-    agrid = AnnulusGrid(traj.grid, radii)
+    agrid = AnnulusGrid(traj.grid, _float_list(args.radii))
     report = euler_residual(traj, agrid)
     path = flow_map(traj)
-    measure = lagrangian_measure_check(path, radii)
+    measure = lagrangian_measure_check(path, agrid.radii)
     forms = geodesic_form_consistency(traj, path)
-    return {"traj": args.traj, "radii": radii.tolist(),
+    return {"traj": args.traj, "radii": agrid.radii.tolist(),
             "max_div": report.max_div,
             "max_momentum_residual": report.max_momentum_residual,
             "det_residual": measure.det_residual,
@@ -288,14 +288,14 @@ def cmd_curvature(args):
 
 def cmd_minimality(args):
     _require_positive(args, ["n", "t_final", "dt", "members"])
+    amplitudes = tuple(_float_list(args.amplitudes))
+    if not amplitudes or min(amplitudes) <= 0:
+        raise CLIInputError("--amplitudes must be positive")
     grid = PeriodicGrid(args.n)
     u0 = parse_field_spec(args.init, grid)
     traj = ch_solve(grid, u0, args.t_final, args.dt)
     family = make_perturbation_family(grid, traj.times, args.members,
                                       args.seed)
-    amplitudes = tuple(_float_list(args.amplitudes))
-    if not amplitudes or min(amplitudes) <= 0:
-        raise CLIInputError("--amplitudes must be positive")
     report = minimality_test(traj, family, amplitudes)
     geodesic_below = bool(report.geodesic_action
                           <= report.min_competitor_action)

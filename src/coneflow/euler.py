@@ -8,12 +8,11 @@ pressure potential Psi_p(x, r) = r^2 p(x) / 2.  The Lagrangian counterpart
 Phi(theta, r) = (phi(theta), lam(theta) r) preserves the measure
 r^-3 dr dtheta exactly when lam^2 = d_x phi.
 
-eulerian_residuals computes u_dot, p and both momentum residuals on all
-interior slices of a trajectory in one pass; the Euler report, the
-geodesic-form comparison and the minimality Hessian bound read from it.
+The pressure comes from u alone (pressure_from_state, the isotropy orbit's
+second-fundamental-form pressure), so both momentum residuals are checks.
 The trajectory diagnostics make no per-slice loops: polar fields carry the
-time slices as a batch axis, and the Eulerian fields are composed with the
-flow map by one batched PeriodicGrid.trig_eval call each.
+time slices as a batch axis, and the pressure-free balances are composed
+with the flow map by one batched PeriodicGrid.trig_eval call each.
 """
 from __future__ import annotations
 
@@ -37,8 +36,8 @@ class AnnulusGrid:
 
     def __post_init__(self):
         radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
-        if np.any(radii <= 0):
-            raise ValueError("annulus radii must be positive")
+        if radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
+            raise ValueError("annulus needs finite positive radii")
         object.__setattr__(self, "radii", radii)
 
 
@@ -112,39 +111,36 @@ def weighted_divergence(field: PolarVectorField) -> np.ndarray:
     return profile / r ** 4
 
 
-def pressure_from_state(grid: PeriodicGrid, u: np.ndarray,
-                        u_dot: np.ndarray) -> np.ndarray:
-    """Pressure from the radial momentum balance with alpha = u_x / 2:
+def pressure_from_state(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
+    """Pressure of u (shape (..., n)) at coefficients (1, 1/2).
 
-        p = -(alpha_dot + u alpha_x + alpha^2 - u^2).
+    Eliminating u_t between the momentum balances leaves
+    (1 - d_xx/4) p = u^2 + (3/4) u_x^2 + (1/2) u u_xx; this p is also the
+    isotropy orbit's second-fundamental-form pressure at (u, u_x/2).
     """
-    alpha = 0.5 * grid.deriv(u)
-    alpha_dot = 0.5 * grid.deriv(u_dot)
-    return -(alpha_dot + u * grid.deriv(alpha) + alpha ** 2 - u ** 2)
+    ux = grid.deriv(u)
+    rhs = u * u + 0.75 * ux * ux + 0.5 * u * grid.deriv(u, 2)
+    return grid.solve_helmholtz(rhs, 1.0, 0.5)
 
 
-def eulerian_residuals(traj: CHTrajectory):
-    """(u_dot, p, res_theta, res_r) on the interior slices of a trajectory.
+def _balances(traj: CHTrajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Pressure-free angular and radial balances, (T-2, n) each.
 
-    Each is a (T-2, n) array.  u_dot is the centered time difference, p
-    the pressure recovered from the radial momentum balance, and res_theta,
-    res_r the angular and radial momentum residuals of the polar field at
-    unit radius (both scale linearly in r).  Because p is recovered from
-    the radial balance, res_r is identically 0.0; only res_theta tests
-    the correspondence.
+    u_t + 2 u u_x and alpha_t + u alpha_x + alpha^2 - u^2 (alpha = u_x/2,
+    centered u_t) at the interior slices; adding p_x/2 and p gives the
+    momentum residuals at unit radius (both scale linearly in r).
     """
-    grid = traj.grid
     if len(traj.times) < 3:
         raise ValueError("trajectory too short for centered differences")
+    grid = traj.grid
     u = traj.u[1:-1]
     u_dot = (traj.u[2:] - traj.u[:-2]) / (2.0 * traj.dt)
     ux = grid.deriv(u)
-    p = pressure_from_state(grid, u, u_dot)
     alpha = 0.5 * ux
-    alpha_dot = 0.5 * grid.deriv(u_dot)
-    res_theta = u_dot + 2.0 * u * ux + 0.5 * grid.deriv(p)
-    res_r = alpha_dot + u * grid.deriv(alpha) + alpha ** 2 - u ** 2 + p
-    return u_dot, p, res_theta, res_r
+    angular = u_dot + 2.0 * u * ux
+    radial = (0.5 * grid.deriv(u_dot) + u * grid.deriv(alpha) + alpha ** 2
+              - u ** 2)
+    return angular, radial
 
 
 @dataclass(frozen=True)
@@ -159,14 +155,16 @@ class EulerResidualReport:
 def euler_residual(traj: CHTrajectory, agrid: AnnulusGrid) -> EulerResidualReport:
     """Momentum residual of the mapped polar field along a trajectory.
 
-    Time derivatives use centered differences at the stored interior times.
-    The pressure is recovered from the radial balance, so the radial
-    residual is identically 0.0 and the reported momentum residual is the
-    angular one; both scale linearly in r and are reported at the largest
-    annulus radius.
+    Time derivatives use centered differences at the stored interior times
+    and p is pressure_from_state, computed from u alone, so both the
+    angular and the radial residual test the correspondence.  They scale
+    linearly in r and are reported at the largest annulus radius.
     """
-    res_theta, res_r = (np.max(np.abs(field), axis=1)
-                        for field in eulerian_residuals(traj)[2:])
+    angular, radial = _balances(traj)
+    p = pressure_from_state(traj.grid, traj.u[1:-1])
+    res_theta = np.max(np.abs(angular + 0.5 * traj.grid.deriv(p)), axis=1)
+    res_r = np.max(np.abs(radial + p), axis=1)
+    del angular, radial, p  # freed before the (n_radii, T, n) divergence
     max_div = float(np.max(np.abs(weighted_divergence(
         polar_velocity(agrid, traj.u[1:-1])))))
     r_max = float(np.max(agrid.radii))
@@ -195,8 +193,8 @@ def lagrangian_measure_check(path: FlowPath,
     grid = path.grid
     if radii is None:
         radii = np.array([0.5, 1.0, 2.0])
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    phi_x = 1.0 + grid.deriv(path.phi - grid.x[None, :])
+    radii = AnnulusGrid(grid, radii).radii
+    phi_x = grid.lift_slope(path.phi)
     lam = path.lam_ode
     det_residual = float(np.max(np.abs(phi_x * lam - phi_x ** 1.5)))
     res_polar = phi_x / lam ** 2 - 1.0
@@ -222,28 +220,26 @@ def geodesic_form_consistency(traj: CHTrajectory,
     """Lagrangian vs Eulerian residuals of the constrained geodesic forms.
 
     The Lagrangian residuals phi'' + 2 (lam'/lam) phi' + (p_x/2) o phi and
-    lam'' - lam phi'^2 + lam p o phi are evaluated with centered time
-    differences and compared with the Eulerian residual fields composed
-    with phi.  The pressure term cancels exactly, so the gap measures only
-    the consistency of the two discretizations.
+    lam'' - lam phi'^2 + lam p o phi, with centered time differences, are
+    compared with the Eulerian residual fields composed with phi.  p
+    cancels exactly, so only the pressure-free parts are formed; the gap
+    measures only the consistency of the two discretizations.
     """
     grid = traj.grid
     dt = traj.dt
-    p, res_theta, res_r = eulerian_residuals(traj)[1:]
+    angular, radial = _balances(traj)
     phi, lam = path.phi, path.lam_ode
     phi_0, lam_0 = phi[1:-1], lam[1:-1]
     phi_dot = (phi[2:] - phi[:-2]) / (2.0 * dt)
     phi_ddot = (phi[2:] - 2.0 * phi_0 + phi[:-2]) / dt ** 2
     lam_dot = (lam[2:] - lam[:-2]) / (2.0 * dt)
     lam_ddot = (lam[2:] - 2.0 * lam_0 + lam[:-2]) / dt ** 2
-    # one batched call per field: slice j is composed with phi at slice j
-    lag_theta = phi_ddot + 2.0 * (lam_dot / lam_0) * phi_dot \
-        + 0.5 * grid.trig_eval(p, phi_0, 1)
-    lag_rad = lam_ddot - lam_0 * phi_dot ** 2 \
-        + lam_0 * grid.trig_eval(p, phi_0)
-    eul_theta = grid.trig_eval(res_theta, phi_0)
-    eul_rad = lam_0 * grid.trig_eval(res_r, phi_0)
-    angular_gap = float(np.max(np.abs(lag_theta - eul_theta)))
-    radial_gap = float(np.max(np.abs(lag_rad - eul_rad)))
+    # one batched call per balance: slice j is composed with phi at slice j
+    lag_theta = phi_ddot + 2.0 * (lam_dot / lam_0) * phi_dot
+    lag_rad = lam_ddot - lam_0 * phi_dot ** 2
+    angular_gap = float(np.max(np.abs(
+        lag_theta - grid.trig_eval(angular, phi_0))))
+    radial_gap = float(np.max(np.abs(
+        lag_rad - lam_0 * grid.trig_eval(radial, phi_0))))
     return FormConsistencyReport(traj.times[1:-1].copy(), angular_gap,
                                  radial_gap)

@@ -139,6 +139,10 @@ class PeriodicGrid:
         points = np.asarray(points, dtype=float)
         return points + self.trig_eval(phi - self.x, points)
 
+    def lift_slope(self, phi: np.ndarray) -> np.ndarray:
+        """d_x phi of lifts stored along the last axis, as 1 + (phi - id)'."""
+        return 1.0 + self.deriv(phi - self.x)
+
     def invert_lift(self, phi: np.ndarray) -> np.ndarray:
         """Solve phi(y) = x_i at every grid node x_i.
 

@@ -41,7 +41,7 @@ class GroupElement:
 
     @property
     def phi_x(self) -> np.ndarray:
-        return 1.0 + self.grid.deriv(self.phi - self.grid.x)
+        return self.grid.lift_slope(self.phi)
 
     @property
     def mass(self) -> np.ndarray:
@@ -94,10 +94,11 @@ def identity(grid: PeriodicGrid) -> GroupElement:
 
 def embed_diffeo(grid: PeriodicGrid, phi: np.ndarray) -> GroupElement:
     """Isotropy embedding phi -> (phi, sqrt(phi_x)) of the diffeomorphisms."""
-    phi_x = 1.0 + grid.deriv(np.asarray(phi, dtype=float) - grid.x)
+    phi = np.asarray(phi, dtype=float)
+    phi_x = grid.lift_slope(phi)
     if np.min(phi_x) <= _MONOTONE_TOL:
         raise ValueError("phi must be strictly increasing")
-    return GroupElement(grid, np.asarray(phi, dtype=float), np.sqrt(phi_x))
+    return GroupElement(grid, phi, np.sqrt(phi_x))
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -124,7 +125,7 @@ def pushforward_action(g: GroupElement, rho: DensityField) -> DensityField:
     """
     grid = g.grid
     phi_inv = grid.invert_lift(g.phi)
-    d_phi_inv = 1.0 + grid.deriv(phi_inv - grid.x)
+    d_phi_inv = grid.lift_slope(phi_inv)
     weighted = g.lam ** 2 * rho.values
     vals = d_phi_inv * grid.trig_eval(weighted, phi_inv)
     return DensityField(grid, np.maximum(vals, 0.0))

@@ -9,9 +9,9 @@ horizontal part (grad Phi / 2, Phi), where the lift potential solves
     -(1/2) div(rho grad Phi) + 2 Phi rho = X.
 
 The second fundamental form of the isotropy orbit produces a pressure via
-the constant-coefficient operator 2 - Laplacian/2, and the minimality
-harness certifies time windows (t1 - t0) < pi / sqrt(C) with C a sup bound
-on the pressure Hessian blocks ((p''/2, p'), (p', p)).
+the operator 2 - Laplacian/2 (at (u, u_x/2) it is pressure_from_state), and
+the minimality harness certifies time windows (t1 - t0) < pi / sqrt(C) with
+C a sup bound on the pressure Hessian blocks ((p''/2, p'), (p', p)).
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ch import CHTrajectory, flow_map
-from .euler import eulerian_residuals
+from .euler import pressure_from_state
 from .grid import PeriodicGrid, diff_matrix
 from .group import DensityField, VelocityPair, infinitesimal_action, lie_bracket
 
@@ -110,17 +110,14 @@ def second_fundamental_form(xi1: VelocityPair, xi2: VelocityPair) -> IIResult:
 
     The defining right-hand side is symmetrized over the two arguments;
     the raw asymmetry (zero for isotropy-tangent inputs) is recorded.
-    The pressure solves (2 - d_xx/2) p = rhs with the Fourier symbol
-    2 + k^2/2.
+    The pressure solves (2 - d_xx/2) p = rhs, i.e. (1 - d_xx/4) p = rhs/2.
     """
     grid = xi1.grid
     rhs12 = _ii_rhs(grid, xi1, xi2)
     rhs21 = _ii_rhs(grid, xi2, xi1)
     raw_asymmetry = float(np.max(np.abs(rhs12 - rhs21)))
     rhs = 0.5 * (rhs12 + rhs21)
-    vh = np.fft.rfft(rhs)
-    k = np.arange(grid.n // 2 + 1, dtype=float)
-    p = np.fft.irfft(vh / (2.0 + 0.5 * k * k), n=grid.n)
+    p = grid.solve_helmholtz(0.5 * rhs, 1.0, 0.5)
     tangency = max(
         float(np.max(np.abs(xi1.alpha - 0.5 * grid.deriv(xi1.v)))),
         float(np.max(np.abs(xi2.alpha - 0.5 * grid.deriv(xi2.v)))))
@@ -232,11 +229,11 @@ def path_action(grid: PeriodicGrid, times: np.ndarray, phi: np.ndarray,
 def hessian_certificate(traj: CHTrajectory) -> tuple[float, float]:
     """Sup bound C on the pressure Hessian blocks and the window pi/sqrt(C).
 
-    The blocks are ((p''/2, p'), (p', p)) pointwise in x; C is the largest
-    absolute eigenvalue over the interior trajectory times.
+    The blocks are ((p''/2, p'), (p', p)) pointwise in x at every stored
+    slice; C is the largest absolute eigenvalue over all of them.
     """
     grid = traj.grid
-    p = eulerian_residuals(traj)[1]
+    p = pressure_from_state(grid, traj.u)
     px = grid.deriv(p)
     pxx = grid.deriv(p, 2)
     tr = 0.5 * pxx + p
@@ -278,7 +275,7 @@ def minimality_test(traj: CHTrajectory, family: PerturbationFamily,
     for i, eta in enumerate(family.members):
         for j, amp in enumerate(amplitudes):
             phi_c = path.phi + amp * eta
-            phi_x = 1.0 + grid.deriv(phi_c - grid.x[None, :])
+            phi_x = grid.lift_slope(phi_c)
             if np.min(phi_x) <= 0:
                 raise ValueError(
                     "competitor perturbation breaks monotonicity; "

@@ -35,8 +35,8 @@ from .submersion import horizontal_lift
 CONVENTIONS = {
     "lift-potential": "horizontal pairs are (Phi'/2, Phi) with the potential "
                       "solving -(rho Phi')'/2 + 2 Phi rho = X",
-    "pressure": "geodesic forcing is (-p'/2, -lam p); p is recovered from "
-                "the radial momentum balance",
+    "pressure": "geodesic forcing is (-p'/2, -lam p); p solves "
+                "(1 - d_xx/4) p = u^2 + 3/4 u_x^2 + 1/2 u u_xx",
 }
 
 
@@ -394,6 +394,8 @@ def hellinger_distance(grid: PeriodicGrid, rho0: np.ndarray, rho1: np.ndarray,
     """Pure growth distance 2 b | sqrt(rho1) - sqrt(rho0) |_{L2}."""
     rho0 = _validate_endpoint(rho0, "rho0")
     rho1 = _validate_endpoint(rho1, "rho1")
+    if rho0.shape != (grid.n,) or rho1.shape != (grid.n,):
+        raise ValueError(f"endpoint densities must have shape ({grid.n},)")
     gap = np.sqrt(rho1) - np.sqrt(rho0)
     return float(2.0 * params.b * np.sqrt(grid.integrate(gap ** 2)))
 

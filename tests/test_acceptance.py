@@ -193,7 +193,7 @@ def test_incompressible_correspondence(reference_run, reference_path):
     assert rep.max_momentum_residual < 1e-5
 
     c = 0.7
-    p = pressure_from_state(grid, c * np.ones(grid.n), np.zeros(grid.n))
+    p = pressure_from_state(grid, c * np.ones(grid.n))
     rot_gap = float(np.max(np.abs(p - c ** 2)))
     assert rot_gap < 1e-12
     rot = ch_solve(grid, c * np.ones(grid.n), 0.1, 1e-2)

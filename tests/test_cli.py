@@ -162,7 +162,7 @@ def test_minimality_requires_seed(capsys):
 
 
 def test_minimality_runs_only_at_the_reference_coefficients(capsys):
-    # the Hessian certificate recovers the pressure with the (1, 1/2)
+    # the Hessian certificate computes the pressure with the (1, 1/2)
     # formula, so the command takes no coefficients to integrate with
     for flag in ("--a", "--b"):
         code, body = run_json(capsys, "minimality", "--init", "sin:0.2",
@@ -233,6 +233,23 @@ def test_bad_inputs_exit_one(capsys):
         assert code == 1
         assert body["error"]["type"] == "CLIInputError"
         assert flag in body["error"]["message"]
+
+
+def test_non_finite_radii_and_amplitudes_exit_one(capsys, tmp_path):
+    out = tmp_path / "traj.csv"
+    run_json(capsys, "ch", "solve", "--n", "64", "--dt", "1e-2",
+             "--t-final", "0.05", "--init", "sin:0.1", "--out", str(out))
+    for radii in ("nan", "0.5,inf", "0.5,1,nan", "", "0.5,-1"):
+        code, body = run_json(capsys, "euler", "check", "--traj", str(out),
+                              "--radii", radii)
+        assert code == 1, radii
+        assert "reduction" not in body["error"]["message"]
+    for amplitudes in ("nan", "0.01,inf"):
+        code, body = run_json(capsys, "minimality", "--init", "const:1",
+                              "--members", "2", "--seed", "1",
+                              "--amplitudes", amplitudes)
+        assert code == 1, amplitudes
+        assert body["error"]["type"] == "CLIInputError"
 
 
 def test_outdir_redirects_relative_paths(capsys, tmp_path, monkeypatch):

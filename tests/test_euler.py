@@ -7,6 +7,7 @@ from coneflow import (
     GroupElement,
     PeriodicGrid,
     PolarVectorField,
+    VelocityPair,
     ch_solve,
     embed_diffeo,
     euler_residual,
@@ -17,6 +18,7 @@ from coneflow import (
     madelung,
     polar_velocity,
     pressure_from_state,
+    second_fundamental_form,
     weighted_divergence,
 )
 
@@ -25,29 +27,26 @@ ANNULUS = AnnulusGrid(GRID, np.array([0.5, 1.0, 2.0]))
 
 
 def interior_slices(traj):
-    # u, centered u_dot and the pressure at each interior time, one by one
+    # u and its pressure-free balances (centered u_dot), one slice at a time
+    grid = traj.grid
     for j in range(1, len(traj.times) - 1):
         u = traj.u[j]
         u_dot = (traj.u[j + 1] - traj.u[j - 1]) / (2.0 * traj.dt)
-        yield j, u, u_dot, pressure_from_state(traj.grid, u, u_dot)
-
-
-def slice_residuals(grid, u, u_dot, p):
-    ux = grid.deriv(u)
-    alpha = 0.5 * ux
-    alpha_dot = 0.5 * grid.deriv(u_dot)
-    res_theta = u_dot + 2.0 * u * ux + 0.5 * grid.deriv(p)
-    res_rad = alpha_dot + u * grid.deriv(alpha) + alpha ** 2 - u ** 2 + p
-    return res_theta, res_rad
+        ux = grid.deriv(u)
+        alpha = 0.5 * ux
+        angular = u_dot + 2.0 * u * ux
+        radial = (0.5 * grid.deriv(u_dot) + u * grid.deriv(alpha)
+                  + alpha ** 2 - u ** 2)
+        yield j, u, angular, radial
 
 
 def reference_euler_residual(traj, agrid):
     """Per-slice loop form of euler_residual."""
     res_theta, res_r, max_div = [], [], 0.0
-    for _, u, u_dot, p in interior_slices(traj):
-        r_th, r_ra = slice_residuals(traj.grid, u, u_dot, p)
-        res_theta.append(np.max(np.abs(r_th)))
-        res_r.append(np.max(np.abs(r_ra)))
+    for _, u, angular, radial in interior_slices(traj):
+        p = pressure_from_state(traj.grid, u)
+        res_theta.append(np.max(np.abs(angular + 0.5 * traj.grid.deriv(p))))
+        res_r.append(np.max(np.abs(radial + p)))
         div = weighted_divergence(polar_velocity(agrid, u))
         max_div = max(max_div, float(np.max(np.abs(div))))
     res_theta, res_r = np.array(res_theta), np.array(res_r)
@@ -57,11 +56,10 @@ def reference_euler_residual(traj, agrid):
 
 
 def reference_form_gaps(traj, path):
-    """Per-slice loop form of geodesic_form_consistency."""
+    """Per-slice loop form of geodesic_form_consistency; p cancels."""
     grid, dt = traj.grid, traj.dt
     angular_gap = radial_gap = 0.0
-    for j, u, u_dot, p in interior_slices(traj):
-        res_theta, res_rad = slice_residuals(grid, u, u_dot, p)
+    for j, _, angular, radial in interior_slices(traj):
         phi_m, phi_0, phi_p = path.phi[j - 1], path.phi[j], path.phi[j + 1]
         lam_m, lam_0, lam_p = (path.lam_ode[j - 1], path.lam_ode[j],
                                path.lam_ode[j + 1])
@@ -69,12 +67,10 @@ def reference_form_gaps(traj, path):
         phi_ddot = (phi_p - 2.0 * phi_0 + phi_m) / dt ** 2
         lam_dot = (lam_p - lam_m) / (2.0 * dt)
         lam_ddot = (lam_p - 2.0 * lam_0 + lam_m) / dt ** 2
-        p_at = grid.trig_eval(p, phi_0)
-        px_at = grid.trig_eval(p, phi_0, order=1)
-        lag_theta = phi_ddot + 2.0 * (lam_dot / lam_0) * phi_dot + 0.5 * px_at
-        lag_rad = lam_ddot - lam_0 * phi_dot ** 2 + lam_0 * p_at
-        eul_theta = grid.trig_eval(res_theta, phi_0)
-        eul_rad = lam_0 * grid.trig_eval(res_rad, phi_0)
+        lag_theta = phi_ddot + 2.0 * (lam_dot / lam_0) * phi_dot
+        lag_rad = lam_ddot - lam_0 * phi_dot ** 2
+        eul_theta = grid.trig_eval(angular, phi_0)
+        eul_rad = lam_0 * grid.trig_eval(radial, phi_0)
         angular_gap = max(angular_gap,
                           float(np.max(np.abs(lag_theta - eul_theta))))
         radial_gap = max(radial_gap, float(np.max(np.abs(lag_rad - eul_rad))))
@@ -82,10 +78,11 @@ def reference_form_gaps(traj, path):
 
 
 def reference_hessian_certificate(traj):
-    """Per-slice loop form of hessian_certificate."""
+    """Per-slice loop form of hessian_certificate, over every slice."""
     grid = traj.grid
     c_max = 0.0
-    for _, _, _, p in interior_slices(traj):
+    for u in traj.u:
+        p = pressure_from_state(grid, u)
         px = grid.deriv(p)
         pxx = grid.deriv(p, 2)
         tr = 0.5 * pxx + p
@@ -150,9 +147,42 @@ def test_batched_polar_velocity_equals_the_per_slice_fields():
         assert np.array_equal(div[:, j], weighted_divergence(one))
 
 
+def test_pressure_is_the_second_fundamental_form_pressure():
+    # p from u alone equals the isotropy orbit's II pressure at (u, u_x/2)
+    rng = np.random.default_rng(17)
+    for n in (64, 256):
+        grid = PeriodicGrid(n)
+        for _ in range(5):
+            u = rng.normal()
+            for k in range(1, 7):
+                u = u + (rng.normal() * np.cos(k * grid.x)
+                         + rng.normal() * np.sin(k * grid.x)) / k
+            xi = VelocityPair(grid, u, 0.5 * grid.deriv(u))
+            p = pressure_from_state(grid, u)
+            ii = second_fundamental_form(xi, xi).pressure
+            assert np.max(np.abs(p - ii)) < 1e-14 * np.max(np.abs(p))
+
+
+@pytest.mark.parametrize("u0", [lambda x: 0.2 * np.sin(x),
+                                lambda x: 0.2 * np.sin(x)
+                                + 0.1 * np.cos(2 * x) + 0.3],
+                         ids=["sine", "sine-plus-mean"])
+def test_both_momentum_residuals_are_second_order_in_dt(u0):
+    # with p computed from u, the radial balance is an independent check:
+    # it is nonzero and, like the angular one, decays as dt^2
+    maxima = []
+    for dt in (2e-3, 1e-3):
+        traj = ch_solve(GRID, u0(GRID.x), 0.2, dt)
+        rep = euler_residual(traj, ANNULUS)
+        assert np.all(rep.residual_r > 0)
+        maxima.append((np.max(rep.residual_theta), np.max(rep.residual_r)))
+    ratios = np.array(maxima[0]) / np.array(maxima[1])
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
 def test_rigid_rotation_pressure_is_speed_squared():
     c = 0.7
-    p = pressure_from_state(GRID, c * np.ones(GRID.n), np.zeros(GRID.n))
+    p = pressure_from_state(GRID, c * np.ones(GRID.n))
     assert np.max(np.abs(p - c ** 2)) < 1e-12
 
 
@@ -180,6 +210,9 @@ def test_lagrangian_measure_preservation():
     assert rep.pushforward_residual < 1e-10
     # radius-explicit recomputation agrees with the radius-free condition
     assert rep.equivalence_gap < 1e-12
+    for radii in ([], [np.nan], [-1.0]):
+        with pytest.raises(ValueError, match="radii"):
+            lagrangian_measure_check(path, radii)
 
 
 def test_geodesic_form_consistency_gap_is_time_discretization():
@@ -208,7 +241,8 @@ def test_form_consistency_call_count_is_independent_of_slices(monkeypatch):
     for traj, path in runs:
         counts.append(0)
         geodesic_form_consistency(traj, path)
-    assert counts[0] == counts[1]
+    # one call per pressure-free balance; p cancels, so it is never composed
+    assert counts == [2, 2]
 
 
 def test_madelung_modulus_is_gauge():
@@ -220,8 +254,10 @@ def test_madelung_modulus_is_gauge():
 
 
 def test_annulus_validation():
-    with pytest.raises(ValueError):
-        AnnulusGrid(GRID, np.array([0.5, -1.0]))
+    for radii in ([0.5, -1.0], [], [np.nan], [0.5, np.inf], [0.5, 1.0, np.nan],
+                  [0.0]):
+        with pytest.raises(ValueError, match="radii"):
+            AnnulusGrid(GRID, np.array(radii))
     with pytest.raises(ValueError):
         PolarVectorField(ANNULUS, np.zeros((2, GRID.n)), np.zeros((2, GRID.n)))
     for bad in (np.zeros(GRID.n), np.zeros((3, 4, GRID.n - 2))):

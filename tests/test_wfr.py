@@ -596,6 +596,11 @@ def test_hellinger_distance_values():
     assert d == pytest.approx(np.sqrt(2 * np.pi), abs=1e-12)
     rho = bump_density(pg, 1.0, 0.5, 1.0)
     assert hellinger_distance(pg, rho, rho) == 0.0
+    # endpoints must live on the grid: no silent broadcast or reshaping
+    for rho0, rho1 in ((np.ones(8), np.ones(8)), (np.ones(32), np.ones(1)),
+                       (np.ones(1), np.ones(32))):
+        with pytest.raises(ValueError, match="shape"):
+            hellinger_distance(pg, rho0, rho1)
 
 
 # -- geodesic flows ---------------------------------------------------------------
