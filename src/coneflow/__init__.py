@@ -32,10 +32,9 @@ from .submersion import (IIResult, LiftResult, MinimalityReport,
                          path_action, second_fundamental_form,
                          vertical_horizontal_split)
 from .wfr import (CONVENTIONS, HorizontalFlowResult, StaggeredGrid,
-                  WFRConvergenceError, WFRResult, WFRVariables,
-                  continuity_project, continuity_residual, hellinger_distance,
-                  horizontal_flow, interpolate_centers, prox_action,
-                  solve_wfr, wfr_action)
+                  WFRConvergenceError, WFRResult, continuity_project,
+                  continuity_residual, hellinger_distance, horizontal_flow,
+                  interpolate_centers, prox_action, solve_wfr, wfr_action)
 
 __version__ = "0.1.0"
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .cone import ConeParams
 from .grid import PeriodicGrid, rk4_step, step_count
+from .group import hdiv_energy
 
 # fraction of spectral energy allowed above k = n/6 before declaring breaking
 _TAIL_FRACTION_LIMIT = 0.02
@@ -125,10 +126,8 @@ def ch_invariants(grid: PeriodicGrid, u: np.ndarray,
     For one slice u of shape (n,) each value is a float; for a stack of
     slices (T, n) it is a list with one float per slice.
     """
-    ux = grid.deriv(u)
     m = params.a ** 2 * u - params.b ** 2 * grid.deriv(u, 2)
-    energy = grid.integrate(params.a ** 2 * u ** 2 + params.b ** 2 * ux ** 2)
-    return {"energy": energy.tolist(),
+    return {"energy": hdiv_energy(grid, u, params).tolist(),
             "momentum_mean": grid.integrate(m).tolist()}
 
 

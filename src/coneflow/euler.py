@@ -158,7 +158,9 @@ def euler_residual(traj: CHTrajectory, agrid: AnnulusGrid) -> EulerResidualRepor
     Time derivatives use centered differences at the stored interior times
     and p is pressure_from_state, computed from u alone, so both the
     angular and the radial residual test the correspondence.  They scale
-    linearly in r and are reported at the largest annulus radius.
+    linearly in r and are reported at the largest annulus radius.  max_div
+    tests the polar_velocity formula, not the trajectory: every u maps to a
+    divergence-free field, so it is zero up to rounding.
     """
     angular, radial = _balances(traj)
     p = pressure_from_state(traj.grid, traj.u[1:-1])

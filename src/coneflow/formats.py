@@ -165,16 +165,18 @@ def parse_field_spec(spec: str, grid: PeriodicGrid) -> np.ndarray:
     if not isinstance(spec, str) or ":" not in spec:
         raise ValueError(f"bad field spec '{spec}'")
     kind, _, arg = spec.partition(":")
+    if kind in ("const", "sin", "bump"):
+        nums = [float(p) for p in arg.split(",")]
+        if not np.all(np.isfinite(nums)):
+            raise ValueError(f"non-finite number in field spec '{spec}'")
     if kind == "const":
         return np.full(grid.n, float(arg))
     if kind == "sin":
         return float(arg) * np.sin(grid.x)
     if kind == "bump":
-        parts = arg.split(",")
-        if len(parts) != 3:
+        if len(nums) != 3:
             raise ValueError(f"bump spec needs center,width,mass: '{spec}'")
-        center, width, mass = (float(p) for p in parts)
-        return bump_density(grid, center, width, mass)
+        return bump_density(grid, *nums)
     if kind == "file":
         x, values = read_density_csv(arg)
         if len(x) != grid.n:

@@ -178,10 +178,13 @@ def group_exponential(xi: VelocityPair, t: float, dt: float) -> GroupElement:
 
 
 def hdiv_energy(grid: PeriodicGrid, v: np.ndarray,
-                params: ConeParams = ConeParams()) -> float:
-    """Right-invariant H(div) energy: int a^2 v^2 + b^2 (v')^2 dx."""
+                params: ConeParams = ConeParams()) -> float | np.ndarray:
+    """Right-invariant H(div) energy: int a^2 v^2 + b^2 (v')^2 dx.
+
+    One value per slice of v (..., n): a scalar for a single field.
+    """
     vx = grid.deriv(np.asarray(v, dtype=float))
-    return float(grid.integrate(params.a ** 2 * v ** 2 + params.b ** 2 * vx ** 2))
+    return grid.integrate(params.a ** 2 * v ** 2 + params.b ** 2 * vx ** 2)
 
 
 def cone_l2_energy(g: GroupElement, phi_dot: np.ndarray, lam_dot: np.ndarray,

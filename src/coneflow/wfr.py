@@ -11,8 +11,8 @@ first-order primal-dual iteration that alternates the exact pointwise
 proximal map of the action integrand (monotone Newton, warm-started from
 the previous iterate) with the Euclidean projection onto the continuity
 constraint (real FFT in space, cosine transform in time, cached symbol).
-The iteration runs on plain (rho, m, mu) arrays and projects in place;
-WFRVariables wraps only the warm start and the returned iterate.
+Every operator works on plain arrays: rho (nt+1, nx) at the time slices,
+m and mu (nt, nx) at the space faces and the cell centers.
 
 Two scalar conventions coexist in this corner of the code base and are
 never converted implicitly (see CONVENTIONS): the lift potential Phi of
@@ -95,25 +95,6 @@ class StaggeredGrid:
         return (np.arange(self.nt) + 0.5) * self.dt
 
 
-@dataclass(frozen=True)
-class WFRVariables:
-    grid: StaggeredGrid
-    rho: np.ndarray  # (nt+1, nx) at time slices
-    m: np.ndarray    # (nt, nx) at space faces i+1/2
-    mu: np.ndarray   # (nt, nx) at cell centers
-
-    def __post_init__(self):
-        nt, nx = self.grid.nt, self.grid.nx
-        rho = np.asarray(self.rho, dtype=float)
-        m = np.asarray(self.m, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        if rho.shape != (nt + 1, nx) or m.shape != (nt, nx) or mu.shape != (nt, nx):
-            raise ValueError("staggered arrays have inconsistent shapes")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mu", mu)
-
-
 def _shift(a: np.ndarray, s: int) -> np.ndarray:
     """np.roll(a, s, axis=-1) for 0 < |s| < a.shape[-1], by slice assignment."""
     out = np.empty_like(a)
@@ -122,46 +103,32 @@ def _shift(a: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def _centers(rho, m, mu):
-    """Staggered arrays averaged to the cell centers; mu is returned as is."""
+def interpolate_centers(rho, m, mu):
+    """Staggered arrays averaged to the cell centers; mu, which already
+    lives there, is returned as is, not copied."""
     return 0.5 * (rho[:-1] + rho[1:]), 0.5 * (m + _shift(m, 1)), mu
 
 
-def interpolate_centers(vars: WFRVariables):
-    """Average the staggered variables to the cell centers."""
-    rho_c, m_c, mu_c = _centers(vars.rho, vars.m, vars.mu)
-    return rho_c, m_c, mu_c.copy()
-
-
 def _adjoint_centers(grid: StaggeredGrid, w_rho, w_m, w_mu):
-    """Adjoint of _centers; boundary density slices receive zero."""
+    """Adjoint of interpolate_centers; boundary density slices receive zero."""
     rho = np.zeros((grid.nt + 1, grid.nx))
     rho[1:-1] = 0.5 * (w_rho[:-1] + w_rho[1:])
     return rho, 0.5 * (w_m + _shift(w_m, -1)), w_mu
 
 
-def _residual(g: StaggeredGrid, rho, m, mu) -> np.ndarray:
+def continuity_residual(g: StaggeredGrid, rho, m, mu) -> np.ndarray:
+    """d_t rho + d_x m - mu at the cell centers."""
     return (rho[1:] - rho[:-1]) / g.dt + (m - _shift(m, 1)) / g.h - mu
 
 
-def continuity_residual(vars: WFRVariables) -> np.ndarray:
-    """d_t rho + d_x m - mu at the cell centers."""
-    return _residual(vars.grid, vars.rho, vars.m, vars.mu)
-
-
-def wfr_action(vars: WFRVariables, params: ConeParams = ConeParams()) -> float:
+def wfr_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
+               params: ConeParams = ConeParams()) -> float:
     """Cell-measure-weighted action sum((a^2 m^2 + b^2 mu^2)/rho).
 
-    The integrand is the 1-homogeneous perspective extension: zero mass
-    with zero flux contributes nothing, zero mass with flux is infinite.
+    Takes cell-centered arrays (see interpolate_centers).  The integrand is
+    the 1-homogeneous perspective extension: zero mass with zero flux
+    contributes nothing, zero mass with flux is infinite.
     """
-    rho_c, m_c, mu_c = _centers(vars.rho, vars.m, vars.mu)
-    return _centered_action(vars.grid, rho_c, m_c, mu_c, params)
-
-
-def _centered_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
-                     params: ConeParams) -> float:
-    """wfr_action of cell-centred arrays, with the same inf rules."""
     quad = params.a ** 2 * m_c ** 2 + params.b ** 2 * mu_c ** 2
     if np.any(rho_c < 0):
         return float("inf")
@@ -261,7 +228,7 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
         mu.fill(0.0)
     rho[0] = rho0
     rho[-1] = rho1
-    r = _residual(g, rho, m, mu)
+    r = continuity_residual(g, rho, m, mu)
 
     r_hat = rfft(dct(r, type=2, axis=0), axis=1)
     r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
@@ -285,7 +252,10 @@ class WFRResult:
     converged: bool
     constraint_residual: float
     rel_change: float
-    vars: WFRVariables
+    grid: StaggeredGrid
+    rho: np.ndarray
+    m: np.ndarray
+    mu: np.ndarray
     rho_c: np.ndarray
     m_c: np.ndarray
     mu_c: np.ndarray
@@ -302,8 +272,7 @@ def _validate_endpoint(rho, nx_name="rho"):
 
 def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
               params: ConeParams = ConeParams(), balanced: bool = False,
-              tol: float = 1e-7, max_iters: int = 50000,
-              init: WFRVariables | None = None) -> WFRResult:
+              tol: float = 1e-7, max_iters: int = 50000) -> WFRResult:
     """Distance between two densities by primal-dual proximal splitting.
 
     The primal iterate is kept feasible by projecting onto the continuity
@@ -313,14 +282,10 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     interpolation (|K| <= 1).  Stops when the relative change of the
     action over _CHECK_EVERY iterations drops below tol, after at least
     _MIN_ITERS iterations (tol finite and > 0, max_iters an integer >= 1);
-    raises WFRConvergenceError at max_iters.  In balanced mode
-    continuity_project rejects endpoints of unequal mass.  Each prox
-    starts from the last prox density: fewer rounds, same iterates.  The
-    iterates are plain arrays, projected in place; only `vars` is wrapped.
-
-    The problem is convex, so the optional warm start `init` (projected
-    onto the constraint set before use, without touching its arrays)
-    changes only the iteration count, never the limit.
+    raises WFRConvergenceError at max_iters.  In balanced mode the start
+    is projected once before the loop, and continuity_project rejects
+    endpoints of unequal mass.  Each prox starts from the last prox
+    density: fewer rounds, same iterates.
     """
     if not (np.isfinite(tol) and tol > 0
             and isinstance(max_iters, numbers.Integral) and max_iters >= 1):
@@ -333,19 +298,15 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     nx = len(rho0)
     g = StaggeredGrid(nt, nx)
 
-    if init is not None:
-        if init.grid != g:
-            raise ValueError("warm start lives on a different grid")
-        u_rho, u_m, u_mu = init.rho.copy(), init.m.copy(), init.mu.copy()
+    # start: linear density interpolation, mu absorbing growth unless balanced
+    frac = g.t_slices[:, None]
+    u_rho = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
+    u_m = np.zeros((g.nt, g.nx))
+    if balanced:
+        u_mu = np.zeros((g.nt, g.nx))
+        continuity_project(g, u_rho, u_m, u_mu, rho0, rho1, balanced=True)
     else:
-        # feasible start: linear density interpolation, growth absorbed by mu
-        frac = g.t_slices[:, None]
-        u_rho = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
-        u_m = np.zeros((g.nt, g.nx))
-        u_mu = np.zeros((g.nt, g.nx)) if balanced else \
-            np.broadcast_to((rho1 - rho0)[None, :], (g.nt, g.nx)).copy()
-    if init is not None or balanced:
-        continuity_project(g, u_rho, u_m, u_mu, rho0, rho1, balanced=balanced)
+        u_mu = np.broadcast_to((rho1 - rho0)[None, :], (g.nt, g.nx)).copy()
 
     w_rho = np.zeros((g.nt, g.nx))
     w_m = np.zeros((g.nt, g.nx))
@@ -353,14 +314,14 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     gamma = 1.0 / _SIGMA
     action_prev = np.inf
     converged = False
-    p_rho = _centers(u_rho, u_m, u_mu)[0]
+    p_rho = interpolate_centers(u_rho, u_m, u_mu)[0]
     for iterations in range(1, max_iters + 1):
         a_rho, a_m, a_mu = _adjoint_centers(g, w_rho, w_m, w_mu)
         n_rho, n_m, n_mu = continuity_project(
             g, u_rho - _TAU * a_rho, u_m - _TAU * a_m, u_mu - _TAU * a_mu,
             rho0, rho1, balanced=balanced)
-        v_rho, v_m, v_mu = _centers(2.0 * n_rho - u_rho, 2.0 * n_m - u_m,
-                                    2.0 * n_mu - u_mu)
+        v_rho, v_m, v_mu = interpolate_centers(
+            2.0 * n_rho - u_rho, 2.0 * n_m - u_m, 2.0 * n_mu - u_mu)
         y_rho = w_rho + _SIGMA * v_rho
         y_m = w_m + _SIGMA * v_m
         y_mu = w_mu + _SIGMA * v_mu
@@ -371,17 +332,18 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
         w_mu = y_mu - _SIGMA * p_mu
         u_rho, u_m, u_mu = n_rho, n_m, n_mu
         if iterations % _CHECK_EVERY == 0 or iterations == max_iters:
-            action = _centered_action(g, p_rho, p_m, p_mu, params)
+            action = wfr_action(g, p_rho, p_m, p_mu, params)
             rel_change = abs(action - action_prev) / max(abs(action), 1e-30)
             action_prev = action
             if iterations >= _MIN_ITERS and rel_change < tol:
                 converged = True
                 break
 
-    constraint = float(np.max(np.abs(_residual(g, u_rho, u_m, u_mu))))
+    constraint = float(np.max(np.abs(continuity_residual(g, u_rho, u_m,
+                                                         u_mu))))
     result = WFRResult(float(np.sqrt(max(action, 0.0))), action, iterations,
-                       converged, constraint, rel_change,
-                       WFRVariables(g, u_rho, u_m, u_mu), p_rho, p_m, p_mu)
+                       converged, constraint, rel_change, g, u_rho, u_m, u_mu,
+                       p_rho, p_m, p_mu)
     if not converged:
         raise WFRConvergenceError(
             f"no convergence in {max_iters} iterations "

@@ -204,6 +204,38 @@ def test_apex_hit_exits_two(capsys):
     assert body["error"]["type"] == "ApexError"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("ch", "solve", "--n", "64", "--dt", "1e-3", "--t-final", "4.0",
+      "--init", "sin:3.0"), "CHBlowupError"),
+    (("wfr", "solve", "--rho0", "bump:2.0,0.8,1.0", "--rho1",
+      "bump:4.0,0.6,1.5", "--n", "16", "--nt", "8", "--max-iters", "50"),
+     "WFRConvergenceError"),
+    (("cone", "geodesic", "--x0", "0", "--m0", "0.0025", "--dx0", "0",
+      "--dm0", "-0.1", "--t-final", "0.2", "--dt", "0.02"), "ApexError"),
+    (("flow", "horizontal", "--rho0", "const:1", "--phi0", "sin:3",
+      "--t-final", "1"), "RuntimeError"),
+], ids=["blowup", "max-iters", "apex", "lost-positivity"])
+def test_solver_breakdown_exits_two_with_one_json_line(capsys, argv, error):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ("lift", "--rho", "const:1", "--x", "const:nan"),
+    ("lift", "--rho", "const:1", "--x", "sin:inf"),
+    ("curvature", "--phi1", "sin:1", "--phi2", "const:nan"),
+    ("ch", "solve", "--init", "const:nan"),
+    ("wfr", "hellinger", "--rho0", "bump:1,inf,1", "--rho1", "const:1"),
+], ids=["lift-nan", "lift-inf", "curvature-nan", "ch-nan", "bump-inf"])
+def test_non_finite_field_specs_exit_one(capsys, argv):
+    code, body = run_json(capsys, *argv)
+    assert code == 1
+    assert body["error"]["type"] == "ValueError"
+    assert "non-finite" in body["error"]["message"]
+
+
 def test_bad_inputs_exit_one(capsys):
     code, body = run_json(capsys, "cone", "dist", "--x0", "0", "--m0", "1",
                           "--x1", "1")

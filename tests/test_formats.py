@@ -210,7 +210,8 @@ def test_parse_field_spec_forms(tmp_path):
 def test_parse_field_spec_errors(tmp_path):
     grid = PeriodicGrid(32)
     for bad in ("plain", "unknown:1", "const:xyz", "bump:1.0,0.5",
-                "bump:1.0,0.5,2.0,9"):
+                "bump:1.0,0.5,2.0,9", "const:nan", "sin:-inf",
+                "bump:1.0,inf,2.0"):
         with pytest.raises(ValueError):
             parse_field_spec(bad, grid)
     other = PeriodicGrid(16)
