@@ -69,7 +69,7 @@ def ch_rhs(grid: PeriodicGrid, u: np.ndarray,
     ux = grid.deriv(u)
     m = a2 * u - b2 * grid.deriv(u, 2)
     mx = grid.deriv(m)
-    dm_dt = -grid.dealias(u * mx) - 2.0 * grid.dealias(ux * m)
+    dm_dt = -grid.dealias(u * mx + 2.0 * ux * m)
     return grid.solve_helmholtz(dm_dt, params.a, params.b)
 
 

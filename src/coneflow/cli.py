@@ -118,28 +118,36 @@ def cmd_cone_geodesic(args):
 # -- camassa-holm style solver --------------------------------------------------
 
 
+def _drift_report(grid: PeriodicGrid, u: np.ndarray,
+                  params: ConeParams) -> dict:
+    """Energy and momentum at the first and last of the slices u (T, n),
+    with the largest relative drift from the first over all of them."""
+    values = ch_invariants(grid, u, params)
+    report = {}
+    # zero-mean data has a roundoff-level momentum baseline; drift is then
+    # reported against the unit scale instead of amplified noise
+    for name, key, floor in (("energy", "energy", 1e-30),
+                             ("momentum", "momentum_mean", 1.0)):
+        q = np.array(values[key])
+        report[f"{name}_initial"] = float(q[0])
+        report[f"{name}_final"] = float(q[-1])
+        report[f"{name}_rel_drift"] = float(np.max(np.abs(q - q[0]))
+                                            / max(abs(q[0]), floor))
+    return report
+
+
 def cmd_ch_solve(args):
     params = _params(args)
     _require_positive(args, ["n", "t_final", "dt"])
     grid = PeriodicGrid(args.n)
     u0 = parse_field_spec(args.init, grid)
     traj = ch_solve(grid, u0, args.t_final, args.dt, params)
-    inv = ch_invariants(grid, traj.u[[0, -1]], params)
-    (e0, e1), (m0, m1) = inv["energy"], inv["momentum_mean"]
-    scale_e = max(abs(e0), 1e-30)
-    # zero-mean data has a roundoff-level momentum baseline; drift is then
-    # reported against the unit scale instead of amplified noise
-    scale_m = max(abs(m0), 1.0)
     out = _out_path(args.out)
     if out:
         write_trajectory_csv(out, traj.times, grid.x, traj.u)
     return {"n": args.n, "dt": args.dt, "t_final": args.t_final,
             "a": params.a, "b": params.b, "init": args.init,
-            "energy_initial": e0, "energy_final": e1,
-            "energy_rel_drift": abs(e1 - e0) / scale_e,
-            "momentum_initial": m0, "momentum_final": m1,
-            "momentum_rel_drift": abs(m1 - m0) / scale_m,
-            "out": out}
+            **_drift_report(grid, traj.u, params), "out": out}
 
 
 def _load_trajectory(path, params) -> CHTrajectory:
@@ -157,20 +165,8 @@ def _load_trajectory(path, params) -> CHTrajectory:
 def cmd_ch_invariants(args):
     params = _params(args)
     traj = _load_trajectory(args.traj, params)
-    values = ch_invariants(traj.grid, traj.u, params)
-    energy = np.array(values["energy"])
-    momentum = np.array(values["momentum_mean"])
-    scale_e = max(abs(energy[0]), 1e-30)
-    scale_m = max(abs(momentum[0]), 1.0)
     return {"traj": args.traj, "a": params.a, "b": params.b,
-            "energy_initial": float(energy[0]),
-            "energy_final": float(energy[-1]),
-            "energy_rel_drift": float(np.max(np.abs(energy - energy[0]))
-                                      / scale_e),
-            "momentum_initial": float(momentum[0]),
-            "momentum_final": float(momentum[-1]),
-            "momentum_rel_drift": float(np.max(np.abs(momentum - momentum[0]))
-                                        / scale_m)}
+            **_drift_report(traj.grid, traj.u, params)}
 
 
 # -- euler correspondence -------------------------------------------------------

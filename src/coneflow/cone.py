@@ -29,8 +29,9 @@ class ConeParams:
     b: float = 0.5
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError("cone parameters a, b must be positive")
+        if not (0 < self.a < np.inf and 0 < self.b < np.inf):  # NaN fails
+            raise ValueError("cone parameters a, b must be finite and "
+                             "positive")
 
     @property
     def half_ratio(self) -> float:

@@ -36,8 +36,14 @@ class AnnulusGrid:
 
     def __post_init__(self):
         radii = np.atleast_1d(np.asarray(self.radii, dtype=float))
-        if radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
-            raise ValueError("annulus needs finite positive radii")
+        # the weight r^-4 and its inverse must be representable; range
+        # failures are reported by the check below, not as warnings
+        with np.errstate(all="ignore"):
+            powers = np.stack([radii ** 4.0, radii ** -4.0])
+        if radii.size == 0 or not np.all(
+                (radii > 0) & np.isfinite(powers) & (powers > 0)):
+            raise ValueError("annulus radii must be positive with r^4 and "
+                             "r^-4 finite and nonzero")
         object.__setattr__(self, "radii", radii)
 
 

@@ -200,12 +200,12 @@ def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
 def step_count(t_final: float, dt: float) -> int:
     """Number of fixed steps of size dt that end exactly at t_final.
 
-    Raises ValueError unless both are positive and t_final is a whole
-    number of steps (to a relative 1e-9), so no integrator silently stops
-    short of or past the requested horizon.
+    Raises ValueError unless both are positive and finite and t_final is
+    a whole number of steps (to a relative 1e-9), so no integrator
+    silently stops short of or past the requested horizon.
     """
-    if dt <= 0 or t_final <= 0:
-        raise ValueError("t_final and dt must be positive")
+    if not (0 < dt < np.inf and 0 < t_final < np.inf):  # NaN fails
+        raise ValueError("t_final and dt must be positive and finite")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * abs(t_final):
         raise ValueError(f"t_final={t_final!r} is not a whole number of "

@@ -151,16 +151,15 @@ def oneill_curvature(xi1: VelocityPair, xi2: VelocityPair,
                      rho: DensityField) -> float:
     """Sectional curvature of the density space via the O'Neill correction.
 
-    Inputs must be horizontal at rho; the pair is orthonormalized
-    internally (a degenerate plane returns 0).  The cone over the circle
-    is flat away from the apex, so only 3/4 |vertical([xi1, xi2])|^2
-    survives.
+    Inputs must be horizontal at rho, (Phi'/2, Phi) up to a rho-weighted
+    relative _HORIZONTALITY_RTOL; the pair is orthonormalized internally
+    (a degenerate plane returns 0).  The cone over the circle is flat away
+    from the apex, so only 3/4 |vertical([xi1, xi2])|^2 survives.
     """
     for xi in (xi1, xi2):
-        split = vertical_horizontal_split(xi, rho)
-        vnorm = np.sqrt(pair_inner(split.vertical, split.vertical, rho))
-        norm = np.sqrt(pair_inner(xi, xi, rho))
-        if vnorm > _HORIZONTALITY_RTOL * max(norm, 1e-300):
+        gap = xi.v - 0.5 * xi.grid.deriv(xi.alpha)
+        gap_sq = xi.grid.integrate(gap * gap * rho.values)
+        if gap_sq > _HORIZONTALITY_RTOL ** 2 * pair_inner(xi, xi, rho):
             raise ValueError("oneill_curvature requires horizontal inputs")
     n1 = np.sqrt(pair_inner(xi1, xi1, rho))
     if n1 <= 0:

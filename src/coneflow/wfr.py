@@ -29,8 +29,6 @@ from scipy.fft import dct, idct, irfft, rfft
 
 from .cone import ConeParams
 from .grid import PeriodicGrid, TWO_PI, rk4_step, step_count
-from .group import DensityField, VelocityPair, infinitesimal_action
-from .submersion import horizontal_lift
 
 CONVENTIONS = {
     "lift-potential": "horizontal pairs are (Phi'/2, Phi) with the potential "
@@ -44,7 +42,6 @@ _SIGMA = 0.95  # dual and primal step sizes of solve_wfr
 _TAU = 0.95
 _CHECK_EVERY = 25
 _MIN_ITERS = 200
-_DEFECT_EVERY = 10  # horizontal_flow steps between horizontality checks
 
 
 class WFRConvergenceError(RuntimeError):
@@ -386,9 +383,11 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
         alpha' + alpha_x v + alpha^2 - v^2 = 0,
         rho' + (v rho)_x - 2 alpha rho = 0,
 
-    from (v, alpha)(0) = (phi0_x / 2, phi0).  Horizontality (the pair
-    equals the lift of its own action) is preserved; the reported defect
-    is |v - lift_v| checked every _DEFECT_EVERY steps and at the end.
+    from (v, alpha)(0) = (phi0_x / 2, phi0).  The horizontal pairs at a
+    positive density are exactly (Phi'/2, Phi), so the flow stays
+    horizontal while v = alpha_x / 2; the reported defect is the sup of
+    |v - alpha_x / 2| over every stored slice.  Each equation is dealiased
+    once: the 2/3-rule filter is linear and commutes with d_x.
     """
     rho0 = _validate_endpoint(rho0, "rho0")
     phi0 = np.asarray(phi0, dtype=float)
@@ -399,12 +398,9 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
 
     def rhs(_, y):
         v, alpha, rho = y
-        vx = grid.deriv(v)
-        ax = grid.deriv(alpha)
-        dv = -grid.dealias(v * vx) - 2.0 * grid.dealias(alpha * v)
-        da = (-grid.dealias(ax * v) - grid.dealias(alpha * alpha)
-              + grid.dealias(v * v))
-        dr = -grid.deriv(grid.dealias(v * rho)) + 2.0 * grid.dealias(alpha * rho)
+        dv = -grid.dealias(v * grid.deriv(v) + 2.0 * alpha * v)
+        da = grid.dealias(v * v - grid.deriv(alpha) * v - alpha * alpha)
+        dr = grid.dealias(2.0 * alpha * rho - grid.deriv(v * rho))
         return dv, da, dr
 
     times = np.arange(n_steps + 1) * dt
@@ -412,25 +408,15 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     out_v = np.empty((n_steps + 1, grid.n))
     out_a = np.empty((n_steps + 1, grid.n))
     out_rho[0], out_v[0], out_a[0] = rho, v, alpha
-
-    def lift_defect(v, alpha, rho):
-        field = DensityField(grid, np.maximum(rho, 0.0))
-        pair = VelocityPair(grid, v, alpha)
-        lift = horizontal_lift(field, infinitesimal_action(pair, field))
-        return float(np.max(np.abs(v - lift.pair.v)))
-
-    defect = lift_defect(v, alpha, rho)
     for i in range(n_steps):
         v, alpha, rho = rk4_step(rhs, (v, alpha, rho), dt)
         if not np.all(np.isfinite(v)) or np.min(rho) < -1e-8:
             raise RuntimeError(f"horizontal flow lost positivity at "
                                f"t={(i + 1) * dt:.6g}")
         out_rho[i + 1], out_v[i + 1], out_a[i + 1] = rho, v, alpha
-        if (i + 1) % _DEFECT_EVERY == 0 or i + 1 == n_steps:
-            defect = max(defect, lift_defect(v, alpha, rho))
+    defect = float(np.max(np.abs(out_v - 0.5 * grid.deriv(out_a))))
     energies = grid.integrate((out_v ** 2 + out_a ** 2) * out_rho)
     action = float(np.trapezoid(energies, times))
     mass = grid.h * np.sum(out_rho, axis=1)
     return HorizontalFlowResult(times, out_rho, out_v, out_a, action,
                                 defect, mass)
-

@@ -71,6 +71,22 @@ def test_ch_solve_invariants_and_euler_check(capsys, tmp_path):
     assert chk["isotropy_residual"] < 1e-6
 
 
+def test_ch_solve_and_invariants_report_the_same_drift(capsys, tmp_path):
+    # both commands report the largest drift over every stored slice
+    out = tmp_path / "traj.csv"
+    code, body = run_json(capsys, "ch", "solve", "--n", "64", "--dt", "1e-2",
+                          "--t-final", "2", "--init", "sin:0.3",
+                          "--out", str(out))
+    assert code == 0
+    code, inv = run_json(capsys, "ch", "invariants", "--traj", str(out))
+    assert code == 0
+    keys = ["energy_initial", "energy_final", "energy_rel_drift",
+            "momentum_initial", "momentum_final", "momentum_rel_drift"]
+    assert [k for k in body if k in keys] == keys
+    assert [k for k in inv if k in keys] == keys
+    assert {k: body[k] for k in keys} == {k: inv[k] for k in keys}
+
+
 def test_euler_check_requires_reference_coefficients(capsys, tmp_path):
     out = tmp_path / "traj.csv"
     run_json(capsys, "ch", "solve", "--n", "64", "--dt", "1e-2",
@@ -118,6 +134,16 @@ def test_flow_horizontal_growth_action(capsys, tmp_path):
     assert body["horizontality_defect"] < 1e-12
     assert body["mass_final"] > body["mass_initial"]
     assert out.read_text().startswith("t,x,rho,v,alpha\n")
+
+
+def test_flow_horizontal_over_a_zero_density(capsys):
+    # zero mass is a valid endpoint: the flow carries no action
+    code, body = run_json(capsys, "flow", "horizontal", "--rho0", "const:0",
+                          "--phi0", "sin:0.1", "--t-final", "0.1")
+    assert code == 0
+    assert body["action"] == 0.0
+    assert body["mass_initial"] == body["mass_final"] == 0.0
+    assert body["horizontality_defect"] < 1e-13
 
 
 def test_lift_solves_symbol_equation(capsys, tmp_path):
@@ -236,6 +262,33 @@ def test_non_finite_field_specs_exit_one(capsys, argv):
     assert "non-finite" in body["error"]["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("cone", "dist", "--x0", "0", "--m0", "1", "--x1", "1", "--m1", "1",
+     "--a", "nan"),
+    ("cone", "dist", "--x0", "0", "--m0", "1", "--x1", "1", "--m1", "1",
+     "--b", "inf"),
+    ("wfr", "hellinger", "--rho0", "const:1", "--rho1", "const:2",
+     "--a", "nan"),
+    ("ch", "solve", "--n", "16", "--dt", "1e-2", "--t-final", "0.1",
+     "--init", "sin:0.1", "--b", "nan"),
+    ("wfr", "solve", "--rho0", "const:1", "--rho1", "const:2", "--n", "16",
+     "--nt", "8", "--a", "inf"),
+    ("cone", "geodesic", "--x0", "0", "--m0", "1", "--dx0", "0",
+     "--dm0", "0.5", "--t-final", "inf"),
+    ("ch", "solve", "--init", "sin:0.1", "--t-final", "inf"),
+    ("minimality", "--init", "const:1", "--seed", "1", "--t-final", "inf"),
+    ("flow", "horizontal", "--rho0", "const:1", "--phi0", "const:0.1",
+     "--t-final", "inf"),
+], ids=["cone-a-nan", "cone-b-inf", "hellinger-a-nan", "ch-b-nan",
+        "wfr-a-inf", "geodesic-inf", "ch-inf", "minimality-inf",
+        "flow-inf"])
+def test_non_finite_coefficients_and_horizons_exit_one(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_bad_inputs_exit_one(capsys):
     code, body = run_json(capsys, "cone", "dist", "--x0", "0", "--m0", "1",
                           "--x1", "1")
@@ -271,10 +324,14 @@ def test_non_finite_radii_and_amplitudes_exit_one(capsys, tmp_path):
     out = tmp_path / "traj.csv"
     run_json(capsys, "ch", "solve", "--n", "64", "--dt", "1e-2",
              "--t-final", "0.05", "--init", "sin:0.1", "--out", str(out))
-    for radii in ("nan", "0.5,inf", "0.5,1,nan", "", "0.5,-1"):
-        code, body = run_json(capsys, "euler", "check", "--traj", str(out),
-                              "--radii", radii)
+    # 1e100 and 1e-100 put r^4 or r^-4 out of floating-point range
+    for radii in ("nan", "0.5,inf", "0.5,1,nan", "", "0.5,-1", "1e100",
+                  "0.5,1e-100"):
+        code, out_text = run_cli(capsys, "euler", "check", "--traj", str(out),
+                                 "--radii", radii)
+        body = json.loads(out_text)
         assert code == 1, radii
+        assert out_text.count("\n") == 1
         assert "reduction" not in body["error"]["message"]
     for amplitudes in ("nan", "0.01,inf"):
         code, body = run_json(capsys, "minimality", "--init", "const:1",

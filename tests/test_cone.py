@@ -192,6 +192,10 @@ def test_type_validation():
         ConeParams(a=0.0)
     with pytest.raises(ValueError):
         ConeParams(b=-1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        for kw in ({"a": bad}, {"b": bad}):
+            with pytest.raises(ValueError, match="finite and positive"):
+                ConeParams(**kw)
     with pytest.raises(ValueError):
         ConePoint(0.0, -0.1)
     with pytest.raises(ValueError):

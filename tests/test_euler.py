@@ -1,4 +1,6 @@
 """Circle fields as incompressible planar flows: divergence, pressure, measures."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -254,10 +256,14 @@ def test_madelung_modulus_is_gauge():
 
 
 def test_annulus_validation():
+    # r^4 or r^-4 out of range: refused without a RuntimeWarning
     for radii in ([0.5, -1.0], [], [np.nan], [0.5, np.inf], [0.5, 1.0, np.nan],
-                  [0.0]):
-        with pytest.raises(ValueError, match="radii"):
-            AnnulusGrid(GRID, np.array(radii))
+                  [0.0], [1e100], [0.5, 1e-100], [1e80, 1.0], [1e-80]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="radii"):
+                AnnulusGrid(GRID, np.array(radii))
+    assert AnnulusGrid(GRID, np.array([1e-70, 1e70])).radii.size == 2
     with pytest.raises(ValueError):
         PolarVectorField(ANNULUS, np.zeros((2, GRID.n)), np.zeros((2, GRID.n)))
     for bad in (np.zeros(GRID.n), np.zeros((3, 4, GRID.n - 2))):

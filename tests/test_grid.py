@@ -320,7 +320,9 @@ def test_step_count_requires_a_whole_number_of_steps():
     for t_final, dt in ((0.25, 0.1), (1.0, 0.3), (0.04, 0.1)):
         with pytest.raises(ValueError, match="whole number of steps"):
             step_count(t_final, dt)
-    for t_final, dt in ((1.0, 0.0), (0.0, 0.1), (-0.5, -0.1), (1.0, -0.1)):
+    for t_final, dt in ((1.0, 0.0), (0.0, 0.1), (-0.5, -0.1), (1.0, -0.1),
+                        (np.inf, 1e-3), (1.0, np.inf), (np.nan, 1e-3),
+                        (1.0, np.nan), (np.inf, np.inf)):
         with pytest.raises(ValueError, match="must be positive"):
             step_count(t_final, dt)
 

@@ -128,6 +128,17 @@ def test_oneill_curvature_rejects_non_horizontal_input():
     l1 = horizontal_lift(UNIFORM, np.cos(GRID.x))
     with pytest.raises(ValueError):
         oneill_curvature(vertical, l1.pair, UNIFORM)
+    # the guard is the rho-weighted norm of v - alpha_x/2, relative 1e-6
+    rho = DensityField(GRID, 1.0 + 0.3 * np.sin(GRID.x))
+    l2 = horizontal_lift(rho, np.sin(2 * GRID.x))
+    for eps, horizontal in ((1e-3, False), (1e-9, True)):
+        xi = VelocityPair(GRID, l2.pair.v + eps * np.sin(GRID.x), l2.pair.alpha)
+        if horizontal:
+            assert np.isfinite(oneill_curvature(xi, l2.pair, rho))
+            continue
+        for args in ((xi, l2.pair, rho), (l2.pair, xi, rho)):
+            with pytest.raises(ValueError, match="horizontal inputs"):
+                oneill_curvature(*args)
 
 
 def test_oneill_curvature_degenerate_plane_is_zero():

@@ -1,4 +1,7 @@
 """Unbalanced transport: prox, constraint projection, solver, geodesic flows."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.fft import dct, idct, irfft, rfft
@@ -6,14 +9,18 @@ from scipy.fft import dct, idct, irfft, rfft
 from coneflow import (
     CONVENTIONS,
     ConeParams,
+    DensityField,
     PeriodicGrid,
     StaggeredGrid,
+    VelocityPair,
     WFRConvergenceError,
     bump_density,
     continuity_project,
     continuity_residual,
     hellinger_distance,
     horizontal_flow,
+    horizontal_lift,
+    infinitesimal_action,
     interpolate_centers,
     prox_action,
     solve_wfr,
@@ -22,6 +29,7 @@ from coneflow import (
 
 
 import coneflow.wfr as wfr
+from coneflow.grid import rk4_step
 from coneflow.wfr import _inverse_symbol
 from prox_oracle import brute_prox
 
@@ -595,6 +603,79 @@ def test_horizontal_flow_stays_horizontal():
     assert res.horizontality_defect < 1e-6
     assert np.all(res.mass > 0)
     assert res.mass[0] == pytest.approx(grid.integrate(rho0), abs=1e-12)
+
+
+def lift_defect(grid, v, alpha, rho):
+    """|v - lift_v|: the distance of (v, alpha) from the horizontal lift of
+    its own action on rho, by the dense rho-weighted lift solve."""
+    field = DensityField(grid, np.maximum(rho, 0.0))
+    pair = VelocityPair(grid, v, alpha)
+    lift = horizontal_lift(field, infinitesimal_action(pair, field))
+    return float(np.max(np.abs(v - lift.pair.v)))
+
+
+def reference_horizontal_flow(grid, rho0, phi0, t_final, dt):
+    """horizontal_flow with each quadratic product dealiased on its own
+    (seven filters per right-hand side) and the lift-based defect checked
+    every ten steps and at the end; returns (rho, v, alpha, action, defect)."""
+    n_steps = int(round(t_final / dt))
+    v, alpha, rho = 0.5 * grid.deriv(phi0), phi0.copy(), rho0.copy()
+
+    def rhs(_, y):
+        v, alpha, rho = y
+        vx = grid.deriv(v)
+        ax = grid.deriv(alpha)
+        dv = -grid.dealias(v * vx) - 2.0 * grid.dealias(alpha * v)
+        da = (-grid.dealias(ax * v) - grid.dealias(alpha * alpha)
+              + grid.dealias(v * v))
+        dr = -grid.deriv(grid.dealias(v * rho)) + 2.0 * grid.dealias(alpha * rho)
+        return dv, da, dr
+
+    out = np.empty((3, n_steps + 1, grid.n))
+    out[:, 0] = rho, v, alpha
+    defect = lift_defect(grid, v, alpha, rho)
+    for i in range(n_steps):
+        v, alpha, rho = rk4_step(rhs, (v, alpha, rho), dt)
+        out[:, i + 1] = rho, v, alpha
+        if (i + 1) % 10 == 0 or i + 1 == n_steps:
+            defect = max(defect, lift_defect(grid, v, alpha, rho))
+    times = np.arange(n_steps + 1) * dt
+    energies = grid.integrate((out[1] ** 2 + out[2] ** 2) * out[0])
+    return (*out, float(np.trapezoid(energies, times)), defect)
+
+
+def test_horizontal_flow_matches_the_seven_dealias_reference():
+    # acceptance test 6's data: one filter per equation changes only the
+    # rounding, and v = alpha_x / 2 measures what the dense lift measured
+    grid = PeriodicGrid(64)
+    rho0 = 1.0 + 0.3 * np.sin(grid.x)
+    phi0 = 0.3 * np.cos(grid.x) + 0.2
+    res = horizontal_flow(grid, rho0, phi0, 1.0, 1e-3)
+    rho, v, alpha, action, defect = reference_horizontal_flow(
+        grid, rho0, phi0, 1.0, 1e-3)
+    for new, ref in ((res.rho, rho), (res.v, v), (res.alpha, alpha)):
+        assert np.max(np.abs(new - ref)) < 1e-13 * np.max(np.abs(ref))
+    assert res.action == pytest.approx(action, rel=1e-14, abs=0.0)
+    assert defect < 1e-13
+    assert res.horizontality_defect < 1e-13
+    assert max(lift_defect(grid, v_i, a_i, r_i) for v_i, a_i, r_i
+               in zip(res.v, res.alpha, res.rho)) < 1e-13
+
+
+def test_wfr_imports_only_cone_and_grid():
+    # the transport solver is a leaf module: the group, submersion and PDE
+    # layers must not reach it, relatively or by absolute name
+    imported = set()
+    for node in ast.walk(ast.parse(Path(wfr.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            imported |= ({node.module} if node.module
+                         else {alias.name for alias in node.names})
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            imported |= {name for name in names
+                         if name.split(".")[0] == "coneflow"}
+    assert imported == {"cone", "grid"}
 
 
 def test_convention_registry_is_explicit():
