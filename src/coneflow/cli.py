@@ -4,8 +4,9 @@ Every subcommand prints one JSON object to stdout with a fixed field
 order and 17-significant-digit floats, so identical inputs produce
 byte-identical output.  CSV artifacts are written next to the current
 directory unless CONEFLOW_OUTDIR points elsewhere.  Exit codes: 0 on
-success, 1 on invalid input (machine-readable error object), 2 when a
-solver breaks down (blow-up, non-convergence, apex hit, lost positivity).
+success, 1 on invalid input (machine-readable error object), including
+a horizon with more steps than memory can hold, 2 when a solver breaks
+down (blow-up, non-convergence, apex hit, lost positivity).
 """
 from __future__ import annotations
 
@@ -426,7 +427,7 @@ def main(argv=None) -> int:
             body["error"]["diagnostics"] = diag
         print(to_json(body))
         return 2
-    except (CLIInputError, ValueError, OSError) as exc:
+    except (CLIInputError, ValueError, OSError, MemoryError) as exc:
         print(to_json({"error": {"type": type(exc).__name__,
                                  "message": str(exc)}}))
         return 1

@@ -154,21 +154,21 @@ def cone_geodesic(p0: ConePoint, v0: ConeTangent, t_final: float, dt: float,
     n_steps = step_count(t_final, dt)
     if p0.is_apex:
         raise ApexError("geodesic initial point is at the apex")
-    state = np.array([p0.x, p0.m, v0.dx, v0.dm], dtype=float)
+    # Python floats: a length-4 array's arithmetic without numpy's overhead
+    state = (float(p0.x), float(p0.m), float(v0.dx), float(v0.dm))
     speed0 = np.sqrt(cone_metric(p0, v0, v0, params))
     out = np.empty((n_steps + 1, 4))
     out[0] = state
     c = params.a ** 2 / (2.0 * params.b ** 2)
 
     def rhs(_, y):
-        x, m, dx, dm = y[0]
+        x, m, dx, dm = y
         if m <= APEX_FLOOR:
             raise ApexError("geodesic reached the apex floor")
-        return (np.array([dx, dm, -dm * dx / m,
-                          dm * dm / (2.0 * m) + c * dx * dx * m]),)
+        return dx, dm, -dm * dx / m, dm * dm / (2.0 * m) + c * dx * dx * m
 
     for i in range(n_steps):
-        state, = rk4_step(rhs, (state,), dt)
+        state = rk4_step(rhs, state, dt)
         if state[1] <= APEX_FLOOR:
             raise ApexError(f"geodesic reached the apex floor at t={ (i + 1) * dt :.6g}")
         out[i + 1] = state

@@ -10,6 +10,8 @@ row at its own row of points.
 Circle maps are handled through their monotone lifts, evaluated through
 the same interpolant and inverted by safeguarded Newton.  All fixed-step
 integrators use rk4_step.
+Spectral operators read the rfft multipliers of fourier_multipliers,
+built once per n, so each costs one rfft and one irfft.
 """
 from __future__ import annotations
 
@@ -52,9 +54,6 @@ class PeriodicGrid:
 
     # -- spectral calculus -------------------------------------------------
 
-    def _wavenumbers(self) -> np.ndarray:
-        return np.arange(self.n // 2 + 1, dtype=float)
-
     def _mode_weights(self) -> np.ndarray:
         """Weight of each rfft mode in the real interpolant: 1, 2, ..., 2, 1."""
         w = np.full(self.n // 2 + 1, 2.0)
@@ -64,13 +63,12 @@ class PeriodicGrid:
 
     def deriv(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Fourier collocation derivative along the last axis."""
+        k, ik, _ = fourier_multipliers(self.n)
+        # the Nyquist mode has no well-defined odd derivative on the grid;
+        # even orders keep it, as (ik)^order with k = n/2 does
+        symbol = ik ** order if order % 2 else (-k * k) ** (order // 2)
         vh = np.fft.rfft(values, axis=-1)
-        k = self._wavenumbers()
-        vh = vh * (1j * k) ** order
-        if order % 2 == 1:
-            # the Nyquist mode has no well-defined odd derivative on the grid
-            vh[..., -1] = 0.0
-        return np.fft.irfft(vh, n=self.n, axis=-1)
+        return np.fft.irfft(vh * symbol, n=self.n, axis=-1)
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Uniform Riemann sum; spectrally accurate for smooth periodic data."""
@@ -81,16 +79,15 @@ class PeriodicGrid:
 
     def solve_helmholtz(self, rhs: np.ndarray, a: float, b: float) -> np.ndarray:
         """Invert (a^2 - b^2 d_xx) with the Fourier symbol a^2 + b^2 k^2."""
+        k = fourier_multipliers(self.n)[0]
         vh = np.fft.rfft(rhs, axis=-1)
-        k = self._wavenumbers()
         return np.fft.irfft(vh / (a * a + b * b * k * k), n=self.n, axis=-1)
 
     def dealias(self, values: np.ndarray) -> np.ndarray:
         """Zero all modes with |k| > n/3 (2/3 rule for quadratic products)."""
         vh = np.fft.rfft(values, axis=-1)
-        k = self._wavenumbers()
-        vh[..., k > self.n / 3.0] = 0.0
-        return np.fft.irfft(vh, n=self.n, axis=-1)
+        return np.fft.irfft(vh * fourier_multipliers(self.n)[2], n=self.n,
+                            axis=-1)
 
     # -- off-grid evaluation ----------------------------------------------
 
@@ -128,8 +125,7 @@ class PeriodicGrid:
         derivative, (..., n/2 + 1), for _horner."""
         c = np.fft.rfft(values)
         if order > 0:
-            c = c * (1j * self._wavenumbers()) ** order
-            c[..., -1] = 0.0
+            c = c * fourier_multipliers(self.n)[1] ** order
         return self._mode_weights() * c / self.n
 
     # -- monotone circle-map lifts ------------------------------------------
@@ -176,6 +172,20 @@ class PeriodicGrid:
         raise RuntimeError("lift inversion failed to converge")
 
 
+@lru_cache(maxsize=16)
+def fourier_multipliers(n: int) -> tuple:
+    """Read-only rfft multipliers on n nodes, shared by every caller: the
+    wavenumbers k = 0 .. n/2, ik with its Nyquist entry zeroed, and the
+    2/3-rule mask, 1.0 where k <= n/3 and 0.0 above."""
+    k = np.arange(n // 2 + 1, dtype=float)
+    ik = 1j * k
+    ik[-1] = 0.0
+    keep = (k <= n / 3.0).astype(float)
+    for a in (k, ik, keep):
+        a.setflags(write=False)
+    return k, ik, keep
+
+
 def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Real part of sum_j coeff[..., j] exp(i j x) at x = points.
 
@@ -200,12 +210,13 @@ def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
 def step_count(t_final: float, dt: float) -> int:
     """Number of fixed steps of size dt that end exactly at t_final.
 
-    Raises ValueError unless both are positive and finite and t_final is
-    a whole number of steps (to a relative 1e-9), so no integrator
-    silently stops short of or past the requested horizon.
+    Raises ValueError unless both and their ratio are positive and finite
+    and t_final is a whole number of steps (to a relative 1e-9), so no
+    integrator silently stops short of or past the requested horizon.
     """
-    if not (0 < dt < np.inf and 0 < t_final < np.inf):  # NaN fails
-        raise ValueError("t_final and dt must be positive and finite")
+    if not (0 < dt < np.inf and 0 < t_final / dt < np.inf):  # NaN fails
+        raise ValueError("t_final, dt and t_final/dt must be positive and "
+                         "finite")
     n_steps = int(round(t_final / dt))
     if abs(n_steps * dt - t_final) > 1e-9 * abs(t_final):
         raise ValueError(f"t_final={t_final!r} is not a whole number of "
@@ -214,7 +225,7 @@ def step_count(t_final: float, dt: float) -> int:
 
 
 def rk4_step(f, y: tuple, dt: float) -> tuple:
-    """One classical Runge-Kutta step for a state given as a tuple of arrays.
+    """One classical Runge-Kutta step for a state tuple of arrays or floats.
 
     ``f(c, y)`` returns the derivative tuple at the stage whose time is the
     fraction c in (0, 1/2, 1/2, 1) of the step, so time-dependent right-hand

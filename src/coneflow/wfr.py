@@ -28,7 +28,8 @@ import numpy as np
 from scipy.fft import dct, idct, irfft, rfft
 
 from .cone import ConeParams
-from .grid import PeriodicGrid, TWO_PI, rk4_step, step_count
+from .grid import (PeriodicGrid, TWO_PI, fourier_multipliers, rk4_step,
+                   step_count)
 
 CONVENTIONS = {
     "lift-potential": "horizontal pairs are (Phi'/2, Phi) with the potential "
@@ -387,7 +388,8 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     positive density are exactly (Phi'/2, Phi), so the flow stays
     horizontal while v = alpha_x / 2; the reported defect is the sup of
     |v - alpha_x / 2| over every stored slice.  Each equation is dealiased
-    once: the 2/3-rule filter is linear and commutes with d_x.
+    once (the 2/3-rule filter is linear and commutes with d_x), in four
+    batched transforms per stage.
     """
     rho0 = _validate_endpoint(rho0, "rho0")
     phi0 = np.asarray(phi0, dtype=float)
@@ -395,13 +397,17 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     v = 0.5 * grid.deriv(phi0)
     alpha = phi0.copy()
     rho = rho0.copy()
+    _, ik, keep = fourier_multipliers(grid.n)
 
     def rhs(_, y):
         v, alpha, rho = y
-        dv = -grid.dealias(v * grid.deriv(v) + 2.0 * alpha * v)
-        da = grid.dealias(v * v - grid.deriv(alpha) * v - alpha * alpha)
-        dr = grid.dealias(2.0 * alpha * rho - grid.deriv(v * rho))
-        return dv, da, dr
+        vx, ax = np.fft.irfft(ik * np.fft.rfft(np.array((v, alpha))),
+                              n=grid.n)
+        fv, fa, fr, fvr = np.fft.rfft(np.array((
+            v * vx + 2.0 * alpha * v, v * v - ax * v - alpha * alpha,
+            2.0 * alpha * rho, v * rho)))
+        return tuple(np.fft.irfft(keep * np.array((-fv, fa, fr - ik * fvr)),
+                                  n=grid.n))
 
     times = np.arange(n_steps + 1) * dt
     out_rho = np.empty((n_steps + 1, grid.n))

@@ -47,21 +47,27 @@ def test_rhs_matches_independent_assembly():
 
 def test_rhs_matches_the_two_dealias_form():
     # one filter on u m_x + 2 u_x m: the 2/3 rule is linear.  The data fill
-    # every mode below n/2, so the filter removes products above n/3
-    params = ConeParams(1.3, 0.6)
+    # every mode below n/2, so the filter removes products above n/3.  The
+    # grid changes on every call and the coefficients on every other, so a
+    # multiplier cached under a stale key would show
     rng = np.random.default_rng(31)
+    fields = {}
     for n in (64, 1024):
         grid = PeriodicGrid(n)
-        u = np.zeros(n)
+        fields[n] = np.zeros(n)
         for k in range(1, n // 2):
-            u += (rng.normal() * np.cos(k * grid.x)
-                  + rng.normal() * np.sin(k * grid.x)) / k ** 3
-        ux = grid.deriv(u)
-        m = params.a ** 2 * u - params.b ** 2 * grid.deriv(u, 2)
-        dm = -grid.dealias(u * grid.deriv(m)) - 2.0 * grid.dealias(ux * m)
-        ref = grid.solve_helmholtz(dm, params.a, params.b)
-        gap = np.max(np.abs(ch_rhs(grid, u, params) - ref))
-        assert gap < 1e-14 * np.max(np.abs(ref))
+            fields[n] += (rng.normal() * np.cos(k * grid.x)
+                          + rng.normal() * np.sin(k * grid.x)) / k ** 3
+    for a, b in ((1.3, 0.6), (1.0, 0.5), (2.0, 0.5), (1.0, 1.0), (1.5, 0.3)):
+        params = ConeParams(a, b)
+        for n, u in fields.items():
+            grid = PeriodicGrid(n)
+            ux = grid.deriv(u)
+            m = params.a ** 2 * u - params.b ** 2 * grid.deriv(u, 2)
+            dm = -grid.dealias(u * grid.deriv(m)) - 2.0 * grid.dealias(ux * m)
+            ref = grid.solve_helmholtz(dm, params.a, params.b)
+            gap = np.max(np.abs(ch_rhs(grid, u, params) - ref))
+            assert gap < 1e-14 * np.max(np.abs(ref))
 
 
 def test_constant_data_is_stationary():

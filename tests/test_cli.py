@@ -289,6 +289,22 @@ def test_non_finite_coefficients_and_horizons_exit_one(capsys, argv):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("ch", "solve", "--init", "sin:0.1", "--t-final", "1e300",
+      "--dt", "1e-300"), "ValueError"),
+    (("ch", "solve", "--n", "64", "--t-final", "1", "--dt", "1e-12",
+      "--init", "sin:0.1"), "MemoryError"),
+    (("cone", "geodesic", "--x0", "0", "--m0", "1", "--dx0", "0.3",
+      "--dm0", "-0.1", "--t-final", "1", "--dt", "1e-300"), "ValueError"),
+], ids=["ch-overflowing-ratio", "ch-too-many-slices", "geodesic-tiny-dt"])
+def test_horizons_beyond_float_or_memory_exit_one(capsys, argv, error):
+    # t_final/dt overflows, or its slices cannot be stored: refused up front
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["type"] == error
+
+
 def test_bad_inputs_exit_one(capsys):
     code, body = run_json(capsys, "cone", "dist", "--x0", "0", "--m0", "1",
                           "--x1", "1")

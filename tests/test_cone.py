@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import coneflow.cone
 from coneflow import (
     ApexError,
     ConeParams,
@@ -15,6 +16,8 @@ from coneflow import (
     planar_chart,
     planar_chart_inverse,
 )
+from coneflow.cone import APEX_FLOOR
+from coneflow.grid import rk4_step, step_count
 
 P = ConeParams()  # a = 1, b = 1/2: the chart is a global isometry
 
@@ -172,6 +175,76 @@ def test_geodesic_hits_apex():
     with pytest.raises(ApexError):
         cone_geodesic(ConePoint(0.0, 0.0025), ConeTangent(0.0, -0.1), 0.2,
                       0.02, P)
+
+
+def reference_geodesic(p0, v0, t_final, dt, params=P, steps=None):
+    """cone_geodesic stepping one length-4 numpy array, written out.
+
+    Returns the (n_steps + 1, 4) history of (x, m, dx, dm) and raises
+    ApexError where the library does; each step begun is appended to steps.
+    """
+    n_steps = step_count(t_final, dt)
+    state = np.array([p0.x, p0.m, v0.dx, v0.dm], dtype=float)
+    out = np.empty((n_steps + 1, 4))
+    out[0] = state
+    c = params.a ** 2 / (2.0 * params.b ** 2)
+
+    def rhs(_, y):
+        x, m, dx, dm = y[0]
+        if m <= APEX_FLOOR:
+            raise ApexError("geodesic reached the apex floor")
+        return (np.array([dx, dm, -dm * dx / m,
+                          dm * dm / (2.0 * m) + c * dx * dx * m]),)
+
+    for i in range(n_steps):
+        if steps is not None:
+            steps.append(i)
+        state, = rk4_step(rhs, (state,), dt)
+        if state[1] <= APEX_FLOOR:
+            raise ApexError(f"geodesic reached the apex floor at "
+                            f"t={(i + 1) * dt:.6g}")
+        out[i + 1] = state
+    return out
+
+
+def test_geodesic_is_bit_identical_to_the_array_stepper():
+    # the float-tuple state runs the same IEEE operations in the same order
+    shots = [(0.0, 1.0, 0.0, 0.8), (1.0, 1.0, 1.0, 0.0), (2.0, 0.5, 0.7, -0.3)]
+    rng = np.random.default_rng(15)
+    while len(shots) < 13:
+        shot = (rng.uniform(0, 2 * np.pi), rng.uniform(0.5, 2.0),
+                rng.uniform(-1, 1), rng.uniform(-0.5, 0.5))
+        p0, v0 = ConePoint(*shot[:2]), ConeTangent(*shot[2:])
+        if 1e-3 <= np.sqrt(cone_metric(p0, v0, v0, P)) <= 1.0:  # off the apex
+            shots.append(shot)
+    for params in (P, ConeParams(1.5, 0.3)):
+        for x0, m0, dx0, dm0 in shots:
+            p0, v0 = ConePoint(x0, m0), ConeTangent(dx0, dm0)
+            geo = cone_geodesic(p0, v0, 0.5, 1e-3, params)
+            ref = reference_geodesic(p0, v0, 0.5, 1e-3, params)
+            for got, want in zip((geo.x, geo.m, geo.dx, geo.dm), ref.T):
+                assert np.array_equal(got, want)
+
+
+def test_geodesic_hits_the_apex_at_the_array_steppers_step(monkeypatch):
+    # a stage below the floor (in step 3 and step 50), and a step ending on it
+    steps = []
+    monkeypatch.setattr(coneflow.cone, "rk4_step",
+                        lambda *args: steps.append(None) or rk4_step(*args))
+    for (x0, m0), (dx0, dm0), t_final, dt, stamped in (
+            ((0.0, 0.0025), (0.0, -0.1), 0.2, 0.02, False),
+            ((1.0, 1.0), (0.0, -4.01), 1.0, 0.01, False),
+            ((0.3, 5e-12), (0.0, -6e-10), 0.1, 0.01, True)):
+        p0, v0 = ConePoint(x0, m0), ConeTangent(dx0, dm0)
+        steps.clear()
+        with pytest.raises(ApexError) as got:
+            cone_geodesic(p0, v0, t_final, dt)
+        ref_steps = []
+        with pytest.raises(ApexError) as want:
+            reference_geodesic(p0, v0, t_final, dt, steps=ref_steps)
+        assert len(steps) == len(ref_steps)
+        assert str(got.value) == str(want.value)
+        assert ("at t=" in str(got.value)) == stamped
 
 
 def test_geodesic_speed_conservation_generic():

@@ -4,11 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import coneflow.ch
 import coneflow.grid
+import coneflow.wfr
 
-from coneflow import (ConePoint, ConeTangent, PeriodicGrid, bump_density,
-                      ch_solve, circle_distance, cone_geodesic, diff_matrix,
-                      horizontal_flow, wrap)
+from coneflow import (ConeParams, ConePoint, ConeTangent, PeriodicGrid,
+                      bump_density, ch_solve, circle_distance, cone_geodesic,
+                      diff_matrix, horizontal_flow, wrap)
 from coneflow.grid import rk4_step, step_count
 
 
@@ -62,6 +64,71 @@ def test_dealias_zeroes_top_third():
     v = np.cos(5 * grid.x)   # 5 < 48/3, must survive
     assert np.max(np.abs(grid.dealias(u))) < 1e-13
     assert np.max(np.abs(grid.dealias(v) - v)) < 1e-13
+
+
+def uncached_wavenumbers(n):
+    return np.arange(n // 2 + 1, dtype=float)
+
+
+def uncached_deriv(n, values, order):
+    vh = np.fft.rfft(values, axis=-1) * (1j * uncached_wavenumbers(n)) ** order
+    if order % 2 == 1:
+        vh[..., -1] = 0.0
+    return np.fft.irfft(vh, n=n, axis=-1)
+
+
+def uncached_dealias(n, values):
+    vh = np.fft.rfft(values, axis=-1)
+    vh[..., uncached_wavenumbers(n) > n / 3.0] = 0.0
+    return np.fft.irfft(vh, n=n, axis=-1)
+
+
+def uncached_helmholtz(n, rhs, a, b):
+    k = uncached_wavenumbers(n)
+    return np.fft.irfft(np.fft.rfft(rhs, axis=-1) / (a * a + b * b * k * k),
+                        n=n, axis=-1)
+
+
+def uncached_trig_eval(n, values, points, order):
+    c = np.fft.rfft(values)
+    if order > 0:
+        c = c * (1j * uncached_wavenumbers(n)) ** order
+        c[..., -1] = 0.0
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = weights[-1] = 1.0
+    return coneflow.grid._horner(weights * c / n, points)
+
+
+def test_cached_multipliers_change_no_bit():
+    # every operator against its formula with the multipliers rebuilt per
+    # call; full-band data make the Nyquist mode count, and the grids
+    # alternate so a multiplier cached under the wrong n would show
+    rng = np.random.default_rng(41)
+    for n in (8, 1024, 48, 16, 64, 8, 64, 1024, 16, 48):
+        grid = PeriodicGrid(n)
+        for values in (rng.normal(size=n), rng.normal(size=(3, n))):
+            for order in range(4):
+                assert np.array_equal(grid.deriv(values, order),
+                                      uncached_deriv(n, values, order))
+            assert np.array_equal(grid.dealias(values),
+                                  uncached_dealias(n, values))
+            assert np.array_equal(grid.solve_helmholtz(values, 1.3, 0.4),
+                                  uncached_helmholtz(n, values, 1.3, 0.4))
+            points = rng.uniform(-4.0, 10.0, size=values.shape[:-1] + (9,))
+            for order in range(4):
+                assert np.array_equal(
+                    grid.trig_eval(values, points, order),
+                    uncached_trig_eval(n, values, points, order))
+
+
+def test_fourier_multipliers_are_read_only():
+    k, ik, keep = coneflow.grid.fourier_multipliers(12)
+    assert np.array_equal(k, np.arange(7.0))
+    assert np.array_equal(ik, 1j * np.array([0, 1, 2, 3, 4, 5, 0.0]))
+    assert np.array_equal(keep, [1, 1, 1, 1, 1, 0, 0.0])
+    for a in (k, ik, keep):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
 
 
 def test_trig_eval_matches_analytic_off_grid():
@@ -322,9 +389,43 @@ def test_step_count_requires_a_whole_number_of_steps():
             step_count(t_final, dt)
     for t_final, dt in ((1.0, 0.0), (0.0, 0.1), (-0.5, -0.1), (1.0, -0.1),
                         (np.inf, 1e-3), (1.0, np.inf), (np.nan, 1e-3),
-                        (1.0, np.nan), (np.inf, np.inf)):
+                        (1.0, np.nan), (np.inf, np.inf), (1e300, 1e-300)):
         with pytest.raises(ValueError, match="must be positive"):
             step_count(t_final, dt)
+
+
+@pytest.mark.parametrize("module, integrate", [
+    (coneflow.ch, lambda: ch_solve(PeriodicGrid(32),
+                                   0.2 * np.sin(PeriodicGrid(32).x), 2e-3,
+                                   1e-3, ConeParams(1.5, 0.3))),
+    (coneflow.wfr, lambda: horizontal_flow(
+        PeriodicGrid(32), 1.0 + 0.3 * np.sin(PeriodicGrid(32).x),
+        0.3 * np.cos(PeriodicGrid(32).x), 2e-3, 1e-3)),
+], ids=["ch_rhs", "horizontal_flow"])
+def test_spectral_rhs_makes_two_transforms_each_way(monkeypatch, module,
+                                                     integrate):
+    # one batched rfft and irfft for the derivatives, one of each for the
+    # filtered products: counted through np.fft inside every RK4 stage
+    counts = {"rfft": 0, "irfft": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    per_stage = []
+
+    def counting_step(f, y, dt):
+        def counted_f(c, y):
+            before = dict(counts)
+            out = f(c, y)
+            per_stage.append({k: counts[k] - before[k] for k in counts})
+            return out
+        return rk4_step(counted_f, y, dt)
+
+    monkeypatch.setattr(module, "rk4_step", counting_step)
+    integrate()
+    assert per_stage == [{"rfft": 2, "irfft": 2}] * 8
 
 
 @pytest.mark.parametrize("integrate", [
