@@ -152,7 +152,7 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
     """Integrate the Lagrangian flow and gauge factor along a trajectory.
 
     u is interpolated in time with 4-point Lagrange stencils (order matched
-    to RK4) and evaluated off-grid through its trigonometric interpolant.
+    to RK4); one stacked trig_eval call per stage evaluates u and u_x.
     Aborts when min d_x phi reaches the breaking floor.
     """
     grid = traj.grid
@@ -170,12 +170,14 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
         stages = {}  # (u, u_x) at the stage times, cubic in time
         for c in (0.0, 0.5, 1.0):
             w = _STAGE_WEIGHTS[j - j0, c]
-            stages[c] = w @ traj.u[j0:j0 + 4], w @ ux_all[j0:j0 + 4]
+            stages[c] = np.array((w @ traj.u[j0:j0 + 4],
+                                  w @ ux_all[j0:j0 + 4]))
 
         def rhs(c, y):
-            u_t, ux_t = stages[c]
             p, l = y
-            return grid.trig_eval(u_t, p), 0.5 * grid.trig_eval(ux_t, p) * l
+            u_at, ux_at = grid.trig_eval(stages[c],
+                                         np.broadcast_to(p, (2, grid.n)))
+            return u_at, 0.5 * ux_at * l
 
         phi[j + 1], lam_ode[j + 1] = rk4_step(rhs, (phi[j], lam_ode[j]), dt)
         phi_x = grid.lift_slope(phi[j + 1])

@@ -8,6 +8,7 @@ chart below is global.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ APEX_FLOOR = 1e-12
 
 
 class ApexError(RuntimeError):
-    """A geodesic entered the apex floor m <= 1e-12."""
+    """A geodesic hit the apex floor m <= 1e-12 or overflowed near the apex."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def cone_geodesic(p0: ConePoint, v0: ConeTangent, t_final: float, dt: float,
     """Integrate the geodesic equations with fixed-step RK4.
 
     x'' + (m'/m) x' = 0,   m'' - m'^2/(2m) - (a^2/2b^2) x'^2 m = 0.
-    Aborts with ApexError if the mass coordinate hits the 1e-12 floor.
+    Aborts with ApexError at the 1e-12 mass floor or on a non-finite state.
     """
     n_steps = step_count(t_final, dt)
     if p0.is_apex:
@@ -163,12 +164,14 @@ def cone_geodesic(p0: ConePoint, v0: ConeTangent, t_final: float, dt: float,
 
     def rhs(_, y):
         x, m, dx, dm = y
-        if m <= APEX_FLOOR:
+        if not m > APEX_FLOOR:  # NaN fails too
             raise ApexError("geodesic reached the apex floor")
         return dx, dm, -dm * dx / m, dm * dm / (2.0 * m) + c * dx * dx * m
 
     for i in range(n_steps):
         state = rk4_step(rhs, state, dt)
+        if not all(map(math.isfinite, state)):
+            raise ApexError(f"geodesic state overflowed at t={(i + 1) * dt:.6g}")
         if state[1] <= APEX_FLOOR:
             raise ApexError(f"geodesic reached the apex floor at t={ (i + 1) * dt :.6g}")
         out[i + 1] = state

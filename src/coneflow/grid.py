@@ -3,8 +3,9 @@
 All fields are sampled on n equispaced nodes.  Derivatives are Fourier
 collocation derivatives, integrals are uniform Riemann sums (exact for
 trigonometric polynomials below the Nyquist band), and off-grid evaluation
-of smooth fields sums the trigonometric interpolant as a polynomial in
-z = exp(ix) by Horner's rule: O(P*n) time and O(P) memory for P points.
+sums the trigonometric interpolant as a polynomial in z = exp(ix) by
+baby-step giant-step: O(P*n) flops in about 2 sqrt(n/2) numpy rounds, with
+temporaries bounded by a fixed block of points.
 A stack of fields of shape (..., n) is evaluated in the same pass, each
 row at its own row of points.
 Circle maps are handled through their monotone lifts, evaluated through
@@ -15,12 +16,14 @@ built once per n, so each costs one rfft and one irfft.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_BLOCK = 512  # points per block in _horner, which bounds its temporaries
 
 
 def wrap(x):
@@ -104,8 +107,9 @@ class PeriodicGrid:
         convention, and contributes nothing to derivatives.
 
         The sum over the n/2 + 1 modes is a polynomial in z = exp(ix),
-        evaluated by Horner's rule: one complex exponential per point and
-        n/2 multiply-adds, so O(P*n) time and O(P) memory for P points.
+        evaluated by baby-step giant-step (_horner): O(P*n) flops for P
+        points in about 2 sqrt(n/2) numpy rounds per block of 512 points,
+        with O(sqrt(n)) complex temporaries per point of one block.
         """
         points = np.asarray(points, dtype=float)
         batch = np.shape(values)[:-1]
@@ -190,21 +194,33 @@ def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Real part of sum_j coeff[..., j] exp(i j x) at x = points.
 
     Leading axes of coeff are batch axes and must lead points; each row's
-    polynomial is evaluated at that row's points by Horner's rule.
+    polynomial is evaluated at that row's points by baby-step giant-step
+    (Paterson-Stockmeyer): for m coefficients and L = ceil(sqrt(m)), one
+    matmul takes z^0 .. z^(L-1), z = exp(ix), against the coefficients as a
+    (ceil(m/L), L) array, and Horner's rule in z^L sums its ceil(m/L) rows.
+    Points go in blocks of at most _BLOCK, whole rows together if they fit.
     """
-    batch = coeff.shape[:-1]
-    if batch:
-        # one coefficient per row, broadcast over that row's points
-        coeff = np.moveaxis(coeff, -1, 0).reshape(
-            coeff.shape[-1:] + batch + (1,) * (points.ndim - len(batch)))
-    else:
-        coeff = coeff.tolist()  # scalars keep the 1-D loop fast
-    z = np.exp(1j * points)
-    acc = np.full(z.shape, coeff[-1])
-    for a in reversed(coeff[:-1]):
-        acc *= z
-        acc += a
-    return acc.real
+    m = coeff.shape[-1]
+    size = math.isqrt(m - 1) + 1
+    c = np.zeros((coeff[..., 0].size, -(-m // size), size), complex)
+    c.reshape(len(c), -1)[:, :m] = coeff.reshape(len(c), m)
+    x = points.reshape(len(c), math.prod(points.shape[coeff.ndim - 1:]))
+    out = np.empty(x.shape)
+    per = max(1, _BLOCK // max(x.shape[1], 1))
+    for i in range(0, len(c), per):
+        for j in range(0, x.shape[1], _BLOCK):
+            z = np.exp(1j * x[i:i + per, j:j + _BLOCK])
+            powers = np.ones((len(z), size) + z.shape[1:], complex)
+            for k in range(1, size):
+                np.multiply(powers[:, k - 1], z, out=powers[:, k])
+            z *= powers[:, -1]  # z^L
+            giant = c[i:i + per] @ powers
+            acc = giant[:, -1]
+            for q in range(giant.shape[1] - 2, -1, -1):
+                acc *= z
+                acc += giant[:, q]
+            out[i:i + per, j:j + _BLOCK] = acc.real
+    return out.reshape(points.shape)
 
 
 def step_count(t_final: float, dt: float) -> int:

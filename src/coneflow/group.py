@@ -167,10 +167,12 @@ def group_exponential(xi: VelocityPair, t: float, dt: float) -> GroupElement:
     step = t / n_steps
     phi = grid.x.copy()
     lam = np.ones(grid.n)
+    fields = np.array((xi.v, xi.alpha))
 
     def rhs(_, y):
         p, l = y
-        return grid.trig_eval(xi.v, p), grid.trig_eval(xi.alpha, p) * l
+        v_at, a_at = grid.trig_eval(fields, np.broadcast_to(p, fields.shape))
+        return v_at, a_at * l
 
     for _ in range(n_steps):
         phi, lam = rk4_step(rhs, (phi, lam), step)

@@ -172,6 +172,27 @@ def test_flow_map_advects_with_the_velocity():
     assert np.max(np.abs(dphi - u_at)) < 1e-6
 
 
+def test_flow_map_stage_is_one_stacked_evaluation(monkeypatch):
+    # u and u_x at each RK4 stage go through one trig_eval call; the same
+    # stages evaluated row by row give the same bits
+    grid = PeriodicGrid(256)
+    traj = ch_solve(grid, 0.2 * np.sin(grid.x), 0.02, 1e-3)
+    stacked = flow_map(traj)
+    trig_eval = PeriodicGrid.trig_eval
+    shapes = []
+
+    def row_by_row(self, values, points, order=0):
+        shapes.append(np.shape(values))
+        return np.array([trig_eval(self, v, p, order)
+                         for v, p in zip(values, points)])
+
+    monkeypatch.setattr(PeriodicGrid, "trig_eval", row_by_row)
+    rows = flow_map(traj)
+    assert shapes == [(2, 256)] * (4 * 20)
+    assert np.array_equal(stacked.phi, rows.phi)
+    assert np.array_equal(stacked.lam_ode, rows.lam_ode)
+
+
 def test_solver_input_validation():
     grid = PeriodicGrid(64)
     with pytest.raises(ValueError):

@@ -240,7 +240,10 @@ def test_apex_hit_exits_two(capsys):
       "--dm0", "-0.1", "--t-final", "0.2", "--dt", "0.02"), "ApexError"),
     (("flow", "horizontal", "--rho0", "const:1", "--phi0", "sin:3",
       "--t-final", "1"), "RuntimeError"),
-], ids=["blowup", "max-iters", "apex", "lost-positivity"])
+    (("cone", "geodesic", "--x0", "0.3", "--m0", "0.32648481991983835",
+      "--dx0", "0.0006725266339168693", "--dm0", "-0.7678231382637578",
+      "--t-final", "1", "--dt", "0.01"), "ApexError"),
+], ids=["blowup", "max-iters", "apex", "lost-positivity", "apex-overflow"])
 def test_solver_breakdown_exits_two_with_one_json_line(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
     assert code == 2

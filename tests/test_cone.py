@@ -247,6 +247,27 @@ def test_geodesic_hits_the_apex_at_the_array_steppers_step(monkeypatch):
         assert ("at t=" in str(got.value)) == stamped
 
 
+@pytest.mark.parametrize("x0, m0, dx0, dm0, dt", [
+    (0.3, 0.32648481991983835, 0.0006725266339168693, -0.7678231382637578,
+     0.01),
+    (0.8985085947453845, 0.023600480030313797, -0.0013221755130013706,
+     -0.7859774546732977, 0.02),
+    (0.9413188366317926, 0.1306831991219532, -0.00847121958163566,
+     -0.5808079212433666, 0.01),
+    (0.0590014324327984, 0.2998254430913398, -0.001985104644768714,
+     -0.9734044660736564, 0.1),
+    (1.9632536445167228, 0.39568195874063605, -0.0052479348936988295,
+     -0.8791599444532794, 0.05),
+])
+def test_geodesic_overflow_near_the_apex_raises(x0, m0, dx0, dm0, dt):
+    # inward shots whose steps are too coarse for the close pass by the
+    # apex: the state overflows to inf and NaN, which a floor test alone
+    # lets through (NaN <= 1e-12 is false); the last two used to return
+    # with an infinite velocity at the endpoint
+    with pytest.raises(ApexError, match="overflowed at t="):
+        cone_geodesic(ConePoint(x0, m0), ConeTangent(dx0, dm0), 1.0, dt)
+
+
 def test_geodesic_speed_conservation_generic():
     geo = cone_geodesic(ConePoint(0.2, 1.5), ConeTangent(0.7, -0.3), 1.0, 1e-3, P)
     assert geo.speed_drift < 1e-8

@@ -145,7 +145,8 @@ def test_trig_eval_matches_analytic_off_grid():
 
 
 def dense_trig_eval(grid, values, points, order=0):
-    """Reference evaluator: the sum over an explicit P x (n/2 + 1) phase matrix."""
+    """Reference evaluator: the sum over an explicit P x (n/2 + 1) phase
+    matrix, built 256 points at a time to keep its memory small."""
     points = np.asarray(points, dtype=float)
     c = np.fft.rfft(values)
     k = np.arange(grid.n // 2 + 1, dtype=float)
@@ -155,11 +156,13 @@ def dense_trig_eval(grid, values, points, order=0):
     w = np.full(grid.n // 2 + 1, 2.0)
     w[0] = 1.0
     w[-1] = 1.0
-    phase = np.exp(1j * np.outer(points, k))
-    return (phase @ (w * c / grid.n)).real.reshape(points.shape)
+    x = points.ravel()
+    sums = [np.exp(1j * np.outer(x[i:i + 256], k)) @ (w * c / grid.n)
+            for i in range(0, x.size, 256)]
+    return np.concatenate(sums).real.reshape(points.shape)
 
 
-@pytest.mark.parametrize("n", [8, 64, 256, 1024])
+@pytest.mark.parametrize("n", [8, 64, 256, 1024, 4096])
 @pytest.mark.parametrize("order", [0, 1, 2])
 def test_trig_eval_matches_dense_evaluator(n, order):
     grid = PeriodicGrid(n)
@@ -177,16 +180,20 @@ def test_trig_eval_matches_dense_evaluator(n, order):
     # exceeds the bound at n = 1024
     far = rng.integers(-50 * 2 ** 20, 50 * 2 ** 20, size=(12, 25)) / 2 ** 20
     far[0, :2] = (-50.0, 50.0)
-    for pts in (inside, far):
+    # 5,000 points on one row span several of the kernel's point blocks
+    for pts in (inside, far, rng.uniform(0.0, 2 * np.pi, 5000)):
         fast = grid.trig_eval(values, pts, order)
         dense = dense_trig_eval(grid, values, pts, order)
         assert fast.shape == pts.shape
         assert np.max(np.abs(fast - dense)) <= bound
     # (S, n) values at (S, P) or (S, P1, P2) points: row i of the values at
-    # row i of the points, bit for bit the 1-D call on that row
+    # row i of the points, bit for bit the 1-D call on that row; the last
+    # two batches split each row across point blocks
     rows = np.vstack([values, rng.normal(size=(2, n))])
     for pts in (rng.uniform(-7.0, 13.0, (3, 40)),
-                rng.uniform(-7.0, 13.0, (3, 6, 5))):
+                rng.uniform(-7.0, 13.0, (3, 6, 5)),
+                rng.uniform(-7.0, 13.0, (3, 5000)),
+                rng.uniform(-7.0, 13.0, (3, 700, 7))):
         batched = grid.trig_eval(rows, pts, order)
         assert batched.shape == pts.shape
         for row, x, out in zip(rows, pts, batched):
@@ -207,6 +214,24 @@ def test_trig_eval_memory_is_linear_in_points():
         tracemalloc.stop()
     # a dense 1024 x 513 complex phase matrix alone takes 8.4 MB
     assert peak < 1_000_000
+
+
+def test_trig_eval_memory_of_a_trajectory_batch():
+    # the (slices, n) batch of the Euler diagnostics: the kernel's powers
+    # of exp(ix) are held for one block of points, not for the whole batch
+    grid = PeriodicGrid(256)
+    rng = np.random.default_rng(6)
+    values = rng.normal(size=(249, 256))
+    pts = rng.uniform(0.0, 2 * np.pi, (249, 256))
+    grid.trig_eval(values, pts)
+    tracemalloc.start()
+    try:
+        grid.trig_eval(values, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the rfft coefficients and the output alone take about 1.5 MB
+    assert peak < 4_000_000
 
 
 def test_trig_eval_rejects_bad_samples_and_order():

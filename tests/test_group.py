@@ -212,6 +212,26 @@ def test_group_exponential_closed_forms():
     assert np.max(np.abs(gauge.lam - np.exp(al))) < 1e-10
 
 
+def test_group_exponential_stage_is_one_stacked_evaluation(monkeypatch):
+    # v and alpha at each RK4 stage go through one trig_eval call; the same
+    # fields evaluated row by row give the same bits
+    xi = random_pair(np.random.default_rng(17), scale=0.5)
+    stacked = group_exponential(xi, 0.5, 0.05)
+    trig_eval = PeriodicGrid.trig_eval
+    shapes = []
+
+    def row_by_row(self, values, points, order=0):
+        shapes.append(np.shape(values))
+        return np.array([trig_eval(self, v, p, order)
+                         for v, p in zip(values, points)])
+
+    monkeypatch.setattr(PeriodicGrid, "trig_eval", row_by_row)
+    rows = group_exponential(xi, 0.5, 0.05)
+    assert shapes == [(2, GRID.n)] * (4 * 10)
+    assert np.array_equal(stacked.phi, rows.phi)
+    assert np.array_equal(stacked.lam, rows.lam)
+
+
 def test_hdiv_energy_values():
     # int a^2 sin^2 + b^2 cos^2 = pi (a^2 + b^2): 5 pi / 4 at (1, 1/2)
     u = np.sin(GRID.x)
