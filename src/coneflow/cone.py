@@ -16,10 +16,11 @@ import numpy as np
 from .grid import TWO_PI, circle_distance, rk4_step, step_count, wrap
 
 APEX_FLOOR = 1e-12
+_DRIFT_LIMIT = 1e-3  # relative speed drift beyond which a geodesic is wrong
 
 
 class ApexError(RuntimeError):
-    """A geodesic hit the apex floor m <= 1e-12 or overflowed near the apex."""
+    """A geodesic hit the apex floor m <= 1e-12, or overflowed or drifted."""
 
 
 @dataclass(frozen=True)
@@ -150,7 +151,9 @@ def cone_geodesic(p0: ConePoint, v0: ConeTangent, t_final: float, dt: float,
     """Integrate the geodesic equations with fixed-step RK4.
 
     x'' + (m'/m) x' = 0,   m'' - m'^2/(2m) - (a^2/2b^2) x'^2 m = 0.
-    Aborts with ApexError at the 1e-12 mass floor or on a non-finite state.
+    Aborts with ApexError at the 1e-12 mass floor, on a non-finite state,
+    or when the conserved speed ends more than 1e-3 (relative) off its
+    start, as after a pass by the apex that the step cannot resolve.
     """
     n_steps = step_count(t_final, dt)
     if p0.is_apex:
@@ -176,9 +179,12 @@ def cone_geodesic(p0: ConePoint, v0: ConeTangent, t_final: float, dt: float,
             raise ApexError(f"geodesic reached the apex floor at t={ (i + 1) * dt :.6g}")
         out[i + 1] = state
     times = np.arange(n_steps + 1) * dt
-    pend = ConePoint(wrap(out[-1, 0]), out[-1, 1])
-    vend = ConeTangent(out[-1, 2], out[-1, 3])
-    speed_end = np.sqrt(cone_metric(pend, vend, vend, params))
+    x, m, dx, dm = state  # Python floats: overflow gives inf, no warning
+    vend = ConeTangent(dx, dm)
+    speed_end = math.sqrt(cone_metric(ConePoint(x, m), vend, vend, params))
     drift = abs(speed_end - speed0) / max(speed0, 1e-300)
+    if not drift <= _DRIFT_LIMIT:
+        raise ApexError(f"geodesic speed drifted by {drift:.3e} (relative): "
+                        f"the step is too coarse near the apex")
     return ConeGeodesic(times, out[:, 0], out[:, 1], out[:, 2], out[:, 3],
                         float(speed0), float(drift))

@@ -7,10 +7,11 @@ The squared distance is the infimum of the 1-homogeneous action
 over solutions of d_t rho + d_x m = mu joining two measures in unit time.
 The discretization is a staggered space-time grid (densities at time
 slices, momenta at space faces, sources at cell centers) solved with a
-first-order primal-dual iteration that alternates the exact pointwise
-proximal map of the action integrand (monotone Newton, warm-started from
-the previous iterate) with the Euclidean projection onto the continuity
-constraint (real FFT in space, cosine transform in time, cached symbol).
+first-order primal-dual iteration on a scaled dual that alternates the
+exact pointwise proximal map of the action integrand (monotone Newton,
+warm-started from the previous iterate) with the Euclidean projection
+onto the continuity constraint (real FFT in space, cosine transform in
+time by a cached matrix, cached symbol).
 Every operator works on plain arrays: rho (nt+1, nx) at the time slices,
 m and mu (nt, nx) at the space faces and the cell centers.
 
@@ -158,29 +159,30 @@ def prox_action(rho, m, mu, gamma: float,
     c1, c2 = 2.0 * gamma * params.a ** 2, 2.0 * gamma * params.b ** 2
     qm, qmu = params.a ** 2 * m ** 2, params.b ** 2 * mu ** 2
     slack0 = gamma * (qm / c1 ** 2 + qmu / c2 ** 2)
-    at_apex = rho + slack0 <= 0.0
-    qm, qmu = gamma * qm, gamma * qmu
+    # apex cells get rho = qm = qmu = 0, so f = 0 at their floor r = 0 and
+    # every output there is 0; NaN cells stay live
+    live = ~(rho + slack0 <= 0.0)
+    rho = rho * live
+    qm, qmu = gamma * live * qm, gamma * live * qmu
 
     floor = np.maximum(rho, 0.0)
-    r = floor if guess is None else np.maximum(guess, floor)
-    # df >= 1 everywhere, so |f(r)| bounds the distance to the root and
-    # apex cells (resolved analytically below) are exempt from the test.
+    r = floor if guess is None else np.maximum(guess, floor) * live
+    # df >= 1 everywhere, so |f(r)| bounds the distance to the root
     for _ in range(200):
-        e1 = 1.0 / (r + c1)
-        e2 = 1.0 / (r + c2)
-        t1 = qm * e1 * e1
-        t2 = qmu * e2 * e2
+        s1 = r + c1
+        s2 = r + c2
+        t1 = qm / (s1 * s1)
+        t2 = qmu / (s2 * s2)
         f = r - rho - t1 - t2
-        worst = np.max(np.where(at_apex, 0.0, np.abs(f)))
-        if worst < 1e-13 * (1.0 + np.max(r)):
+        worst = np.abs(f).max()
+        if worst < 1e-13 * (1.0 + r.max()):
             break
-        r = np.maximum(r - f / (1.0 + 2.0 * (t1 * e1 + t2 * e2)), floor)
+        r = np.maximum(r - f / (1.0 + 2.0 * (t1 / s1 + t2 / s2)), floor)
     else:
         raise RuntimeError(f"prox Newton stalled after 200 rounds "
                            f"(max |f| = {worst:.3e})")
-    r = np.where(at_apex, 0.0, r)
-    m_out = np.where(at_apex, 0.0, r * m / (r + c1))
-    mu_out = np.where(at_apex, 0.0, r * mu / (r + c2))
+    m_out = (r / s1) * m
+    mu_out = (r / s2) * mu
     return r, m_out, mu_out
 
 
@@ -200,6 +202,15 @@ def _inverse_symbol(nt: int, nx: int, balanced: bool) -> np.ndarray:
     inv = 1.0 / denom
     inv.setflags(write=False)
     return inv
+
+
+@lru_cache(maxsize=16)
+def _cosine_matrices(nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (c, ci): c @ r is dct(r, type=2, axis=0), ci @ r its idct."""
+    pair = dct(np.eye(nt), type=2, axis=0), idct(np.eye(nt), type=2, axis=0)
+    for a in pair:
+        a.setflags(write=False)
+    return pair
 
 
 def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
@@ -228,9 +239,10 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     rho[-1] = rho1
     r = continuity_residual(g, rho, m, mu)
 
-    r_hat = rfft(dct(r, type=2, axis=0), axis=1)
+    c, ci = _cosine_matrices(g.nt)
+    r_hat = rfft(c @ r, axis=1)
     r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
-    q = idct(irfft(r_hat, n=g.nx, axis=1), type=2, axis=0)
+    q = ci @ irfft(r_hat, n=g.nx, axis=1)
 
     rho[1:-1] -= (q[:-1] - q[1:]) / g.dt
     m -= (q - _shift(q, -1)) / g.h
@@ -275,10 +287,12 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
 
     The primal iterate is kept feasible by projecting onto the continuity
     constraint every iteration; the dual update applies the exact prox of
-    the action through the Moreau identity.  The steps _SIGMA and _TAU
-    satisfy _SIGMA * _TAU * |K|^2 < 1, where K is the staggered-to-centered
-    interpolation (|K| <= 1).  Stops when the relative change of the
-    action over _CHECK_EVERY iterations drops below tol, after at least
+    the action through the Moreau identity, on the dual scaled by
+    1/_SIGMA.  The steps _SIGMA and _TAU satisfy _SIGMA * _TAU * |K|^2 < 1,
+    where K is the staggered-to-centered interpolation (|K| <= 1).  Stops
+    when the change of the action over _CHECK_EVERY iterations, relative
+    to the larger of |action| and eps times the squared total-mass bound
+    (2b (sqrt m0 + sqrt m1))^2, drops below tol, after at least
     _MIN_ITERS iterations (tol finite and > 0, max_iters an integer >= 1);
     raises WFRConvergenceError at max_iters.  In balanced mode the start
     is projected once before the loop, and continuity_project rejects
@@ -306,32 +320,32 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     else:
         u_mu = np.broadcast_to((rho1 - rho0)[None, :], (g.nt, g.nx)).copy()
 
-    w_rho = np.zeros((g.nt, g.nx))
-    w_m = np.zeros((g.nt, g.nx))
-    w_mu = np.zeros((g.nt, g.nx))
+    # the dual is kept scaled, z = w / _SIGMA, and K u is carried over
+    z_rho, z_m, z_mu = (np.zeros((g.nt, g.nx)) for _ in range(3))
     gamma = 1.0 / _SIGMA
+    step = _SIGMA * _TAU
+    bound = 2.0 * params.b * (np.sqrt(g.h * rho0.sum())
+                              + np.sqrt(g.h * rho1.sum()))
+    noise = max(np.finfo(float).eps * bound ** 2, np.finfo(float).tiny)
     action_prev = np.inf
     converged = False
-    p_rho = interpolate_centers(u_rho, u_m, u_mu)[0]
+    ku_rho, ku_m, ku_mu = interpolate_centers(u_rho, u_m, u_mu)
+    p_rho = ku_rho
     for iterations in range(1, max_iters + 1):
-        a_rho, a_m, a_mu = _adjoint_centers(g, w_rho, w_m, w_mu)
-        n_rho, n_m, n_mu = continuity_project(
-            g, u_rho - _TAU * a_rho, u_m - _TAU * a_m, u_mu - _TAU * a_mu,
+        a_rho, a_m, a_mu = _adjoint_centers(g, z_rho, z_m, z_mu)
+        u_rho, u_m, u_mu = continuity_project(
+            g, u_rho - step * a_rho, u_m - step * a_m, u_mu - step * a_mu,
             rho0, rho1, balanced=balanced)
-        v_rho, v_m, v_mu = interpolate_centers(
-            2.0 * n_rho - u_rho, 2.0 * n_m - u_m, 2.0 * n_mu - u_mu)
-        y_rho = w_rho + _SIGMA * v_rho
-        y_m = w_m + _SIGMA * v_m
-        y_mu = w_mu + _SIGMA * v_mu
-        p_rho, p_m, p_mu = prox_action(y_rho / _SIGMA, y_m / _SIGMA,
-                                       y_mu / _SIGMA, gamma, params, p_rho)
-        w_rho = y_rho - _SIGMA * p_rho
-        w_m = y_m - _SIGMA * p_m
-        w_mu = y_mu - _SIGMA * p_mu
-        u_rho, u_m, u_mu = n_rho, n_m, n_mu
+        kn_rho, kn_m, kn_mu = interpolate_centers(u_rho, u_m, u_mu)
+        y_rho = z_rho + 2.0 * kn_rho - ku_rho
+        y_m = z_m + 2.0 * kn_m - ku_m
+        y_mu = z_mu + 2.0 * kn_mu - ku_mu
+        p_rho, p_m, p_mu = prox_action(y_rho, y_m, y_mu, gamma, params, p_rho)
+        z_rho, z_m, z_mu = y_rho - p_rho, y_m - p_m, y_mu - p_mu
+        ku_rho, ku_m, ku_mu = kn_rho, kn_m, kn_mu
         if iterations % _CHECK_EVERY == 0 or iterations == max_iters:
             action = wfr_action(g, p_rho, p_m, p_mu, params)
-            rel_change = abs(action - action_prev) / max(abs(action), 1e-30)
+            rel_change = abs(action - action_prev) / max(abs(action), noise)
             action_prev = action
             if iterations >= _MIN_ITERS and rel_change < tol:
                 converged = True

@@ -114,6 +114,16 @@ def test_wfr_solve_payload_and_csv(capsys, tmp_path):
     assert len(lines) == 1 + 8 * 16
 
 
+def test_wfr_solve_identical_endpoints_converges_at_the_first_check(capsys):
+    # the action of a zero distance is rounding noise: it must not decide
+    # whether, or when, the solver stops
+    code, body = run_json(capsys, "wfr", "solve", "--rho0", "bump:3,0.3,0.7",
+                          "--rho1", "bump:3,0.3,0.7", "--n", "16", "--nt", "16")
+    assert code == 0
+    assert body["iterations"] == 200
+    assert body["distance"] < 1e-12
+
+
 def test_wfr_hellinger_uniform_value(capsys):
     code, body = run_json(capsys, "wfr", "hellinger", "--rho0", "const:1",
                           "--rho1", "const:4", "--n", "32")
@@ -243,7 +253,11 @@ def test_apex_hit_exits_two(capsys):
     (("cone", "geodesic", "--x0", "0.3", "--m0", "0.32648481991983835",
       "--dx0", "0.0006725266339168693", "--dm0", "-0.7678231382637578",
       "--t-final", "1", "--dt", "0.01"), "ApexError"),
-], ids=["blowup", "max-iters", "apex", "lost-positivity", "apex-overflow"])
+    (("cone", "geodesic", "--x0", "3.4468", "--m0", "0.2323", "--dx0",
+      "0.005448", "--dm0", "-0.768", "--t-final", "1", "--dt", "0.1"),
+     "ApexError"),
+], ids=["blowup", "max-iters", "apex", "lost-positivity", "apex-overflow",
+        "apex-drift"])
 def test_solver_breakdown_exits_two_with_one_json_line(capsys, argv, error):
     code, out = run_cli(capsys, *argv)
     assert code == 2

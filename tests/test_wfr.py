@@ -98,8 +98,10 @@ def reference_residual(g, rho, m, mu):
             - mu)
 
 
-def reference_project(state, rho0, rho1, balanced):
-    """continuity_project as a copying map of states with np.roll."""
+def reference_project(state, rho0, rho1, balanced, by_matrix=True):
+    """continuity_project as a copying map of states with np.roll; the time
+    cosine transforms are dense matrix products, or scipy's dct and idct
+    (the earlier arithmetic) with by_matrix=False."""
     g, rho, m, mu = state
     rho = rho.copy()
     rho[0] = rho0
@@ -107,9 +109,16 @@ def reference_project(state, rho0, rho1, balanced):
     m = m.copy()
     mu = np.zeros_like(mu) if balanced else mu.copy()
     r = reference_residual(g, rho, m, mu)
-    r_hat = rfft(dct(r, type=2, axis=0), axis=1)
-    r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
-    q = idct(irfft(r_hat, n=g.nx, axis=1), type=2, axis=0)
+    if by_matrix:
+        c = dct(np.eye(g.nt), type=2, axis=0)
+        ci = idct(np.eye(g.nt), type=2, axis=0)
+        r_hat = rfft(c @ r, axis=1)
+        r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
+        q = ci @ irfft(r_hat, n=g.nx, axis=1)
+    else:
+        r_hat = rfft(dct(r, type=2, axis=0), axis=1)
+        r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
+        q = idct(irfft(r_hat, n=g.nx, axis=1), type=2, axis=0)
     rho[1:-1] -= (q[:-1] - q[1:]) / g.dt
     m -= (q - np.roll(q, -1, axis=1)) / g.h
     if not balanced:
@@ -117,21 +126,92 @@ def reference_project(state, rho0, rho1, balanced):
     return g, rho, m, mu
 
 
-def reference_solve(rho0, rho1, nt, params=ConeParams(), balanced=False,
-                    tol=1e-7, max_iters=50000):
-    """The primal-dual loop over copied states with np.roll, written out.
-
-    Returns (state, rho_c, m_c, mu_c, action, iterations, rel_change).
-    """
+def start_state(rho0, rho1, nt, balanced, by_matrix=True):
     g = StaggeredGrid(nt, len(rho0))
-    sigma, tau = wfr._SIGMA, wfr._TAU
     frac = g.t_slices[:, None]
     rho = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
     mu = np.zeros((nt, g.nx)) if balanced else \
         np.broadcast_to((rho1 - rho0)[None, :], (nt, g.nx)).copy()
     u = (g, rho, np.zeros((nt, g.nx)), mu)
     if balanced:
-        u = reference_project(u, rho0, rho1, True)
+        u = reference_project(u, rho0, rho1, True, by_matrix)
+    return u
+
+
+def reference_solve(rho0, rho1, nt, params=ConeParams(), balanced=False,
+                    tol=1e-7, max_iters=50000):
+    """The primal-dual loop over copied states with np.roll, written out,
+    on the scaled dual z = w / sigma.
+
+    Returns (state, rho_c, m_c, mu_c, action, iterations, rel_change).
+    """
+    u = start_state(rho0, rho1, nt, balanced)
+    g = u[0]
+    step = wfr._SIGMA * wfr._TAU
+    mass_bound = 2.0 * params.b * (np.sqrt(g.h * rho0.sum())
+                                   + np.sqrt(g.h * rho1.sum()))
+    noise = max(np.finfo(float).eps * mass_bound ** 2, np.finfo(float).tiny)
+    z_rho, z_m, z_mu = (np.zeros((nt, g.nx)) for _ in range(3))
+    action_prev = action = rel_change = np.inf
+    ku = reference_centers(*u[1:])
+    p_rho = ku[0]
+    for k in range(1, max_iters + 1):
+        _, u_rho, u_m, u_mu = u
+        a_rho = np.zeros((nt + 1, g.nx))
+        a_rho[1:-1] = 0.5 * (z_rho[:-1] + z_rho[1:])
+        a_m = 0.5 * (z_m + np.roll(z_m, -1, axis=1))
+        u = reference_project((g, u_rho - step * a_rho, u_m - step * a_m,
+                               u_mu - step * z_mu.copy()),
+                              rho0, rho1, balanced)
+        kn = reference_centers(*u[1:])
+        y_rho = z_rho + 2.0 * kn[0] - ku[0]
+        y_m = z_m + 2.0 * kn[1] - ku[1]
+        y_mu = z_mu + 2.0 * kn[2] - ku[2]
+        p_rho, p_m, p_mu = prox_action(y_rho, y_m, y_mu, 1.0 / wfr._SIGMA,
+                                       params, p_rho)
+        z_rho, z_m, z_mu = y_rho - p_rho, y_m - p_m, y_mu - p_mu
+        ku = kn
+        if k % wfr._CHECK_EVERY == 0 or k == max_iters:
+            action = wfr_action(g, p_rho, p_m, p_mu, params)
+            rel_change = abs(action - action_prev) / max(abs(action), noise)
+            action_prev = action
+            if k >= wfr._MIN_ITERS and rel_change < tol:
+                break
+    return u, p_rho, p_m, p_mu, action, k, rel_change
+
+
+def earlier_prox(rho, m, mu, gamma, params, guess):
+    """prox_action as it was before apex cells were resolved up front:
+    apex cells are masked by np.where in every round and at the end."""
+    c1, c2 = 2.0 * gamma * params.a ** 2, 2.0 * gamma * params.b ** 2
+    qm, qmu = params.a ** 2 * m ** 2, params.b ** 2 * mu ** 2
+    at_apex = rho + gamma * (qm / c1 ** 2 + qmu / c2 ** 2) <= 0.0
+    qm, qmu = gamma * qm, gamma * qmu
+    floor = np.maximum(rho, 0.0)
+    r = np.maximum(guess, floor)
+    for _ in range(200):
+        e1 = 1.0 / (r + c1)
+        e2 = 1.0 / (r + c2)
+        t1 = qm * e1 * e1
+        t2 = qmu * e2 * e2
+        f = r - rho - t1 - t2
+        if np.max(np.where(at_apex, 0.0, np.abs(f))) < 1e-13 * (1.0
+                                                                + np.max(r)):
+            break
+        r = np.maximum(r - f / (1.0 + 2.0 * (t1 * e1 + t2 * e2)), floor)
+    r = np.where(at_apex, 0.0, r)
+    return (r, np.where(at_apex, 0.0, r * m / (r + c1)),
+            np.where(at_apex, 0.0, r * mu / (r + c2)))
+
+
+def earlier_solve(rho0, rho1, nt, params=ConeParams(), balanced=False,
+                  tol=1e-7, max_iters=50000):
+    """The primal-dual loop in its earlier arithmetic: unscaled dual w,
+    two center interpolations a step, scipy's cosine transforms and the
+    np.where prox.  Returns what reference_solve returns."""
+    u = start_state(rho0, rho1, nt, balanced, by_matrix=False)
+    g = u[0]
+    sigma, tau = wfr._SIGMA, wfr._TAU
     w_rho, w_m, w_mu = (np.zeros((nt, g.nx)) for _ in range(3))
     action_prev = action = rel_change = np.inf
     p_rho = reference_centers(*u[1:])[0]
@@ -140,18 +220,18 @@ def reference_solve(rho0, rho1, nt, params=ConeParams(), balanced=False,
         a_rho = np.zeros((nt + 1, g.nx))
         a_rho[1:-1] = 0.5 * (w_rho[:-1] + w_rho[1:])
         a_m = 0.5 * (w_m + np.roll(w_m, -1, axis=1))
-        u_new = (g, u_rho - tau * a_rho, u_m - tau * a_m,
-                 u_mu - tau * w_mu.copy())
-        u_new = reference_project(u_new, rho0, rho1, balanced)
+        u_new = reference_project((g, u_rho - tau * a_rho, u_m - tau * a_m,
+                                   u_mu - tau * w_mu), rho0, rho1, balanced,
+                                  by_matrix=False)
         _, n_rho, n_m, n_mu = u_new
         v_rho, v_m, v_mu = reference_centers(
             2.0 * n_rho - u_rho, 2.0 * n_m - u_m, 2.0 * n_mu - u_mu)
         y_rho = w_rho + sigma * v_rho
         y_m = w_m + sigma * v_m
         y_mu = w_mu + sigma * v_mu
-        p_rho, p_m, p_mu = prox_action(y_rho / sigma, y_m / sigma,
-                                       y_mu / sigma, 1.0 / sigma, params,
-                                       p_rho)
+        p_rho, p_m, p_mu = earlier_prox(y_rho / sigma, y_m / sigma,
+                                        y_mu / sigma, 1.0 / sigma, params,
+                                        p_rho)
         w_rho = y_rho - sigma * p_rho
         w_m = y_m - sigma * p_m
         w_mu = y_mu - sigma * p_mu
@@ -390,6 +470,51 @@ def test_projection_symbol_cache_across_grids_and_modes():
         symbol[1, 1] = 0.0
 
 
+def test_cosine_matrices_are_cached_read_only_transforms():
+    rng = np.random.default_rng(70)
+    for nt in (5, 16):
+        c, ci = wfr._cosine_matrices(nt)
+        assert wfr._cosine_matrices(nt)[0] is c
+        r = rng.normal(0, 1, (nt, 7))
+        assert np.max(np.abs(c @ r - dct(r, type=2, axis=0))) < 1e-13
+        assert np.max(np.abs(ci @ r - idct(r, type=2, axis=0))) < 1e-14
+        assert np.max(np.abs(ci @ c - np.eye(nt))) < 1e-14
+        for a in (c, ci):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1.0
+
+
+def test_projection_makes_one_transform_each_way(monkeypatch):
+    # space: one rfft and one irfft; time: the cached cosine matrices,
+    # never scipy's dct or idct, in every projection of a solve
+    pg = PeriodicGrid(16)
+    wfr._cosine_matrices(8)  # built once, before counting
+    counts = dict(rfft=0, irfft=0, dct=0, idct=0)
+    for name in counts:
+        def counted(*args, _name=name, _f=getattr(wfr, name), **kwargs):
+            counts[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(wfr, name, counted)
+    per_call = []
+    project_fn = wfr.continuity_project
+
+    def counting_project(*args, **kwargs):
+        before = dict(counts)
+        out = project_fn(*args, **kwargs)
+        per_call.append({k: counts[k] - before[k] for k in counts})
+        return out
+
+    monkeypatch.setattr(wfr, "continuity_project", counting_project)
+    b1 = bump_density(pg, 2.0, 0.8, 1.0)
+    for kw, setup in (({"rho1": bump_density(pg, 4.0, 0.6, 1.5)}, 0),
+                      ({"rho1": np.roll(b1, 3), "balanced": True}, 1)):
+        per_call.clear()
+        with pytest.raises(WFRConvergenceError):
+            solve_wfr(b1, nt=8, tol=1e-300, max_iters=50, **kw)
+        assert per_call == [dict(rfft=1, irfft=1, dct=0, idct=0)] * (50
+                                                                    + setup)
+
+
 def test_projection_idempotent_and_pins_ends():
     g = StaggeredGrid(8, 16)
     rng = np.random.default_rng(65)
@@ -428,6 +553,23 @@ def test_solver_identical_inputs_gives_zero():
     res = solve_wfr(rho, rho.copy(), 8, tol=1e-7)
     assert res.converged
     assert res.distance < 1e-12
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_solver_self_pairs_converge_at_the_first_check(balanced):
+    # the action of a zero distance is rounding noise, measured against eps
+    # times the squared mass bound: it must not decide when the solver stops
+    pg = PeriodicGrid(16)
+    rng = np.random.default_rng(5)
+    rhos = [bump_density(pg, 3.0, 0.3, 0.7)]
+    for _ in range(5):
+        rhos.append(bump_density(pg, rng.uniform(0, 2 * np.pi),
+                                 rng.uniform(0.3, 1.2), rng.uniform(0.3, 2.0))
+                    + rng.uniform(0, 0.3))
+    for rho in rhos:
+        res = solve_wfr(rho, rho.copy(), 16, tol=1e-7, balanced=balanced)
+        assert res.iterations == wfr._MIN_ITERS
+        assert res.distance < 1e-12
 
 
 def test_solver_symmetry():
@@ -499,9 +641,21 @@ def test_solver_convergence_error_carries_partial_result():
     assert np.isfinite(partial.distance)
 
 
+def assert_close_to_earlier(result, ref):
+    u, rho_c, m_c, mu_c, action, iterations, _ = ref
+    assert result.iterations == iterations
+    assert result.action == pytest.approx(action, rel=1e-13, abs=0.0)
+    assert result.distance == pytest.approx(np.sqrt(action), rel=1e-13,
+                                            abs=0.0)
+    for got, want in zip((result.rho, result.m, result.mu, result.rho_c,
+                          result.m_c, result.mu_c), (*u[1:], rho_c, m_c, mu_c)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_solver_equals_the_reference_loop():
     # in-place projection and slice shifts change only the plumbing, never
-    # the arithmetic
+    # the arithmetic; the scaled dual, the cosine matrices and the up-front
+    # apex cells change only the rounding of the earlier loop
     pg = PeriodicGrid(16)
     vac0 = bump_density(pg, 1.0, 0.4, 0.5) + 3e-3
     vac1 = bump_density(pg, 4.0, 0.5, 1.5) + 3e-3
@@ -513,11 +667,12 @@ def test_solver_equals_the_reference_loop():
         res = solve_wfr(*args, **kw)
         assert res.converged
         assert_same_as_reference(res, reference_solve(*args, **kw))
+        assert_close_to_earlier(res, earlier_solve(*args, **kw))
     with pytest.raises(WFRConvergenceError) as info:
         solve_wfr(b1, b2, 8, tol=1e-7, max_iters=30)
-    assert_same_as_reference(info.value.result,
-                             reference_solve(b1, b2, 8, tol=1e-7,
-                                             max_iters=30))
+    for oracle, check in ((reference_solve, assert_same_as_reference),
+                          (earlier_solve, assert_close_to_earlier)):
+        check(info.value.result, oracle(b1, b2, 8, tol=1e-7, max_iters=30))
 
 
 def test_solver_calls_each_layer_once_per_iteration(monkeypatch):
