@@ -7,9 +7,9 @@ The evolution is integrated in momentum form: with m = a^2 u - b^2 u_xx,
 which conserves the energy int a^2 u^2 + b^2 u_x^2 dx and the mean of m.
 Spatial derivatives are Fourier collocation, quadratic products are
 dealiased with the 2/3 rule, and time stepping is fixed-step RK4 over a
-whole number of steps (grid.rk4_step, grid.step_count).  A right-hand
-side makes four transforms: rfft of u, one batched irfft to u_x, m and m_x,
-and an rfft and irfft that filter and invert a^2 - b^2 d_xx together.
+whole number of steps (grid.rk4_step, grid.step_count) on the rfft
+coefficients of u.  A right-hand side makes two transforms: one batched
+irfft to u, u_x, m and m_x, and one rfft of the products.
 The flow map integrates phi' = u(t, phi) after the fact from the stored
 trajectory, together with the gauge factor lam' = (u_x/2)(t, phi) lam
 whose square must track d_x phi (isotropy residual).
@@ -17,6 +17,7 @@ whose square must track d_x phi (isotropy residual).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,24 +64,34 @@ class FlowPath:
     min_phi_x: float
 
 
-def ch_rhs(grid: PeriodicGrid, u: np.ndarray,
+@lru_cache(maxsize=16)
+def _rhs_multipliers(n: int, a: float, b: float) -> tuple:
+    """Read-only multipliers of ch_rhs: [1, ik, s, ik s] from uh to u, u_x, m
+    and m_x, and the filter -keep/s, for the symbol s of a^2 - b^2 d_xx."""
+    k, ik, keep = fourier_multipliers(n)
+    symbol = a ** 2 + b ** 2 * k * k
+    lift = np.array((np.ones_like(ik), ik, symbol, ik * symbol))
+    filt = -keep / symbol
+    for arr in (lift, filt):
+        arr.setflags(write=False)
+    return lift, filt
+
+
+def ch_rhs(grid: PeriodicGrid, uh: np.ndarray,
            params: ConeParams = ConeParams()) -> np.ndarray:
-    """du/dt of the momentum-form evolution (dealiased pseudospectral)."""
-    k, ik, keep = fourier_multipliers(grid.n)
-    symbol = params.a ** 2 + params.b ** 2 * k * k  # of a^2 - b^2 d_xx
-    uh = np.fft.rfft(u)
-    mh = symbol * uh
-    ux, m, mx = np.fft.irfft(np.array((ik * uh, mh, ik * mh)), n=grid.n)
-    dm_dt = np.fft.rfft(u * mx + 2.0 * ux * m)
-    return np.fft.irfft(dm_dt * (-keep / symbol), n=grid.n)
+    """d(uh)/dt of the momentum-form evolution (dealiased pseudospectral):
+    uh and the result are the n/2 + 1 rfft coefficients of u and of du/dt."""
+    lift, filt = _rhs_multipliers(grid.n, params.a, params.b)
+    u, ux, m, mx = np.fft.irfft(lift * uh, n=grid.n)
+    return filt * np.fft.rfft(u * mx + 2.0 * ux * m)
 
 
-def _tail_fraction(grid: PeriodicGrid, u: np.ndarray) -> float:
-    uh = np.abs(np.fft.rfft(u)) ** 2
-    total = float(np.sum(uh[1:]))
+def _tail_fraction(grid: PeriodicGrid, uh: np.ndarray) -> float:
+    power = np.abs(uh) ** 2
+    total = float(np.sum(power[1:]))
     if total < 1e-28:
         return 0.0
-    return float(np.sum(uh[grid.n // 6 + 1:]) / total)  # the k > n/6
+    return float(np.sum(power[grid.n // 6 + 1:]) / total)  # the k > n/6
 
 
 def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
@@ -99,23 +110,24 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
     out = np.empty((n_steps + 1, grid.n))
     out[0] = u
     scale0 = np.max(np.abs(u)) + 1.0
+    uh = np.fft.rfft(u)
 
     def rhs(_, y):
         return (ch_rhs(grid, y[0], params),)
 
     for i in range(n_steps):
-        u, = rk4_step(rhs, (u,), dt)
+        uh, = rk4_step(rhs, (uh,), dt)
+        u = out[i + 1] = np.fft.irfft(uh, n=grid.n)
         t = (i + 1) * dt
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > 100.0 * scale0:
             raise CHBlowupError(
                 f"solution blew up at t={t:.6g}",
                 {"time": t, "tail_fraction": float("nan")})
-        tail = _tail_fraction(grid, u)
+        tail = _tail_fraction(grid, uh)
         if tail > _TAIL_FRACTION_LIMIT:
             raise CHBlowupError(
                 f"spectral tail indicates wave breaking at t={t:.6g}",
                 {"time": t, "tail_fraction": tail})
-        out[i + 1] = u
     times = np.arange(n_steps + 1) * dt
     return CHTrajectory(grid, params, dt, times, out)
 

@@ -11,6 +11,7 @@ from coneflow import (
     ch_solve,
     flow_map,
 )
+from coneflow.grid import fourier_multipliers, rk4_step
 
 
 def manual_rhs(grid, u, params):
@@ -41,7 +42,8 @@ def test_rhs_matches_independent_assembly():
         for k in range(1, 6):
             u += (rng.normal() * np.cos(k * grid.x)
                   + rng.normal() * np.sin(k * grid.x)) / k
-        gap = np.max(np.abs(ch_rhs(grid, u, params) - manual_rhs(grid, u, params)))
+        rhs = np.fft.irfft(ch_rhs(grid, np.fft.rfft(u), params), n=grid.n)
+        gap = np.max(np.abs(rhs - manual_rhs(grid, u, params)))
         assert gap < 1e-12
 
 
@@ -66,7 +68,8 @@ def test_rhs_matches_the_two_dealias_form():
             m = params.a ** 2 * u - params.b ** 2 * grid.deriv(u, 2)
             dm = -grid.dealias(u * grid.deriv(m)) - 2.0 * grid.dealias(ux * m)
             ref = grid.solve_helmholtz(dm, params.a, params.b)
-            gap = np.max(np.abs(ch_rhs(grid, u, params) - ref))
+            rhs = np.fft.irfft(ch_rhs(grid, np.fft.rfft(u), params), n=n)
+            gap = np.max(np.abs(rhs - ref))
             assert gap < 1e-14 * np.max(np.abs(ref))
 
 
@@ -129,6 +132,42 @@ def test_spectral_self_convergence():
     assert errors[1] < 1e-3 * errors[0]
     assert errors[2] < 1e-3 * errors[1] or errors[2] < 1e-13
     assert errors[-1] < 1e-12
+
+
+def reference_rhs(grid, u, params):
+    """du/dt with u at the nodes: rfft of u, one batched irfft to u_x, m and
+    m_x, and an rfft and irfft that filter and invert a^2 - b^2 d_xx."""
+    k, ik, keep = fourier_multipliers(grid.n)
+    symbol = params.a ** 2 + params.b ** 2 * k * k
+    uh = np.fft.rfft(u)
+    mh = symbol * uh
+    ux, m, mx = np.fft.irfft(np.array((ik * uh, mh, ik * mh)), n=grid.n)
+    dm_dt = np.fft.rfft(u * mx + 2.0 * ux * m)
+    return np.fft.irfft(dm_dt * (-keep / symbol), n=grid.n)
+
+
+def reference_solve(grid, u0, n_steps, dt, params):
+    """ch_solve's RK4 loop with the state held at the nodes."""
+    out = np.empty((n_steps + 1, grid.n))
+    out[0] = u = u0.copy()
+    for i in range(n_steps):
+        u, = rk4_step(lambda _, y: (reference_rhs(grid, y[0], params),),
+                      (u,), dt)
+        out[i + 1] = u
+    return out
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("a, b", [(1.0, 0.5), (1.5, 0.3)])
+def test_coefficient_stepping_matches_the_nodal_reference(n, a, b):
+    # stepping the rfft coefficients changes only the rounding
+    grid = PeriodicGrid(n)
+    params = ConeParams(a, b)
+    u0 = 0.2 * np.sin(grid.x) + 0.1 * np.cos(2 * grid.x)
+    traj = ch_solve(grid, u0, 0.25, 1e-3, params)
+    ref = reference_solve(grid, u0, 250, 1e-3, params)
+    assert traj.u.shape == ref.shape
+    assert np.max(np.abs(traj.u - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_wave_breaking_raises_with_diagnostics():

@@ -156,6 +156,19 @@ def test_flow_horizontal_over_a_zero_density(capsys):
     assert body["horizontality_defect"] < 1e-13
 
 
+def test_flow_horizontal_past_the_apex_exits_two(capsys):
+    # alpha = -2/(1 - 2t) overflows after the apex hit at t = 1/2
+    with np.errstate(all="ignore"):
+        code, out = run_cli(capsys, "flow", "horizontal", "--rho0",
+                            "const:1", "--phi0", "const:-2", "--n", "16",
+                            "--t-final", "1")
+    assert code == 2
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "RuntimeError"
+    assert "horizontal flow state overflowed" in error["message"]
+
+
 def test_lift_solves_symbol_equation(capsys, tmp_path):
     out = tmp_path / "potential.csv"
     code, body = run_json(capsys, "lift", "--rho", "const:1", "--x", "sin:1",

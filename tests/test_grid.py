@@ -421,16 +421,18 @@ def test_step_count_requires_a_whole_number_of_steps():
 
 @pytest.mark.parametrize("module, integrate", [
     (coneflow.ch, lambda: ch_solve(PeriodicGrid(32),
-                                   0.2 * np.sin(PeriodicGrid(32).x), 2e-3,
+                                   0.2 * np.sin(PeriodicGrid(32).x), 3e-3,
                                    1e-3, ConeParams(1.5, 0.3))),
     (coneflow.wfr, lambda: horizontal_flow(
         PeriodicGrid(32), 1.0 + 0.3 * np.sin(PeriodicGrid(32).x),
-        0.3 * np.cos(PeriodicGrid(32).x), 2e-3, 1e-3)),
+        0.3 * np.cos(PeriodicGrid(32).x), 3e-3, 1e-3)),
 ], ids=["ch_rhs", "horizontal_flow"])
-def test_spectral_rhs_makes_two_transforms_each_way(monkeypatch, module,
-                                                     integrate):
-    # one batched rfft and irfft for the derivatives, one of each for the
-    # filtered products: counted through np.fft inside every RK4 stage
+def test_spectral_rhs_makes_one_transform_each_way(monkeypatch, module,
+                                                   integrate):
+    # the state is rfft coefficients: one batched irfft for the fields and
+    # derivatives and one rfft of the products inside every RK4 stage, and
+    # one irfft to the stored slice, so a whole step makes 9 transforms;
+    # counted through np.fft, steps from one rk4_step call to the next
     counts = {"rfft": 0, "irfft": 0}
     for name in counts:
         def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
@@ -439,6 +441,7 @@ def test_spectral_rhs_makes_two_transforms_each_way(monkeypatch, module,
 
         monkeypatch.setattr(np.fft, name, counted)
     per_stage = []
+    step_starts = []
 
     def counting_step(f, y, dt):
         def counted_f(c, y):
@@ -446,11 +449,13 @@ def test_spectral_rhs_makes_two_transforms_each_way(monkeypatch, module,
             out = f(c, y)
             per_stage.append({k: counts[k] - before[k] for k in counts})
             return out
+        step_starts.append(sum(counts.values()))
         return rk4_step(counted_f, y, dt)
 
     monkeypatch.setattr(module, "rk4_step", counting_step)
     integrate()
-    assert per_stage == [{"rfft": 2, "irfft": 2}] * 8
+    assert per_stage == [{"rfft": 1, "irfft": 1}] * 12
+    assert np.diff(step_starts).tolist() == [9, 9]
 
 
 @pytest.mark.parametrize("integrate", [

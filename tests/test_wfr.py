@@ -750,6 +750,27 @@ def test_horizontal_flow_pure_growth_closed_form():
     assert res.horizontality_defect < 1e-12
 
 
+def test_horizontal_flow_reaches_the_apex_in_closed_form():
+    # Phi0 = -2 on rho0 = 1: v = 0, alpha = -2/(1 - 2t), rho = (1 - 2t)^2,
+    # so the geodesic reaches the apex at t = 1/2
+    grid = PeriodicGrid(16)
+    res = horizontal_flow(grid, np.ones(grid.n), -2.0 * np.ones(grid.n),
+                          0.4, 1e-3)
+    assert np.max(np.abs(res.v)) == 0.0
+    assert np.max(np.abs(res.rho[-1] - 0.04)) < 1e-9
+    assert np.max(np.abs(res.alpha[-1] + 10.0)) < 1e-8
+
+
+def test_horizontal_flow_past_the_apex_overflows():
+    grid = PeriodicGrid(16)
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match="horizontal flow state overflowed") as info:
+        horizontal_flow(grid, np.ones(grid.n), -2.0 * np.ones(grid.n),
+                        1.0, 1e-3)
+    t = float(str(info.value).rsplit("t=", 1)[1])
+    assert 0.5 <= t <= 0.51
+
+
 def test_horizontal_flow_stays_horizontal():
     grid = PeriodicGrid(64)
     rho0 = 1.0 + 0.3 * np.sin(grid.x)
