@@ -388,6 +388,7 @@ class HorizontalFlowResult:
     mass: np.ndarray
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the checks report overflow
 def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
                     t_final: float, dt: float) -> HorizontalFlowResult:
     """Geodesic flow launched horizontally from the potential phi0.
@@ -404,7 +405,8 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     |v - alpha_x / 2| over every stored slice.  RK4 steps the rfft
     coefficients of (v, alpha, rho); each equation is dealiased once (the
     2/3-rule filter is linear and commutes with d_x), in two batched
-    transforms per stage.
+    transforms per stage.  Raises RuntimeError on overflow, lost
+    positivity, or energy drift above 1e-3 (relative), as past an apex hit.
     """
     rho0 = _validate_endpoint(rho0, "rho0")
     phi0 = np.asarray(phi0, dtype=float)
@@ -432,8 +434,13 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
         if np.min(nodal[2]) < -1e-8:
             raise RuntimeError(f"horizontal flow lost positivity at t={t:.6g}")
     out_v, out_a, out_rho = out
-    defect = float(np.max(np.abs(out_v - 0.5 * grid.deriv(out_a))))
     energies = grid.integrate((out_v ** 2 + out_a ** 2) * out_rho)
+    # E is conserved; past an apex hit it drifts before the state overflows
+    bad = np.flatnonzero(~(abs(energies - energies[0]) <= 1e-3 * energies[0]))
+    if energies[0] > 0 and bad.size:
+        raise RuntimeError(f"horizontal flow energy drifted by more than 1e-3 "
+                           f"(relative) at t={times[bad[0]]:.6g}")
+    defect = float(np.max(np.abs(out_v - 0.5 * grid.deriv(out_a))))
     action = float(np.trapezoid(energies, times))
     mass = grid.h * np.sum(out_rho, axis=1)
     return HorizontalFlowResult(times, out_rho, out_v, out_a, action,

@@ -2,7 +2,6 @@
 import numpy as np
 import pytest
 
-import coneflow.cone
 from coneflow import (
     ApexError,
     ConeParams,
@@ -177,11 +176,11 @@ def test_geodesic_hits_apex():
                       0.02, P)
 
 
-def reference_geodesic(p0, v0, t_final, dt, params=P, steps=None):
-    """cone_geodesic stepping one length-4 numpy array, written out.
+def reference_geodesic(p0, v0, t_final, dt, params=P):
+    """The geodesic equations integrated by fixed-step RK4, written out.
 
-    Returns the (n_steps + 1, 4) history of (x, m, dx, dm) and raises
-    ApexError where the library does; each step begun is appended to steps.
+    x'' + (m'/m) x' = 0,   m'' - m'^2/(2m) - (a^2/2b^2) x'^2 m = 0.
+    Returns the (n_steps + 1, 4) history of (x, m, dx, dm).
     """
     n_steps = step_count(t_final, dt)
     state = np.array([p0.x, p0.m, v0.dx, v0.dm], dtype=float)
@@ -191,24 +190,18 @@ def reference_geodesic(p0, v0, t_final, dt, params=P, steps=None):
 
     def rhs(_, y):
         x, m, dx, dm = y[0]
-        if m <= APEX_FLOOR:
-            raise ApexError("geodesic reached the apex floor")
         return (np.array([dx, dm, -dm * dx / m,
                           dm * dm / (2.0 * m) + c * dx * dx * m]),)
 
     for i in range(n_steps):
-        if steps is not None:
-            steps.append(i)
         state, = rk4_step(rhs, (state,), dt)
-        if state[1] <= APEX_FLOOR:
-            raise ApexError(f"geodesic reached the apex floor at "
-                            f"t={(i + 1) * dt:.6g}")
         out[i + 1] = state
     return out
 
 
-def test_geodesic_is_bit_identical_to_the_array_stepper():
-    # the float-tuple state runs the same IEEE operations in the same order
+def test_geodesic_matches_the_rk4_oracle():
+    # the developed-plane line solves the geodesic equations, also where
+    # a/2b != 1 and the planar chart is not global
     shots = [(0.0, 1.0, 0.0, 0.8), (1.0, 1.0, 1.0, 0.0), (2.0, 0.5, 0.7, -0.3)]
     rng = np.random.default_rng(15)
     while len(shots) < 13:
@@ -217,34 +210,41 @@ def test_geodesic_is_bit_identical_to_the_array_stepper():
         p0, v0 = ConePoint(*shot[:2]), ConeTangent(*shot[2:])
         if 1e-3 <= np.sqrt(cone_metric(p0, v0, v0, P)) <= 1.0:  # off the apex
             shots.append(shot)
-    for params in (P, ConeParams(1.5, 0.3)):
+    for params in (P, ConeParams(2.0, 0.5), ConeParams(1.0, 1.0),
+                   ConeParams(1.5, 0.3)):
         for x0, m0, dx0, dm0 in shots:
             p0, v0 = ConePoint(x0, m0), ConeTangent(dx0, dm0)
             geo = cone_geodesic(p0, v0, 0.5, 1e-3, params)
             ref = reference_geodesic(p0, v0, 0.5, 1e-3, params)
-            for got, want in zip((geo.x, geo.m, geo.dx, geo.dm), ref.T):
-                assert np.array_equal(got, want)
+            assert np.array_equal(geo.times, np.arange(501) * 1e-3)
+            assert np.max(np.abs(geo.x - ref[:, 0])
+                          + np.abs(geo.m - ref[:, 1])) < 1e-10
+            assert np.max(np.abs(geo.dx - ref[:, 2])) < 1e-10
+            assert np.max(np.abs(geo.dm - ref[:, 3])) < 1e-10
+            assert geo.speed_drift < 1e-12
 
 
-def test_geodesic_hits_the_apex_at_the_array_steppers_step(monkeypatch):
-    # a stage below the floor (in step 3 and step 50), and a step ending on it
-    steps = []
-    monkeypatch.setattr(coneflow.cone, "rk4_step",
-                        lambda *args: steps.append(None) or rk4_step(*args))
-    for (x0, m0), (dx0, dm0), t_final, dt, stamped in (
-            ((0.0, 0.0025), (0.0, -0.1), 0.2, 0.02, False),
-            ((1.0, 1.0), (0.0, -4.01), 1.0, 0.01, False),
-            ((0.3, 5e-12), (0.0, -6e-10), 0.1, 0.01, True)):
-        p0, v0 = ConePoint(x0, m0), ConeTangent(dx0, dm0)
-        steps.clear()
-        with pytest.raises(ApexError) as got:
-            cone_geodesic(p0, v0, t_final, dt)
-        ref_steps = []
-        with pytest.raises(ApexError) as want:
-            reference_geodesic(p0, v0, t_final, dt, steps=ref_steps)
-        assert len(steps) == len(ref_steps)
-        assert str(got.value) == str(want.value)
-        assert ("at t=" in str(got.value)) == stamped
+@pytest.mark.parametrize("x0, m0, dx0, dm0, t_final, dt", [
+    (0.0, 0.0025, 0.0, -0.1, 0.2, 0.02),
+    (1.0, 1.0, 0.0, -4.01, 1.0, 0.01),
+    (0.3, 5e-12, 0.0, -6e-10, 0.1, 0.01),
+])
+def test_geodesic_hits_the_apex_at_the_analytic_time(x0, m0, dx0, dm0,
+                                                     t_final, dt):
+    # radial inward shot: sqrt(m) falls affinely, sqrt(m0) + t dm0/(2 sqrt(m0)),
+    # and meets sqrt(APEX_FLOOR) at t = 2 (m0 - sqrt(m0 APEX_FLOOR)) / |dm0|;
+    # for (1, 1), (0, -4.01) that is (1 - 1e-6) / 2.005
+    hit = 2 * (m0 - np.sqrt(m0 * APEX_FLOOR)) / abs(dm0)
+    p0, v0 = ConePoint(x0, m0), ConeTangent(dx0, dm0)
+    with pytest.raises(ApexError, match="reaches the apex floor at t=") as got:
+        cone_geodesic(p0, v0, t_final, dt)
+    assert float(str(got.value).rsplit("t=", 1)[1]) == pytest.approx(
+        hit, rel=1e-11)
+    # a horizon that stops short of the floor returns the radial ray
+    geo = cone_geodesic(p0, v0, 0.99 * hit, 0.99 * hit / 50)
+    assert np.all(geo.m > APEX_FLOOR)
+    assert np.max(np.abs(np.sqrt(geo.m) - (np.sqrt(m0) + geo.times * dm0
+                                           / (2 * np.sqrt(m0))))) < 1e-15
 
 
 @pytest.mark.parametrize("x0, m0, dx0, dm0, dt", [
@@ -259,27 +259,50 @@ def test_geodesic_hits_the_apex_at_the_array_steppers_step(monkeypatch):
     (1.9632536445167228, 0.39568195874063605, -0.0052479348936988295,
      -0.8791599444532794, 0.05),
     (3.447, 0.232, 0.00545, -0.768, 0.1),
-])
-def test_geodesic_overflow_near_the_apex_raises(x0, m0, dx0, dm0, dt):
-    # inward shots whose steps are too coarse for the close pass by the
-    # apex: the state overflows to inf and NaN, which a floor test alone
-    # lets through (NaN <= 1e-12 is false); the last two used to return
-    # with an infinite velocity at the endpoint
-    with pytest.raises(ApexError, match="overflowed at t="):
-        cone_geodesic(ConePoint(x0, m0), ConeTangent(dx0, dm0), 1.0, dt)
-
-
-@pytest.mark.parametrize("x0, m0, dx0, dm0, dt", [
     (3.4473, 0.232, 0.0054535, -0.7678, 0.1),
     (3.4468, 0.2323, 0.005448, -0.768, 0.1),
     (3.447, 0.232, 0.00545, -0.768, 0.05),
-])
-def test_geodesic_speed_drift_near_the_apex_raises(x0, m0, dx0, dm0, dt):
-    # the step passes the apex without resolving it and ends finite but
-    # wrong: the conserved speed ends inf (the metric overflows), 2.7x
-    # and 1.9% off its start, where every resolved geodesic drifts < 1e-12
-    with pytest.raises(ApexError, match="speed drifted by"):
-        cone_geodesic(ConePoint(x0, m0), ConeTangent(dx0, dm0), 1.0, dt)
+], ids=[f"rk4-overflow-{i}" for i in range(6)]
+    + [f"rk4-drift-{i}" for i in range(3)])
+def test_geodesic_close_pass_by_the_apex_is_exact(x0, m0, dx0, dm0, dt):
+    # inward shots that pass the apex closer than a fixed RK4 step can
+    # resolve (it overflowed or ended with its speed 1.9% to inf off) but
+    # outside the floor: the closed form returns the geodesic at any dt
+    p0, v0 = ConePoint(x0, m0), ConeTangent(dx0, dm0)
+    geo = cone_geodesic(p0, v0, 1.0, dt)
+    assert cone_distance(p0, geo.endpoint) == pytest.approx(geo.speed,
+                                                            rel=1e-12)
+    assert geo.speed_drift < 1e-12
+
+
+def test_inward_shots_raise_only_where_the_segment_meets_the_floor():
+    # 3,000 random inward shots: a fixed RK4 step refused 914 of them
+    # (floor, overflow, drift); only the 2 whose exact path comes within
+    # the floor raise, the rest end at distance speed * t
+    rng = np.random.default_rng(0)
+    raised, near = [], []
+    for _ in range(3000):
+        x0, m0 = rng.uniform(0, 2 * np.pi), rng.uniform(0.01, 1)
+        dx0, dm0 = rng.uniform(-0.01, 0.01), rng.uniform(-1, -0.1)
+        dt = (0.01, 0.02, 0.05, 0.1)[rng.integers(4)]
+        # in the plane of planar_chart: start (r0, 0), velocity (vr, vt)
+        r0 = np.sqrt(m0)
+        vr, vt = 0.5 * dm0 / r0, r0 * dx0
+        t_near = np.clip(-r0 * vr / (vr ** 2 + vt ** 2), 0.0, 1.0)
+        near.append(((r0 + t_near * vr) ** 2 + (t_near * vt) ** 2
+                     <= APEX_FLOOR))
+        p0 = ConePoint(x0, m0)
+        try:
+            geo = cone_geodesic(p0, ConeTangent(dx0, dm0), 1.0, dt)
+        except ApexError:
+            raised.append(True)
+            continue
+        raised.append(False)
+        assert cone_distance(p0, geo.endpoint) == pytest.approx(geo.speed,
+                                                                rel=1e-12)
+        assert geo.speed_drift < 1e-12
+    assert raised == near
+    assert sum(raised) == 2
 
 
 def test_geodesic_speed_conservation_generic():

@@ -771,6 +771,19 @@ def test_horizontal_flow_past_the_apex_overflows():
     assert 0.5 <= t <= 0.51
 
 
+@pytest.mark.parametrize("t_final", [0.499, 0.5, 0.501, 0.502])
+def test_horizontal_flow_ending_at_the_apex_raises(t_final):
+    # just before, at and just past the hit at t = 1/2 the state stays
+    # finite (rho = 3.2e6 at 0.501, 2.4e168 at 0.502 where (1 - 2t)^2 is
+    # tiny), but the conserved energy has drifted
+    grid = PeriodicGrid(16)
+    with pytest.raises(RuntimeError, match="energy drifted by") as info:
+        horizontal_flow(grid, np.ones(grid.n), -2.0 * np.ones(grid.n),
+                        t_final, 1e-3)
+    t = float(str(info.value).rsplit("t=", 1)[1])
+    assert 0.495 < t <= 0.499
+
+
 def test_horizontal_flow_stays_horizontal():
     grid = PeriodicGrid(64)
     rho0 = 1.0 + 0.3 * np.sin(grid.x)
