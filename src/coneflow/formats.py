@@ -2,9 +2,12 @@
 
 Floats are rendered with 17 significant digits so that values round-trip
 bit-exactly through text and identical runs produce identical bytes.
+CSV bodies are parsed by np.loadtxt; a line-by-line loop rereads a body
+it rejects, to name the first bad row or take what float() takes.
 """
 from __future__ import annotations
 
+import warnings
 from array import array
 
 import numpy as np
@@ -13,6 +16,9 @@ from .grid import PeriodicGrid, bump_density
 
 # rows formatted and written per write call: bounds the text held in memory
 _ROWS_PER_BLOCK = 4096
+# JSON string escapes: quote, backslash, \t \n \r, and \u00XX below U+0020
+_JSON_ESCAPES = {i: f"\\u{i:04x}" for i in range(32)} | {
+    9: "\\t", 10: "\\n", 13: "\\r", 34: '\\"', 92: "\\\\"}
 
 
 def fmt_float(x) -> str:
@@ -36,9 +42,7 @@ def to_json(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return fmt_float(obj)
     if isinstance(obj, str):
-        out = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out = out.replace("\n", "\\n").replace("\r", "\\r").replace("\t", "\\t")
-        return f'"{out}"'
+        return f'"{obj.translate(_JSON_ESCAPES)}"'
     if isinstance(obj, np.ndarray):
         return to_json(obj.tolist())
     if isinstance(obj, (list, tuple)):
@@ -47,6 +51,15 @@ def to_json(obj) -> str:
         items = (f"{to_json(str(k))}: {to_json(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _fill(template: str, values: np.ndarray) -> str:
+    """template % values; "%.17g" is fmt_float's text for every finite
+    value, so only a block with a non-finite one goes through fmt_float."""
+    flat = values.ravel().tolist()
+    if np.all(np.isfinite(values)):
+        return template % tuple(flat)
+    return template.replace("%.17g", "%s") % tuple(map(fmt_float, flat))
 
 
 def write_columns_csv(path, header: str, columns) -> None:
@@ -60,40 +73,41 @@ def write_columns_csv(path, header: str, columns) -> None:
         fh.write(header + "\n")
         for start in range(0, n, _ROWS_PER_BLOCK):
             block = data[start:start + _ROWS_PER_BLOCK]
-            if np.all(np.isfinite(block)):
-                # "%.17g" is fmt_float's text for every finite value
-                fh.write(row * len(block) % tuple(block.ravel().tolist()))
-            else:
-                fh.writelines(",".join(fmt_float(v) for v in r) + "\n"
-                              for r in block.tolist())
+            fh.write(_fill(row * len(block), block))
 
 
 def _read_table(path, header: str):
     width = header.count(",") + 1
-    flat = array("d")
-    has_header = False
     with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            if not has_header:
-                if ln != header:
-                    break
-                has_header = True
-                continue
-            parts = ln.split(",")
-            if len(parts) != width:
-                raise ValueError(f"{path}: malformed row '{ln}'")
-            try:
-                flat.extend(map(float, parts))
-            except ValueError as exc:
-                raise ValueError(f"{path}: non-numeric value in '{ln}'") from exc
-    if not has_header:
-        raise ValueError(f"{path}: expected csv header '{header}'")
-    if not flat:
-        raise ValueError(f"{path}: no data rows")
-    data = np.frombuffer(flat, dtype=float).reshape(-1, width)
+        first = next((ln for ln in iter(fh.readline, "") if ln.strip()), "")
+        if first.strip() != header:
+            raise ValueError(f"{path}: expected csv header '{header}'")
+        body = fh.tell()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # loadtxt warns on no rows
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            data = np.empty((0, 0))
+        if data.shape[1] != width or not len(data):
+            # the line loop names the first bad row, and reads what float()
+            # reads and loadtxt does not: whitespace-only lines, 1_0
+            fh.seek(body)
+            flat = array("d")
+            for ln in fh:
+                ln = ln.strip()
+                if not ln:
+                    continue
+                parts = ln.split(",")
+                if len(parts) != width:
+                    raise ValueError(f"{path}: malformed row '{ln}'")
+                try:
+                    flat.extend(map(float, parts))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: non-numeric value in '{ln}'") from exc
+            if not flat:
+                raise ValueError(f"{path}: no data rows")
+            data = np.frombuffer(flat, dtype=float).reshape(-1, width)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite value")
     return [data[:, j] for j in range(width)]
@@ -128,12 +142,20 @@ def _grid_layout(t_col, x_col):
 
 
 def write_time_major_csv(path, header, times, x, fields) -> None:
-    """Rows (t, x, *fields) of (len(times), len(x)) fields, time-major."""
+    """Rows (t, x, *fields) of (len(times), len(x)) fields, time-major.
+
+    t and x are formatted once each: a slice's rows are one template with
+    their text built in, filled from the slice's field values.
+    """
+    x_text = [fmt_float(v) for v in np.asarray(x, dtype=float).tolist()]
+    cells = [s + ",%.17g" * len(fields) + "\n" for s in x_text]
     times = np.asarray(times, dtype=float)
-    x = np.asarray(x, dtype=float)
-    write_columns_csv(path, header,
-                      [np.repeat(times, len(x)), np.tile(x, len(times))]
-                      + [np.asarray(f, dtype=float).ravel() for f in fields])
+    data = np.stack([np.asarray(f, dtype=float).reshape(len(times), len(x_text))
+                     for f in fields], axis=-1)
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for t, rows in zip(times.tolist(), data):
+            fh.write(_fill((fmt_float(t) + ",").join([""] + cells), rows))
 
 
 def write_trajectory_csv(path, times, x, u) -> None:

@@ -109,7 +109,8 @@ class PeriodicGrid:
         The sum over the n/2 + 1 modes is a polynomial in z = exp(ix),
         evaluated by baby-step giant-step (_horner): O(P*n) flops for P
         points in about 2 sqrt(n/2) numpy rounds per block of 512 points,
-        with O(sqrt(n)) complex temporaries per point of one block.
+        with O(sqrt(n)) complex temporaries per point of one block.  Rows
+        of points broadcast with np.broadcast_to share those powers.
         """
         points = np.asarray(points, dtype=float)
         batch = np.shape(values)[:-1]
@@ -148,7 +149,7 @@ class PeriodicGrid:
 
         phi is read through the trigonometric interpolant of its
         displacement d = phi - id, as in eval_lift; the coefficients of d
-        and d' are computed once, and each Newton round only sums them.
+        and d' are computed once, and each Newton round sums both at once.
         |d| is bounded by the 1-norm S of its Fourier coefficients, so each
         root lies in [x_i - S, x_i + S]; Newton steps that leave the
         shrinking bracket are replaced by bisection.  It stops once
@@ -156,20 +157,20 @@ class PeriodicGrid:
         and raises RuntimeError if it stalls.
         """
         disp = phi - self.x
-        coeff = self._trig_coeffs(disp, 0)
-        slope = self._trig_coeffs(disp, 1)
-        bound = float(np.sum(np.abs(coeff)))
+        coeff = np.array([self._trig_coeffs(disp, k) for k in (0, 1)])
+        bound = float(np.sum(np.abs(coeff[0])))
         lo = self.x - bound
         hi = self.x + bound
         y = self.x - disp
         tol = 1e-14 * (TWO_PI + bound)
         for _ in range(100):
-            f = y + _horner(coeff, y) - self.x
+            d, d_x = _horner(coeff, np.broadcast_to(y, (2, self.n)))
+            f = y + d - self.x
             if np.max(np.abs(f)) <= tol:
                 return y
             lo = np.where(f <= 0, y, lo)
             hi = np.where(f > 0, y, hi)
-            y_new = y - f / (1.0 + _horner(slope, y))
+            y_new = y - f / (1.0 + d_x)
             # non-strict: a converged point sits on its bracket end
             outside = (y_new < lo) | (y_new > hi)
             y = np.where(outside, 0.5 * (lo + hi), y_new)
@@ -199,27 +200,33 @@ def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
     matmul takes z^0 .. z^(L-1), z = exp(ix), against the coefficients as a
     (ceil(m/L), L) array, and Horner's rule in z^L sums its ceil(m/L) rows.
     Points go in blocks of at most _BLOCK, whole rows together if they fit.
+    Points broadcast along the batch axes (zero strides) share one set of
+    powers per block; each row's matmul and bits are those of copied points.
     """
     m = coeff.shape[-1]
     size = math.isqrt(m - 1) + 1
     c = np.zeros((coeff[..., 0].size, -(-m // size), size), complex)
     c.reshape(len(c), -1)[:, :m] = coeff.reshape(len(c), m)
-    x = points.reshape(len(c), math.prod(points.shape[coeff.ndim - 1:]))
-    out = np.empty(x.shape)
+    nb = coeff.ndim - 1
+    shared = points.size > 0 and not any(points.strides[:nb])
+    x = (points[(0,) * nb] if shared else points).reshape(
+        1 if shared else len(c), math.prod(points.shape[nb:]))
+    out = np.empty((len(c), x.shape[1]))
     per = max(1, _BLOCK // max(x.shape[1], 1))
-    for i in range(0, len(c), per):
+    for i in range(0, len(x), per):
+        rows = slice(None) if shared else slice(i, i + per)
         for j in range(0, x.shape[1], _BLOCK):
             z = np.exp(1j * x[i:i + per, j:j + _BLOCK])
             powers = np.ones((len(z), size) + z.shape[1:], complex)
             for k in range(1, size):
                 np.multiply(powers[:, k - 1], z, out=powers[:, k])
             z *= powers[:, -1]  # z^L
-            giant = c[i:i + per] @ powers
+            giant = c[rows] @ powers
             acc = giant[:, -1]
             for q in range(giant.shape[1] - 2, -1, -1):
                 acc *= z
                 acc += giant[:, q]
-            out[i:i + per, j:j + _BLOCK] = acc.real
+            out[rows, j:j + _BLOCK] = acc.real
     return out.reshape(points.shape)
 
 

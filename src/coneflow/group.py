@@ -104,9 +104,9 @@ def embed_diffeo(grid: PeriodicGrid, phi: np.ndarray) -> GroupElement:
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     """(phi1, lam1) * (phi2, lam2) = (phi1 o phi2, (lam1 o phi2) lam2)."""
     grid = g1.grid
-    phi = grid.eval_lift(g1.phi, g2.phi)
-    lam = grid.trig_eval(g1.lam, g2.phi) * g2.lam
-    return GroupElement(grid, phi, lam)
+    disp, lam = grid.trig_eval(np.array((g1.phi - grid.x, g1.lam)),
+                               np.broadcast_to(g2.phi, (2, grid.n)))
+    return GroupElement(grid, g2.phi + disp, lam * g2.lam)
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -141,9 +141,10 @@ def adjoint_action(g: GroupElement, xi: VelocityPair) -> VelocityPair:
     """Ad_g xi = d/ds g exp(s xi) g^{-1} at s = 0."""
     grid = g.grid
     phi_inv = grid.invert_lift(g.phi)
-    v_new = grid.trig_eval(g.phi_x * xi.v, phi_inv)
     log_deriv = grid.deriv(g.lam) / g.lam
-    a_new = grid.trig_eval(log_deriv * xi.v + xi.alpha, phi_inv)
+    v_new, a_new = grid.trig_eval(
+        np.array((g.phi_x * xi.v, log_deriv * xi.v + xi.alpha)),
+        np.broadcast_to(phi_inv, (2, grid.n)))
     return VelocityPair(grid, v_new, a_new)
 
 

@@ -388,6 +388,23 @@ def test_bad_inputs_exit_one(capsys):
         assert flag in body["error"]["message"]
 
 
+def test_control_character_in_an_error_gives_a_json_line(capsys, tmp_path):
+    # the CSV row is quoted in the message, and its U+0001 must be escaped
+    x = PeriodicGrid(8).x
+    rows = [f"{v:.17g},{np.sin(v):.17g}" for v in x]
+    rows[1] = "0.7853981633974483,1\x012"
+    path = tmp_path / "ctl.csv"
+    path.write_text("x,value\n" + "\n".join(rows) + "\n")
+    code, out = run_cli(capsys, "ch", "solve", "--n", "8", "--dt", "0.1",
+                        "--t-final", "0.1", "--init", f"file:{path}")
+    assert code == 1
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"] == (f"{path}: non-numeric value in "
+                                f"'0.7853981633974483,1\x012'")
+
+
 def test_non_finite_radii_and_amplitudes_exit_one(capsys, tmp_path):
     out = tmp_path / "traj.csv"
     run_json(capsys, "ch", "solve", "--n", "64", "--dt", "1e-2",

@@ -1,4 +1,8 @@
 """Serialization: exact float round-trips, ordered JSON, CSV tables, field specs."""
+import json
+import warnings
+from array import array
+
 import numpy as np
 import pytest
 
@@ -51,6 +55,16 @@ def test_to_json_order_nesting_and_escaping():
     assert to_json(np.bool_(False)) == "false"
     with pytest.raises(TypeError):
         to_json(object())
+
+
+def test_to_json_escapes_every_control_character():
+    # JSON allows no raw code point below U+0020 inside a string
+    text = "".join(map(chr, range(40))) + "\x7f\u00e9\u2028"
+    out = to_json({"message": text})
+    assert json.loads(out) == {"message": text}
+    assert '"\\u0000\\u0001' in out and "\\u001f !\\\"" in out
+    assert "\\u0008\\t\\n\\u000b\\u000c\\r" in out
+    assert all(ord(ch) >= 0x20 for ch in out)
 
 
 def test_density_csv_round_trip_bit_exact(tmp_path):
@@ -120,6 +134,96 @@ def test_csv_writer_bytes_match_per_value_fmt_float(tmp_path):
         path = tmp_path / "table.csv"
         write_columns_csv(path, header, columns)
         assert path.read_bytes() == fmt_float_table(header, columns).encode()
+
+
+def test_time_major_writers_bytes_match_per_value_fmt_float(tmp_path):
+    # t and x are formatted once per file; one slice holds NaN and +-inf
+    # and goes through fmt_float, the others through the "%.17g" template
+    grid = PeriodicGrid(8)
+    rng = np.random.default_rng(76)
+    times = np.array([-0.0, 5e-324, 0.25, 1e300])
+    fields = rng.normal(0, 1, (3, 4, 8)) * 10.0 ** rng.uniform(-300, 300,
+                                                                (3, 4, 8))
+    fields[0, 1, :3] = (-0.0, 5e-324, -5e-324)
+    fields[1, 2, 2:5] = (np.nan, np.inf, -np.inf)
+    path = tmp_path / "traj.csv"
+    columns = [np.repeat(times, 8), np.tile(grid.x, 4)]
+    write_trajectory_csv(path, times, grid.x, fields[0])
+    assert path.read_bytes() == fmt_float_table(
+        "t,x,u", columns + [fields[0]]).encode()
+    write_wfr_csv(path, times, grid.x, *fields)
+    assert path.read_bytes() == fmt_float_table(
+        "t,x,rho,m,mu", columns + list(fields)).encode()
+    write_trajectory_csv(path, [], grid.x, np.empty((0, 8)))
+    assert path.read_bytes() == b"t,x,u\n"
+
+
+def line_loop_table(path, header):
+    """Reference reader: every line through strip, split and float()."""
+    width = header.count(",") + 1
+    flat = array("d")
+    has_header = False
+    with open(path) as fh:
+        for ln in fh:
+            ln = ln.strip()
+            if not ln:
+                continue
+            if not has_header:
+                if ln != header:
+                    break
+                has_header = True
+                continue
+            parts = ln.split(",")
+            if len(parts) != width:
+                raise ValueError(f"{path}: malformed row '{ln}'")
+            try:
+                flat.extend(map(float, parts))
+            except ValueError as exc:
+                raise ValueError(f"{path}: non-numeric value in '{ln}'") from exc
+    if not has_header:
+        raise ValueError(f"{path}: expected csv header '{header}'")
+    if not flat:
+        raise ValueError(f"{path}: no data rows")
+    data = np.frombuffer(flat, dtype=float).reshape(-1, width)
+    if not np.all(np.isfinite(data)):
+        raise ValueError(f"{path}: non-finite value")
+    return [data[:, j] for j in range(width)]
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x,value\n0,1\n   \n1,2.5\n", None),
+    ("x,value\r\n0,1\r\n \t\r\n1,2.5\r\n", None),
+    ("\n x,value \n0, 1 \n\n1 ,2.5\n", None),
+    ("x,value\n0,1_0\n1,2\n", None),
+    ("x,value\n0,1\n#1,2\n", "non-numeric value in '#1,2'"),
+    ('x,value\n0,1\n"1",2\n', "non-numeric value in '\"1\",2'"),
+    ("x,value\n0,1,2\n1,2,3\n", "malformed row '0,1,2'"),
+    ("x,value\n0,1\n1,2,3\n", "malformed row '1,2,3'"),
+    ("x,value\n0,1\n1,\n", "non-numeric value in '1,'"),
+    ("x,value\n0,nan\n1,2\n", "non-finite value"),
+    ("x,value\n", "no data rows"),
+    ("x,value\n\n  \n", "no data rows"),
+    ("", "expected csv header 'x,value'"),
+    ("t,x,u\n0,1\n", "expected csv header 'x,value'"),
+])
+def test_reader_matches_the_line_loop(tmp_path, text, error):
+    # np.loadtxt reads the body; what it rejects is reread line by line,
+    # so the accepted files, the arrays and the messages are the loop's
+    path = tmp_path / "table.csv"
+    path.write_bytes(text.encode())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if error is None:
+            expected = line_loop_table(path, "x,value")
+            for got, want in zip(read_density_csv(path), expected):
+                assert np.array_equal(got, want)
+        else:
+            with pytest.raises(ValueError) as ref:
+                line_loop_table(path, "x,value")
+            assert str(ref.value) == f"{path}: {error}"
+            with pytest.raises(ValueError) as err:
+                read_density_csv(path)
+            assert str(err.value) == str(ref.value)
 
 
 def test_read_reports_first_bad_row_in_mid_file(tmp_path):

@@ -1,4 +1,5 @@
 """Spectral grid utilities: differentiation, interpolation, monotone lifts."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -198,6 +199,60 @@ def test_trig_eval_matches_dense_evaluator(n, order):
         assert batched.shape == pts.shape
         for row, x, out in zip(rows, pts, batched):
             assert np.array_equal(out, grid.trig_eval(row, x, order))
+
+
+@pytest.mark.parametrize("n", [8, 256, 1024])
+def test_trig_eval_broadcast_points_equal_copied_points(n):
+    # points broadcast along the batch axes (zero strides) take the
+    # kernel's shared-powers path; the bits are those of the same points
+    # copied, and of one call per row.  700 and 5,000 points split each
+    # row across point blocks, and a batch broadcast along one of its two
+    # axes only is no shared batch
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(n + 3)
+    for batch in ((2,), (2, 3)):
+        values = rng.normal(size=batch + (n,))
+        for shape in ((40,), (700,), (5000,), (70, 10)):
+            x = rng.uniform(-7.0, 13.0, shape)
+            shared = np.broadcast_to(x, batch + shape)
+            assert not any(shared.strides[:len(batch)])
+            partial = np.broadcast_to(rng.uniform(-7.0, 13.0, batch[-1:] + shape),
+                                      batch + shape)
+            for order in (0, 1):
+                out = grid.trig_eval(values, shared, order)
+                assert out.shape == shared.shape
+                assert np.array_equal(
+                    out, grid.trig_eval(values, shared.copy(), order))
+                for i in np.ndindex(batch):
+                    assert np.array_equal(out[i],
+                                          grid.trig_eval(values[i], x, order))
+                assert np.array_equal(
+                    grid.trig_eval(values, partial, order),
+                    grid.trig_eval(values, partial.copy(), order))
+
+
+@pytest.mark.parametrize("rows", [2, 8])
+def test_trig_eval_broadcast_rows_hold_one_set_of_powers(rows):
+    # with fewer than a block of points per row, copied points put several
+    # rows in one block, each with its own L x P powers of exp(ix); rows of
+    # broadcast points share one set, so their peak is lower by the others
+    n = 1024
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(rows)
+    values = rng.normal(size=(rows, n))
+    points = np.broadcast_to(rng.uniform(0.0, 2 * np.pi, 512 // rows),
+                             (rows, 512 // rows))
+    peaks = []
+    for pts in (points, points.copy()):
+        grid.trig_eval(values, pts)
+        tracemalloc.start()
+        try:
+            grid.trig_eval(values, pts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    powers = (math.isqrt(n // 2) + 1) * points.shape[1] * 16
+    assert peaks[1] - peaks[0] >= 0.9 * (rows - 1) * powers
 
 
 def test_trig_eval_memory_is_linear_in_points():
