@@ -216,8 +216,8 @@ def test_trig_eval_broadcast_points_equal_copied_points(n):
             x = rng.uniform(-7.0, 13.0, shape)
             shared = np.broadcast_to(x, batch + shape)
             assert not any(shared.strides[:len(batch)])
-            partial = np.broadcast_to(rng.uniform(-7.0, 13.0, batch[-1:] + shape),
-                                      batch + shape)
+            rows = rng.uniform(-7.0, 13.0, batch[-1:] + shape)
+            partial = np.broadcast_to(rows, batch + shape)
             for order in (0, 1):
                 out = grid.trig_eval(values, shared, order)
                 assert out.shape == shared.shape
