@@ -12,7 +12,7 @@ from .cone import (APEX_FLOOR, ApexError, ConeGeodesic, ConeParams,
                    cone_distance, cone_geodesic, cone_metric,
                    cone_sectional_curvature, planar_chart,
                    planar_chart_inverse)
-from .grid import PeriodicGrid, bump_density, circle_distance, diff_matrix, wrap
+from .grid import PeriodicGrid, bump_density, circle_distance, wrap
 from .group import (DensityField, GroupElement, VelocityPair, adjoint_action,
                     compose, cone_l2_energy, embed_diffeo, group_exponential,
                     hdiv_energy, identity, infinitesimal_action, inverse,

@@ -261,7 +261,7 @@ def cmd_lift(args):
     if out:
         write_density_csv(out, grid.x, lift.potential)
     return {"n": args.n, "rho": args.rho, "x": args.x,
-            "residual": lift.residual,
+            "residual": lift.residual, "iterations": lift.iterations,
             "potential_min": float(np.min(lift.potential)),
             "potential_max": float(np.max(lift.potential)), "out": out}
 

@@ -263,13 +263,6 @@ def rk4_step(f, y: tuple, dt: float) -> tuple:
                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
 
 
-@lru_cache(maxsize=8)
-def diff_matrix(n: int) -> np.ndarray:
-    """Dense matrix of the Fourier collocation derivative on n nodes."""
-    grid = PeriodicGrid(n)
-    return grid.deriv(np.eye(n)).T
-
-
 def bump_density(grid: PeriodicGrid, center: float, width: float,
                  mass: float) -> np.ndarray:
     """Smooth periodic bump of prescribed mass, concentration kappa = width^-2.

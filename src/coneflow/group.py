@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeParams
-from .grid import PeriodicGrid, rk4_step
+from .grid import PeriodicGrid, rk4_step, step_count
 
 _MONOTONE_TOL = 1e-10
 
@@ -164,7 +164,7 @@ def lie_bracket(xi1: VelocityPair, xi2: VelocityPair) -> VelocityPair:
 def group_exponential(xi: VelocityPair, t: float, dt: float) -> GroupElement:
     """Flow of the right-invariant field: phi' = v o phi, lam' = (alpha o phi) lam."""
     grid = xi.grid
-    n_steps = max(1, int(round(t / dt)))
+    n_steps = step_count(abs(t), dt)  # t < 0 takes the steps backwards
     step = t / n_steps
     phi = grid.x.copy()
     lam = np.ones(grid.n)

@@ -6,8 +6,9 @@ operations here are pinned to that pair.  Velocity pairs split at a
 positive density rho into a vertical part (div(rho v) = 2 alpha rho) and a
 horizontal part (grad Phi / 2, Phi), where the lift potential solves
 
-    -(1/2) div(rho grad Phi) + 2 Phi rho = X.
+    -(1/2) div(rho grad Phi) + 2 Phi rho = X,
 
+the action of that pair on rho, by preconditioned conjugate gradients.
 The second fundamental form of the isotropy orbit produces a pressure via
 the operator 2 - Laplacian/2 (at (u, u_x/2) it is pressure_from_state), and
 the minimality harness certifies time windows (t1 - t0) < pi / sqrt(C) with
@@ -21,10 +22,12 @@ import numpy as np
 
 from .ch import CHTrajectory, flow_map
 from .euler import pressure_from_state
-from .grid import PeriodicGrid, diff_matrix
+from .grid import PeriodicGrid
 from .group import DensityField, VelocityPair, infinitesimal_action, lie_bracket
 
 _HORIZONTALITY_RTOL = 1e-6
+_LIFT_RTOL = 1e-14
+_LIFT_MAX_ITERS = 500
 _N_X_MODES = 3
 _N_T_MODES = 3
 
@@ -36,6 +39,7 @@ class LiftResult:
     potential: np.ndarray
     pair: VelocityPair
     residual: float
+    iterations: int
 
 
 def pair_inner(xi1: VelocityPair, xi2: VelocityPair,
@@ -49,23 +53,49 @@ def pair_inner(xi1: VelocityPair, xi2: VelocityPair,
 def horizontal_lift(rho: DensityField, x_rho: np.ndarray) -> LiftResult:
     """Solve -(rho Phi')'/2 + 2 Phi rho = X and return (Phi'/2, Phi).
 
-    The operator is assembled from the dense Fourier differentiation
-    matrix; it is symmetric positive definite for strictly positive rho.
+    The left side is the infinitesimal action of (Phi'/2, Phi) on rho,
+    symmetric positive definite for rho > 0.  Conjugate gradients with
+    M^-1 = rho^-1/2 (2 - d_xx/2)^-1 rho^-1/2, exact for uniform rho, stop
+    once r.M^-1 r <= _LIFT_RTOL^2 X.M^-1 X (the 2-norm of r has a rounding
+    floor near eps n^2/8) or raise RuntimeError at _LIFT_MAX_ITERS.
     """
     grid = rho.grid
     x_rho = np.asarray(x_rho, dtype=float)
-    if x_rho.shape != (grid.n,):
-        raise ValueError("perturbation must be a nodal array on the grid")
+    if x_rho.shape != (grid.n,) or not np.all(np.isfinite(x_rho)):
+        raise ValueError("perturbation must be a finite nodal array on the grid")
     if np.min(rho.values) <= 0:
         raise ValueError("horizontal lift requires a strictly positive density")
-    d = diff_matrix(grid.n)
-    op = -0.5 * d @ (rho.values[:, None] * d) + 2.0 * np.diag(rho.values)
-    phi = np.linalg.solve(op, x_rho)
-    residual = float(np.max(np.abs(
-        -0.5 * grid.deriv(rho.values * grid.deriv(phi))
-        + 2.0 * phi * rho.values - x_rho)))
+    root = np.sqrt(rho.values)
+
+    def apply(phi):
+        return infinitesimal_action(
+            VelocityPair(grid, 0.5 * grid.deriv(phi), phi), rho)
+
+    def precondition(r):
+        return grid.solve_helmholtz(0.5 * r / root, 1.0, 0.5) / root
+
+    phi, r = np.zeros(grid.n), x_rho.copy()
+    p = precondition(r)
+    rz = r @ p
+    tol = _LIFT_RTOL ** 2 * rz
+    iterations = 0
+    # "not <=" keeps iterating on a NaN residual, so it ends in the error
+    while not rz <= tol and iterations < _LIFT_MAX_ITERS:
+        iterations += 1
+        ap = apply(p)
+        step = rz / (p @ ap)
+        phi += step * p
+        r -= step * ap
+        z = precondition(r)
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    residual = float(np.max(np.abs(apply(phi) - x_rho)))
+    if not rz <= tol:
+        raise RuntimeError(f"horizontal lift: CG stalled after {iterations} "
+                           f"iterations at residual {residual:.3g}, max|X| "
+                           f"{np.max(np.abs(x_rho)):.3g}")
     pair = VelocityPair(grid, 0.5 * grid.deriv(phi), phi)
-    return LiftResult(phi, pair, residual)
+    return LiftResult(phi, pair, residual, iterations)
 
 
 @dataclass(frozen=True)

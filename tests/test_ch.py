@@ -12,12 +12,12 @@ from coneflow import (
     flow_map,
 )
 from coneflow.grid import fourier_multipliers, rk4_step
+from dense_oracle import dense_diff_matrix
 
 
 def manual_rhs(grid, u, params):
-    # independent assembly: dense derivative matrix and explicit 2/3 mask
-    from coneflow import diff_matrix
-    d = diff_matrix(grid.n)
+    # independent assembly: closed-form derivative matrix and explicit 2/3 mask
+    d = dense_diff_matrix(grid.n)
     a2, b2 = params.a ** 2, params.b ** 2
 
     def mask(f):

@@ -186,6 +186,8 @@ def test_lift_solves_symbol_equation(capsys, tmp_path):
                           "--n", "128", "--out", str(out))
     assert code == 0
     assert body["residual"] < 1e-9
+    # the preconditioner inverts the uniform-density operator exactly
+    assert body["iterations"] == 1
     # mode-1 perturbation of the uniform density lifts with gain 1/2.5
     assert body["potential_max"] == pytest.approx(0.4, abs=1e-10)
     x, potential = read_density_csv(out)
@@ -202,6 +204,18 @@ def test_curvature_mode_one_plane(capsys, tmp_path):
                           "--n", "128")
     assert code == 0
     assert body["oneill"] == pytest.approx(3 / (50 * np.pi), abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("lift", "--x", "sin:1"),
+    ("curvature", "--phi1", "sin:1", "--phi2", "const:1"),
+], ids=["lift", "curvature"])
+def test_lift_stall_exits_two(capsys, argv):
+    # a bump floor near 1e-22: conjugate gradients cannot reach 1e-14
+    code, body = run_json(capsys, *argv, "--rho", "bump:3.14,0.2,1")
+    assert code == 2
+    assert body["error"]["type"] == "RuntimeError"
+    assert "stalled" in body["error"]["message"]
 
 
 def test_minimality_rotation_window(capsys):

@@ -212,6 +212,24 @@ def test_group_exponential_closed_forms():
     assert np.max(np.abs(gauge.lam - np.exp(al))) < 1e-10
 
 
+@pytest.mark.parametrize("t, dt", [(0.5, 0.05), (1.0, 0.01)])
+def test_group_exponential_backwards_is_exponential_of_negated_pair(t, dt):
+    # negative t takes |t|/dt signed steps, not one step of size t
+    xi = random_pair(np.random.default_rng(18), scale=0.5)
+    neg = VelocityPair(GRID, -xi.v, -xi.alpha)
+    back = group_exponential(xi, -t, dt)
+    ref = group_exponential(neg, t, dt)
+    assert np.max(np.abs(back.phi - ref.phi)) < 1e-14
+    assert np.max(np.abs(back.lam - ref.lam)) < 1e-14
+
+
+@pytest.mark.parametrize("t", [0.0, float("nan"), 0.55, -0.55])
+def test_group_exponential_rejects_partial_and_empty_horizons(t):
+    xi = random_pair(np.random.default_rng(19), scale=0.5)
+    with pytest.raises(ValueError):
+        group_exponential(xi, t, 0.1)
+
+
 def test_group_exponential_stage_is_one_stacked_evaluation(monkeypatch):
     # v and alpha at each RK4 stage go through one trig_eval call; the same
     # fields evaluated row by row give the same bits

@@ -6,11 +6,13 @@ from coneflow import (
     DensityField,
     PeriodicGrid,
     VelocityPair,
+    bump_density,
     ch_solve,
     flow_map,
     gauss_codazzi_sectional,
     hessian_certificate,
     horizontal_lift,
+    infinitesimal_action,
     make_perturbation_family,
     minimality_test,
     oneill_curvature,
@@ -19,9 +21,21 @@ from coneflow import (
     second_fundamental_form,
     vertical_horizontal_split,
 )
+from dense_oracle import dense_lift
 
 GRID = PeriodicGrid(128)
 UNIFORM = DensityField(GRID, np.ones(GRID.n))
+
+
+def lift_densities(grid):
+    # a smooth density, then a width-0.3 bump over floors 1e-2 and 1e-4
+    bump = bump_density(grid, np.pi, 0.3, 1.0)
+    return {"sin": 1.0 + 0.3 * np.sin(grid.x),
+            "floor1e-2": 1e-2 + bump, "floor1e-4": 1e-4 + bump}
+
+
+def lift_rhs(grid):
+    return np.cos(grid.x) + 0.5 * np.sin(2 * grid.x)
 
 
 def test_lift_on_uniform_density_single_mode():
@@ -45,6 +59,45 @@ def test_lift_requires_positive_density_and_matching_shape():
         horizontal_lift(DensityField(GRID, np.zeros(GRID.n)), np.ones(GRID.n))
     with pytest.raises(ValueError):
         horizontal_lift(UNIFORM, np.ones(GRID.n - 2))
+
+
+def test_lift_rejects_non_finite_perturbation():
+    for bad in (np.nan, np.inf):
+        x_rho = np.cos(GRID.x)
+        x_rho[5] = bad
+        with pytest.raises(ValueError, match="must be a finite nodal array"):
+            horizontal_lift(UNIFORM, x_rho)
+
+
+def test_lift_stall_raises_with_the_residual_reached():
+    # a floor near 1e-22 puts the operator's condition number past 1/eps
+    rho = DensityField(GRID, bump_density(GRID, 3.14, 0.2, 1.0))
+    with pytest.raises(RuntimeError, match="CG stalled after 500 "
+                                           "iterations at residual [0-9]"):
+        horizontal_lift(rho, np.sin(GRID.x))
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("name", ["sin", "floor1e-2", "floor1e-4"])
+def test_lift_matches_the_dense_solve(n, name):
+    grid = PeriodicGrid(n)
+    rho = lift_densities(grid)[name]
+    x_rho = lift_rhs(grid)
+    lift = horizontal_lift(DensityField(grid, rho), x_rho)
+    ref = dense_lift(rho, x_rho)
+    assert np.max(np.abs(lift.potential - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # the dense potential's residual, measured as LiftResult.residual is
+    ref_pair = VelocityPair(grid, 0.5 * grid.deriv(ref), ref)
+    dense_residual = np.max(np.abs(
+        infinitesimal_action(ref_pair, DensityField(grid, rho)) - x_rho))
+    assert lift.residual <= 10.0 * dense_residual
+
+
+def test_lift_iterations_do_not_grow_with_n():
+    for n in (128, 512, 2048):
+        grid = PeriodicGrid(n)
+        rho = DensityField(grid, lift_densities(grid)["floor1e-4"])
+        assert horizontal_lift(rho, lift_rhs(grid)).iterations <= 40
 
 
 def test_split_orthogonality_and_recombination():

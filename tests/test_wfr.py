@@ -796,7 +796,7 @@ def test_horizontal_flow_stays_horizontal():
 
 def lift_defect(grid, v, alpha, rho):
     """|v - lift_v|: the distance of (v, alpha) from the horizontal lift of
-    its own action on rho, by the dense rho-weighted lift solve."""
+    its own action on rho, by horizontal_lift's conjugate-gradient solve."""
     field = DensityField(grid, np.maximum(rho, 0.0))
     pair = VelocityPair(grid, v, alpha)
     lift = horizontal_lift(field, infinitesimal_action(pair, field))
@@ -835,7 +835,7 @@ def reference_horizontal_flow(grid, rho0, phi0, t_final, dt):
 
 def test_horizontal_flow_matches_the_seven_dealias_reference():
     # acceptance test 6's data: one filter per equation changes only the
-    # rounding, and v = alpha_x / 2 measures what the dense lift measured
+    # rounding, and v = alpha_x / 2 measures what the lift solve measures
     grid = PeriodicGrid(64)
     rho0 = 1.0 + 0.3 * np.sin(grid.x)
     phi0 = 0.3 * np.cos(grid.x) + 0.2
