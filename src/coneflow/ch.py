@@ -144,28 +144,16 @@ def ch_invariants(grid: PeriodicGrid, u: np.ndarray,
             "momentum_mean": grid.integrate(m).tolist()}
 
 
-def _lagrange_weights(s: float) -> np.ndarray:
-    """Weights of cubic Lagrange interpolation on nodes 0, 1, 2, 3."""
-    nodes = np.arange(4.0)
-    w = np.empty(4)
-    for i in range(4):
-        others = np.delete(nodes, i)
-        w[i] = np.prod((s - others) / (nodes[i] - others))
-    return w
-
-
-# a step's stencil starts 0, 1 or 2 slices before it; its RK4 stages sit at
-# fractions 0, 1/2 and 1 of the step, so nine weight sets serve every step
-_STAGE_WEIGHTS = {(offset, c): _lagrange_weights(offset + c)
-                  for offset in range(3) for c in (0.0, 0.5, 1.0)}
-
-
 def flow_map(traj: CHTrajectory) -> FlowPath:
     """Integrate the Lagrangian flow and gauge factor along a trajectory.
 
     u is interpolated in time with 4-point Lagrange stencils (order matched
-    to RK4); one stacked trig_eval call per stage evaluates u and u_x.
-    Aborts when min d_x phi reaches the breaking floor.
+    to RK4).  The RK4 stages at fractions 0 and 1 of a step are the stored
+    slices; the midpoint stage weights the stencil's four slices by
+    (5, 15, -5, 1)/16 on the first step, (-1, 9, 9, -1)/16 inside and
+    (1, -5, 15, 5)/16 on the last.  One stacked trig_eval call per stage
+    evaluates u and u_x.  Raises CHBlowupError at the first slice where
+    min d_x phi is below the breaking floor.
     """
     grid = traj.grid
     n_steps = len(traj.times) - 1
@@ -173,17 +161,19 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
         raise ValueError("trajectory too short for the flow map")
     dt = traj.dt
     ux_all = grid.deriv(traj.u)
+    mid_weights = np.array([[5, 15, -5, 1], [-1, 9, 9, -1],
+                            [1, -5, 15, 5]]) / 16
     phi = np.empty((n_steps + 1, grid.n))
     lam_ode = np.empty((n_steps + 1, grid.n))
     phi[0] = grid.x
     lam_ode[0] = 1.0
     for j in range(n_steps):
         j0 = min(max(j - 1, 0), n_steps - 3)
-        stages = {}  # (u, u_x) at the stage times, cubic in time
-        for c in (0.0, 0.5, 1.0):
-            w = _STAGE_WEIGHTS[j - j0, c]
-            stages[c] = np.array((w @ traj.u[j0:j0 + 4],
-                                  w @ ux_all[j0:j0 + 4]))
+        w = mid_weights[j - j0]
+        stages = {0.0: np.array((traj.u[j], ux_all[j])),  # (u, u_x) at c
+                  0.5: np.array((w @ traj.u[j0:j0 + 4],
+                                 w @ ux_all[j0:j0 + 4])),
+                  1.0: np.array((traj.u[j + 1], ux_all[j + 1]))}
 
         def rhs(c, y):
             p, l = y
@@ -192,15 +182,15 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
             return u_at, 0.5 * ux_at * l
 
         phi[j + 1], lam_ode[j + 1] = rk4_step(rhs, (phi[j], lam_ode[j]), dt)
-        phi_x = grid.lift_slope(phi[j + 1])
-        m = float(np.min(phi_x))
-        if m < _PHI_X_FLOOR:
-            raise CHBlowupError(
-                f"flow map lost invertibility at t={traj.times[j + 1]:.6g}",
-                {"time": float(traj.times[j + 1]), "min_phi_x": m})
 
     phi_x = grid.lift_slope(phi)
+    min_phi_x = np.min(phi_x, axis=-1)
+    broken = np.flatnonzero(min_phi_x < _PHI_X_FLOOR)
+    if broken.size:
+        t, m = float(traj.times[broken[0]]), float(min_phi_x[broken[0]])
+        raise CHBlowupError(f"flow map lost invertibility at t={t:.6g}",
+                            {"time": t, "min_phi_x": m})
     lam = np.sqrt(phi_x)
     residual = float(np.max(np.abs(lam_ode ** 2 - phi_x)))
     return FlowPath(grid, traj.times.copy(), phi, lam, lam_ode, residual,
-                    float(np.min(phi_x)))
+                    float(np.min(min_phi_x)))

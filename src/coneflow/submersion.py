@@ -57,7 +57,9 @@ def horizontal_lift(rho: DensityField, x_rho: np.ndarray) -> LiftResult:
     symmetric positive definite for rho > 0.  Conjugate gradients with
     M^-1 = rho^-1/2 (2 - d_xx/2)^-1 rho^-1/2, exact for uniform rho, stop
     once r.M^-1 r <= _LIFT_RTOL^2 X.M^-1 X (the 2-norm of r has a rounding
-    floor near eps n^2/8) or raise RuntimeError at _LIFT_MAX_ITERS.
+    floor near eps n^2/8) or raise RuntimeError at _LIFT_MAX_ITERS.  Near
+    vacuum the stop can be met by a meaningless answer, so RuntimeError is
+    also raised when the final max residual exceeds 1e-6 max|X|.
     """
     grid = rho.grid
     x_rho = np.asarray(x_rho, dtype=float)
@@ -90,10 +92,15 @@ def horizontal_lift(rho: DensityField, x_rho: np.ndarray) -> LiftResult:
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
     residual = float(np.max(np.abs(apply(phi) - x_rho)))
+    x_max = float(np.max(np.abs(x_rho)))
     if not rz <= tol:
         raise RuntimeError(f"horizontal lift: CG stalled after {iterations} "
                            f"iterations at residual {residual:.3g}, max|X| "
-                           f"{np.max(np.abs(x_rho)):.3g}")
+                           f"{x_max:.3g}")
+    if not residual <= 1e-6 * x_max:
+        raise RuntimeError(f"horizontal lift: residual {residual:.3g} exceeds "
+                           f"1e-6 max|X| = {x_max:.3g}; the density (min rho "
+                           f"{np.min(rho.values):.3g}) is too close to vacuum")
     pair = VelocityPair(grid, 0.5 * grid.deriv(phi), phi)
     return LiftResult(phi, pair, residual, iterations)
 
@@ -222,37 +229,36 @@ class PerturbationFamily:
 def make_perturbation_family(grid: PeriodicGrid, times: np.ndarray,
                              n_members: int, seed: int) -> PerturbationFamily:
     rng = np.random.default_rng(seed)
-    t0, t1 = times[0], times[-1]
-    s = (times - t0) / (t1 - t0)
-    x = grid.x
+    # per member and time mode: the constant, then cos/sin of each x mode
+    coef = rng.standard_normal((n_members, _N_T_MODES, 1 + 2 * _N_X_MODES))
+    s = (times - times[0]) / (times[-1] - times[0])
+    envelopes = np.sin(np.pi * np.arange(1, _N_T_MODES + 1)[:, None] * s)
+    mode = np.arange(1, _N_X_MODES + 1)[:, None]
+    terms = (coef[..., 1::2, None] * np.cos(mode * grid.x)
+             + coef[..., 2::2, None] * np.sin(mode * grid.x)) / mode
+    terms[..., 0, :] += coef[..., :1]
+    profiles = terms.sum(axis=-2)  # (n_members, _N_T_MODES, n)
     members = np.empty((n_members, len(times), grid.n))
-    for i in range(n_members):
-        eta = np.zeros((len(times), grid.n))
-        for k in range(1, _N_T_MODES + 1):
-            envelope = np.sin(np.pi * k * s)
-            fx = rng.standard_normal() * np.ones(grid.n)
-            for mode in range(1, _N_X_MODES + 1):
-                fx = fx + (rng.standard_normal() * np.cos(mode * x)
-                           + rng.standard_normal() * np.sin(mode * x)) / mode
-            eta += envelope[:, None] * fx[None, :]
-        scale = max(np.max(np.abs(eta)),
-                    np.max(np.abs(grid.deriv(eta))))
-        members[i] = eta / scale
+    for eta, profile in zip(members, profiles):
+        eta[...] = np.sum(envelopes[:, :, None] * profile[:, None, :], axis=0)
+        eta /= max(np.max(np.abs(eta)), np.max(np.abs(grid.deriv(eta))))
     return PerturbationFamily(members, seed)
 
 
 def path_action(grid: PeriodicGrid, times: np.ndarray, phi: np.ndarray,
-                lam: np.ndarray) -> float:
-    """Discrete kinetic action of a path of pairs (phi, lam).
+                lam: np.ndarray) -> float | np.ndarray:
+    """Discrete kinetic action of paths of pairs (phi, lam), shape (..., T, n).
 
-    Uses the flat planar chart z = lam exp(i phi), whose squared increment
-    equals the cone line element at coefficients (1, 1/2); the action is
-    sum |z_{j+1} - z_j|^2 / dt integrated in x.
+    In the flat planar chart z = lam exp(i phi) the squared increment equals
+    the cone line element at coefficients (1, 1/2); the action is
+    sum |z_{j+1} - z_j|^2 / dt integrated in x, with the increment written
+    without cancellation as (d lam)^2 + 4 lam_j lam_{j+1} sin^2(d phi / 2).
+    One value per path: a scalar for a single (T, n) path.
     """
-    z = lam * np.exp(1j * phi)
-    dz = np.diff(z, axis=0)
-    dts = np.diff(times)
-    return float(grid.h * np.sum(np.abs(dz) ** 2 / dts[:, None]))
+    dz2 = (np.diff(lam, axis=-2) ** 2
+           + 4.0 * lam[..., :-1, :] * lam[..., 1:, :]
+           * np.sin(0.5 * np.diff(phi, axis=-2)) ** 2)
+    return grid.integrate(np.sum(dz2 / np.diff(times)[:, None], axis=-2))
 
 
 def hessian_certificate(traj: CHTrajectory) -> tuple[float, float]:
@@ -290,9 +296,11 @@ def minimality_test(traj: CHTrajectory, family: PerturbationFamily,
                     amplitudes: tuple = (1e-2, 1e-1)) -> MinimalityReport:
     """Compare the geodesic action against isotropy-constrained competitors.
 
-    Competitors perturb the flow phi and recompute lam = sqrt(d_x phi), so
-    they stay on the constraint with the same endpoints.  window_ok states
-    whether the trajectory length is inside the certified window.
+    Competitors perturb the flow phi by amplitude x member and recompute
+    lam = sqrt(d_x phi), so they stay on the constraint with the same
+    endpoints; one (n_amplitudes, T, n) pass per member keeps memory at a
+    few paths.  window_ok states whether the trajectory length is inside
+    the certified window.
     """
     grid = traj.grid
     path = flow_map(traj)
@@ -300,16 +308,15 @@ def minimality_test(traj: CHTrajectory, family: PerturbationFamily,
     c_bound, window = hessian_certificate(traj)
     duration = float(path.times[-1] - path.times[0])
     window_ok = duration < window
+    amps = np.asarray(amplitudes, dtype=float)[:, None, None]
     actions = np.empty((len(family.members), len(amplitudes)))
-    for i, eta in enumerate(family.members):
-        for j, amp in enumerate(amplitudes):
-            phi_c = path.phi + amp * eta
-            phi_x = grid.lift_slope(phi_c)
-            if np.min(phi_x) <= 0:
-                raise ValueError(
-                    "competitor perturbation breaks monotonicity; "
-                    "reduce the amplitude")
-            lam_c = np.sqrt(phi_x)
-            actions[i, j] = path_action(grid, path.times, phi_c, lam_c)
-    return MinimalityReport(a_geo, actions, float(np.min(actions)),
+    for row, eta in zip(actions, family.members):
+        phi_c = path.phi + amps * eta
+        phi_x = grid.lift_slope(phi_c)
+        if np.min(phi_x) <= 0:
+            raise ValueError(
+                "competitor perturbation breaks monotonicity; "
+                "reduce the amplitude")
+        row[:] = path_action(grid, path.times, phi_c, np.sqrt(phi_x))
+    return MinimalityReport(float(a_geo), actions, float(np.min(actions)),
                             c_bound, window, window_ok, tuple(amplitudes))

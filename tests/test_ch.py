@@ -198,6 +198,10 @@ def test_flow_map_detects_lost_invertibility():
     with pytest.raises(CHBlowupError) as info:
         flow_map(traj)
     assert info.value.diagnostics["min_phi_x"] < 1e-6
+    # the first slice below the floor is named, with its minimum slope
+    assert info.value.diagnostics["time"] == pytest.approx(0.446, abs=1e-12)
+    assert info.value.diagnostics["min_phi_x"] == -2.3775488298394265e-4
+    assert "t=0.446" in str(info.value)
 
 
 def test_flow_map_advects_with_the_velocity():

@@ -218,6 +218,26 @@ def test_lift_stall_exits_two(capsys, argv):
     assert "stalled" in body["error"]["message"]
 
 
+def test_lift_near_vacuum_residual_exits_two(capsys):
+    # min rho 2e-14: CG meets its stop rule with a residual of 5e-2 max|X|
+    code, body = run_json(capsys, "lift", "--rho", "bump:3.14,0.25,1",
+                          "--x", "sin:1", "--n", "128")
+    assert code == 2
+    assert body["error"]["type"] == "RuntimeError"
+    message = body["error"]["message"]
+    assert "stalled" not in message
+    assert "residual" in message and "max|X|" in message
+    assert "min rho" in message
+
+
+def test_lift_wide_bump_is_accurate_enough(capsys):
+    # min rho 3.6e-6: residual 2.3e-8, inside the 1e-6 max|X| guard
+    code, body = run_json(capsys, "lift", "--rho", "bump:3.14,0.4,1",
+                          "--x", "sin:1", "--n", "512")
+    assert code == 0
+    assert body["residual"] < 1e-7
+
+
 def test_minimality_rotation_window(capsys):
     code, body = run_json(capsys, "minimality", "--init", "const:1",
                           "--n", "64", "--dt", "1e-2", "--t-final", "1.0",

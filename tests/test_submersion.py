@@ -1,4 +1,6 @@
 """Horizontal lifts, the orbit second fundamental form, and minimality."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,18 @@ def test_lift_stall_raises_with_the_residual_reached():
     with pytest.raises(RuntimeError, match="CG stalled after 500 "
                                            "iterations at residual [0-9]"):
         horizontal_lift(rho, np.sin(GRID.x))
+
+
+@pytest.mark.parametrize("n", [64, 128, 512])
+def test_lift_near_vacuum_raises_on_its_residual(n):
+    # min rho 2e-14: the preconditioned stop is met, the residual is not
+    grid = PeriodicGrid(n)
+    rho = DensityField(grid, bump_density(grid, 3.14, 0.25, 1.0))
+    with pytest.raises(RuntimeError) as info:
+        horizontal_lift(rho, np.sin(grid.x))
+    message = str(info.value)
+    assert "stalled" not in message
+    assert "max|X| = 1" in message and "min rho 2e-14" in message
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -238,6 +252,103 @@ def test_perturbation_family_properties():
         assert scale == pytest.approx(1.0, abs=1e-12)
     again = make_perturbation_family(grid, times, 8, seed=7)
     assert np.array_equal(fam.members, again.members)
+
+
+def member_loop_family(grid, times, n_members, seed):
+    # the member loop the family was first written as: scalar draws per
+    # member, time mode and space mode, in that order
+    rng = np.random.default_rng(seed)
+    s = (times - times[0]) / (times[-1] - times[0])
+    members = np.empty((n_members, len(times), grid.n))
+    for i in range(n_members):
+        eta = np.zeros((len(times), grid.n))
+        for k in range(1, 4):
+            envelope = np.sin(np.pi * k * s)
+            fx = rng.standard_normal() * np.ones(grid.n)
+            for mode in range(1, 4):
+                fx = fx + (rng.standard_normal() * np.cos(mode * grid.x)
+                           + rng.standard_normal() * np.sin(mode * grid.x)) / mode
+            eta += envelope[:, None] * fx[None, :]
+        scale = max(np.max(np.abs(eta)), np.max(np.abs(grid.deriv(eta))))
+        members[i] = eta / scale
+    return members
+
+
+def complex_chart_action(grid, times, phi, lam):
+    dz = np.diff(lam * np.exp(1j * phi), axis=0)
+    return float(grid.h * np.sum(np.abs(dz) ** 2 / np.diff(times)[:, None]))
+
+
+@pytest.mark.parametrize("n, n_times, n_members, seed",
+                         [(64, 101, 100, 11), (128, 51, 8, 7)])
+def test_perturbation_family_equals_the_member_loop(n, n_times, n_members,
+                                                    seed):
+    grid = PeriodicGrid(n)
+    times = np.linspace(0.0, 1.0, n_times)
+    fam = make_perturbation_family(grid, times, n_members, seed)
+    assert np.array_equal(fam.members,
+                          member_loop_family(grid, times, n_members, seed))
+
+
+def test_competitor_actions_match_the_complex_chart():
+    grid = PeriodicGrid(64)
+    traj = ch_solve(grid, 1.0 + 0.2 * np.sin(grid.x), 1.0, 1e-2)
+    fam = make_perturbation_family(grid, traj.times, 12, seed=3)
+    amplitudes = (1e-2, 5e-2, 1e-1)
+    rep = minimality_test(traj, fam, amplitudes)
+    path = flow_map(traj)
+    assert rep.competitor_actions.shape == (12, 3)
+    assert rep.geodesic_action == pytest.approx(
+        complex_chart_action(grid, traj.times, path.phi, path.lam), rel=1e-13)
+    for eta, row in zip(fam.members, rep.competitor_actions):
+        for amp, action in zip(amplitudes, row):
+            phi = path.phi + amp * eta
+            lam = np.sqrt(grid.lift_slope(phi))
+            ref = complex_chart_action(grid, traj.times, phi, lam)
+            assert action == pytest.approx(ref, rel=1e-13)
+
+
+def test_path_action_of_a_stack_equals_the_per_path_calls():
+    grid = PeriodicGrid(32)
+    times = np.linspace(0.0, 0.7, 41) ** 1.5  # uneven steps
+    rng = np.random.default_rng(5)
+    phi = (grid.x + 0.1 * rng.standard_normal((2, 3, len(times), grid.n))
+           + times[:, None])
+    lam = 1.0 + 0.2 * rng.random((2, 3, len(times), grid.n))
+    stacked = path_action(grid, times, phi, lam)
+    assert stacked.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        single = path_action(grid, times, phi[idx], lam[idx])
+        assert np.ndim(single) == 0
+        assert abs(stacked[idx] - single) <= 1e-15 * abs(single)
+
+
+def traced_peak(fn, *args):
+    fn(*args)  # warm caches (FFT plans, multipliers) outside the trace
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_perturbation_family_memory_is_the_members_array():
+    grid = PeriodicGrid(64)
+    times = np.linspace(0.0, 1.0, 101)
+    fam, peak = traced_peak(make_perturbation_family, grid, times, 100, 11)
+    # an all-at-once build of the (members, time modes, T, n) products
+    # would need about four times this
+    assert peak < 1.25 * fam.members.nbytes
+
+
+def test_minimality_memory_is_a_few_paths():
+    grid = PeriodicGrid(64)
+    traj = ch_solve(grid, np.ones(grid.n), 1.0, 1e-2)
+    fam = make_perturbation_family(grid, traj.times, 100, seed=11)
+    _, peak = traced_peak(minimality_test, traj, fam)
+    # one member at both amplitudes per pass; 8-member blocks need 8.5 MB
+    assert peak < fam.members.nbytes / 4
 
 
 def test_path_action_rotation_closed_form():
