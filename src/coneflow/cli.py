@@ -62,10 +62,6 @@ def _out_path(path: str | None) -> str | None:
     return path
 
 
-def _params(args) -> ConeParams:
-    return ConeParams(args.a, args.b)
-
-
 def _add_params(p):
     p.add_argument("--a", type=float, default=1.0,
                    help="transport coefficient (default 1)")
@@ -93,7 +89,7 @@ def _float_list(text: str) -> list[float]:
 
 
 def cmd_cone_dist(args):
-    params = _params(args)
+    params = ConeParams(args.a, args.b)
     d = cone_distance(ConePoint(args.x0, args.m0), ConePoint(args.x1, args.m1),
                       params)
     return {"x0": args.x0, "m0": args.m0, "x1": args.x1, "m1": args.m1,
@@ -101,7 +97,7 @@ def cmd_cone_dist(args):
 
 
 def cmd_cone_geodesic(args):
-    params = _params(args)
+    params = ConeParams(args.a, args.b)
     _require_positive(args, ["t_final", "dt"])
     geo = cone_geodesic(ConePoint(args.x0, args.m0),
                         ConeTangent(args.dx0, args.dm0),
@@ -138,7 +134,7 @@ def _drift_report(grid: PeriodicGrid, u: np.ndarray,
 
 
 def cmd_ch_solve(args):
-    params = _params(args)
+    params = ConeParams(args.a, args.b)
     _require_positive(args, ["n", "t_final", "dt"])
     grid = PeriodicGrid(args.n)
     u0 = parse_field_spec(args.init, grid)
@@ -164,7 +160,7 @@ def _load_trajectory(path, params) -> CHTrajectory:
 
 
 def cmd_ch_invariants(args):
-    params = _params(args)
+    params = ConeParams(args.a, args.b)
     traj = _load_trajectory(args.traj, params)
     return {"traj": args.traj, "a": params.a, "b": params.b,
             **_drift_report(traj.grid, traj.u, params)}
@@ -195,7 +191,7 @@ def cmd_euler_check(args):
 
 
 def cmd_wfr_solve(args):
-    params = _params(args)
+    params = ConeParams(args.a, args.b)
     _require_positive(args, ["n", "nt", "tol", "max_iters"])
     grid = PeriodicGrid(args.n)
     rho0 = parse_field_spec(args.rho0, grid)
@@ -217,7 +213,7 @@ def cmd_wfr_solve(args):
 
 
 def cmd_wfr_hellinger(args):
-    params = _params(args)
+    params = ConeParams(args.a, args.b)
     _require_positive(args, ["n"])
     grid = PeriodicGrid(args.n)
     rho0 = parse_field_spec(args.rho0, grid)

@@ -17,6 +17,7 @@ built once per n, so each costs one rfft and one irfft.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +38,12 @@ def circle_distance(x1, x2):
     return np.minimum(d, TWO_PI - d)
 
 
+def require_integer(name: str, value) -> None:
+    """ValueError unless value is an integer; numpy integers pass, bool not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """n equispaced nodes x_i = 2*pi*i/n.  n must be even and >= 8."""
@@ -44,6 +51,7 @@ class PeriodicGrid:
     n: int
 
     def __post_init__(self):
+        require_integer("grid size", self.n)
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {self.n}")
 
@@ -56,13 +64,6 @@ class PeriodicGrid:
         return np.arange(self.n) * self.h
 
     # -- spectral calculus -------------------------------------------------
-
-    def _mode_weights(self) -> np.ndarray:
-        """Weight of each rfft mode in the real interpolant: 1, 2, ..., 2, 1."""
-        w = np.full(self.n // 2 + 1, 2.0)
-        w[0] = 1.0
-        w[-1] = 1.0
-        return w
 
     def deriv(self, values: np.ndarray, order: int = 1) -> np.ndarray:
         """Fourier collocation derivative along the last axis."""
@@ -120,9 +121,9 @@ class PeriodicGrid:
                              f"the last axis and the other axes leading "
                              f"points, got shapes {np.shape(values)} and "
                              f"{points.shape}")
-        if not isinstance(order, (int, np.integer)) or order < 0:
-            raise ValueError(f"derivative order must be an integer >= 0, "
-                             f"got {order!r}")
+        require_integer("derivative order", order)
+        if order < 0:
+            raise ValueError(f"derivative order must be >= 0, got {order!r}")
         return _horner(self._trig_coeffs(values, order), points)
 
     def _trig_coeffs(self, values: np.ndarray, order: int) -> np.ndarray:
@@ -131,7 +132,9 @@ class PeriodicGrid:
         c = np.fft.rfft(values)
         if order > 0:
             c = c * fourier_multipliers(self.n)[1] ** order
-        return self._mode_weights() * c / self.n
+        weights = np.full(self.n // 2 + 1, 2.0)  # 1, 2, ..., 2, 1
+        weights[[0, -1]] = 1.0
+        return weights * c / self.n
 
     # -- monotone circle-map lifts ------------------------------------------
 

@@ -274,9 +274,7 @@ def hessian_certificate(traj: CHTrajectory) -> tuple[float, float]:
     tr = 0.5 * pxx + p
     det = 0.5 * pxx * p - px * px
     disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-    eig_hi = 0.5 * (tr + disc)
-    eig_lo = 0.5 * (tr - disc)
-    c_max = float(np.max(np.maximum(np.abs(eig_hi), np.abs(eig_lo))))
+    c_max = float(np.max(0.5 * (np.abs(tr) + disc)))  # max |eigenvalue|
     window = np.inf if c_max == 0.0 else np.pi / np.sqrt(c_max)
     return c_max, window
 

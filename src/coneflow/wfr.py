@@ -11,7 +11,7 @@ first-order primal-dual iteration on a scaled dual that alternates the
 exact pointwise proximal map of the action integrand (monotone Newton,
 warm-started from the previous iterate) with the Euclidean projection
 onto the continuity constraint (real FFT in space, cosine transform in
-time by a cached matrix, cached symbol).
+time by a cached closed-form matrix, cached symbol).
 Every operator works on plain arrays: rho (nt+1, nx) at the time slices,
 m and mu (nt, nx) at the space faces and the cell centers.
 
@@ -21,16 +21,14 @@ horizontal pairs (Phi'/2, Phi) and the geodesic pressure p.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dct, idct, irfft, rfft
 
 from .cone import ConeParams
-from .grid import (PeriodicGrid, TWO_PI, fourier_multipliers, rk4_step,
-                   step_count)
+from .grid import (PeriodicGrid, TWO_PI, fourier_multipliers,
+                   require_integer, rk4_step, step_count)
 
 CONVENTIONS = {
     "lift-potential": "horizontal pairs are (Phi'/2, Phi) with the potential "
@@ -66,6 +64,8 @@ class StaggeredGrid:
     nx: int
 
     def __post_init__(self):
+        require_integer("nt", self.nt)
+        require_integer("nx", self.nx)
         if self.nt < 4 or self.nx < 4:
             raise ValueError("staggered grid needs nt >= 4 and nx >= 4")
 
@@ -76,10 +76,6 @@ class StaggeredGrid:
     @property
     def h(self) -> float:
         return TWO_PI / self.nx
-
-    @property
-    def cell_measure(self) -> float:
-        return self.dt * self.h
 
     @property
     def x(self) -> np.ndarray:
@@ -134,7 +130,7 @@ def wfr_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
     pos = rho_c > 0
     if np.any(quad[~pos] > 0):
         return float("inf")
-    return grid.cell_measure * float(np.sum(quad[pos] / rho_c[pos]))
+    return grid.dt * grid.h * float(np.sum(quad[pos] / rho_c[pos]))
 
 
 # -- exact proximal map of the perspective integrand -------------------------
@@ -206,11 +202,16 @@ def _inverse_symbol(nt: int, nx: int, balanced: bool) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _cosine_matrices(nt: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (c, ci): c @ r is dct(r, type=2, axis=0), ci @ r its idct."""
-    pair = dct(np.eye(nt), type=2, axis=0), idct(np.eye(nt), type=2, axis=0)
-    for a in pair:
+    """Read-only (c, ci): c @ r is dct(r, type=2, axis=0), ci @ r its idct.
+    c[j, k] = 2 cos(pi (j (2k + 1) mod 4 nt) / (2 nt)), reduced in integers;
+    ci = c.T / (2 nt) with column 0 halved (the type-3 transform)."""
+    j = np.arange(nt)
+    c = 2.0 * np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * nt)) / (2 * nt))
+    ci = np.ascontiguousarray(c.T) / (2 * nt)
+    ci[:, 0] *= 0.5
+    for a in (c, ci):
         a.setflags(write=False)
-    return pair
+    return c, ci
 
 
 def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
@@ -240,9 +241,9 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     r = continuity_residual(g, rho, m, mu)
 
     c, ci = _cosine_matrices(g.nt)
-    r_hat = rfft(c @ r, axis=1)
+    r_hat = np.fft.rfft(c @ r, axis=1)
     r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
-    q = ci @ irfft(r_hat, n=g.nx, axis=1)
+    q = ci @ np.fft.irfft(r_hat, n=g.nx, axis=1)
 
     rho[1:-1] -= (q[:-1] - q[1:]) / g.dt
     m -= (q - _shift(q, -1)) / g.h
@@ -299,8 +300,8 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     endpoints of unequal mass.  Each prox starts from the last prox
     density: fewer rounds, same iterates.
     """
-    if not (np.isfinite(tol) and tol > 0
-            and isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+    require_integer("max_iters", max_iters)
+    if not (np.isfinite(tol) and tol > 0 and max_iters >= 1):
         raise ValueError(f"need a finite tol > 0 and an integer max_iters "
                          f">= 1, got tol={tol!r}, max_iters={max_iters!r}")
     rho0 = _validate_endpoint(rho0, "rho0")

@@ -266,12 +266,20 @@ def test_minimality_runs_only_at_the_reference_coefficients(capsys):
         assert body["error"]["type"] == "CLIInputError"
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
-    probe = ("import sys, coneflow.cli; "
-             "print('scipy.interpolate' in sys.modules)")
+def test_package_and_cli_import_load_no_scipy_module():
+    # the package needs numpy only; scipy's import alone would double the
+    # start-up of every command
+    probe = ("import sys\n"
+             "def scipy_modules():\n"
+             "    return sorted(k for k in sys.modules\n"
+             "                  if k == 'scipy' or k.startswith('scipy.'))\n"
+             "import coneflow\n"
+             "print(scipy_modules())\n"
+             "import coneflow.cli\n"
+             "print(scipy_modules())\n")
     result = subprocess.run([sys.executable, "-c", probe],
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_blowup_exits_two_with_diagnostics(capsys):

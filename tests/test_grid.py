@@ -299,7 +299,7 @@ def test_trig_eval_rejects_bad_samples_and_order():
     # a batch of 3 rows of samples cannot be evaluated at 2 rows of points
     with pytest.raises(ValueError, match="8 nodal samples"):
         grid.trig_eval(np.ones((3, 8)), np.ones((2, 5)))
-    for order in (-1, 0.5, 1.0, None):
+    for order in (-1, 0.5, 1.0, None, True):
         with pytest.raises(ValueError, match="order"):
             grid.trig_eval(np.ones(8), pts, order)
 
@@ -432,6 +432,15 @@ def test_periodic_grid_validation():
         PeriodicGrid(0)
     with pytest.raises(ValueError):
         PeriodicGrid(7)  # odd sizes are rejected, rfft layout assumes even n
+
+
+def test_periodic_grid_size_must_be_an_integer():
+    for n in (16.0, 16.5, True, "16", None, np.float64(16)):
+        with pytest.raises(ValueError, match="grid size must be an integer"):
+            PeriodicGrid(n)
+    for n in (np.int64(16), np.int32(16)):
+        grid = PeriodicGrid(n)
+        assert grid.x.shape == (16,) and grid == PeriodicGrid(16)
 
 
 def test_rk4_step_is_fourth_order_on_a_rotation():

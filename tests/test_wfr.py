@@ -100,8 +100,10 @@ def reference_residual(g, rho, m, mu):
 
 def reference_project(state, rho0, rho1, balanced, by_matrix=True):
     """continuity_project as a copying map of states with np.roll; the time
-    cosine transforms are dense matrix products, or scipy's dct and idct
-    (the earlier arithmetic) with by_matrix=False."""
+    cosine transforms are products with the solver's cached matrices (which
+    test_cosine_matrices_are_cached_read_only_transforms checks against
+    scipy), or scipy's dct and idct (the earlier arithmetic) with
+    by_matrix=False."""
     g, rho, m, mu = state
     rho = rho.copy()
     rho[0] = rho0
@@ -110,8 +112,7 @@ def reference_project(state, rho0, rho1, balanced, by_matrix=True):
     mu = np.zeros_like(mu) if balanced else mu.copy()
     r = reference_residual(g, rho, m, mu)
     if by_matrix:
-        c = dct(np.eye(g.nt), type=2, axis=0)
-        ci = idct(np.eye(g.nt), type=2, axis=0)
+        c, ci = wfr._cosine_matrices(g.nt)
         r_hat = rfft(c @ r, axis=1)
         r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
         q = ci @ irfft(r_hat, n=g.nx, axis=1)
@@ -275,6 +276,22 @@ def test_staggered_grid_validation_and_layout():
         StaggeredGrid(3, 16)
     with pytest.raises(ValueError):
         StaggeredGrid(8, 2)
+
+
+def test_staggered_grid_sizes_must_be_integers():
+    # a float size used to build silently (16.5 gave a 17-point x) or fail
+    # later with a bare TypeError from np.zeros
+    for nt, nx in ((8, 16.5), (8.0, 16), (8.5, 16), (8, 16.0), (True, 16),
+                   (8, "16"), (None, 16)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StaggeredGrid(nt, nx)
+    rho = np.ones(16)
+    for nt in (8.5, 8.0):
+        with pytest.raises(ValueError, match="nt must be an integer"):
+            solve_wfr(rho, rho, nt)
+    g = StaggeredGrid(np.int64(8), np.int32(16))
+    assert g.x.shape == (16,) and g.t_cells.shape == (8,)
+    assert solve_wfr(rho, 2 * rho, np.int64(8)).iterations == 200
 
 
 def test_interpolate_centers_shapes_and_means():
@@ -472,9 +489,12 @@ def test_projection_symbol_cache_across_grids_and_modes():
 
 def test_cosine_matrices_are_cached_read_only_transforms():
     rng = np.random.default_rng(70)
-    for nt in (5, 16):
+    for nt in (4, 5, 16, 64):
         c, ci = wfr._cosine_matrices(nt)
         assert wfr._cosine_matrices(nt)[0] is c
+        # entries within a few ulp of scipy's; without the integer argument
+        # reduction they drift to 8.7e-15 at nt = 16 and 3.9e-14 at nt = 64
+        assert np.max(np.abs(c - dct(np.eye(nt), type=2, axis=0))) < 4e-15
         r = rng.normal(0, 1, (nt, 7))
         assert np.max(np.abs(c @ r - dct(r, type=2, axis=0))) < 1e-13
         assert np.max(np.abs(ci @ r - idct(r, type=2, axis=0))) < 1e-14
@@ -485,16 +505,16 @@ def test_cosine_matrices_are_cached_read_only_transforms():
 
 
 def test_projection_makes_one_transform_each_way(monkeypatch):
-    # space: one rfft and one irfft; time: the cached cosine matrices,
-    # never scipy's dct or idct, in every projection of a solve
+    # space: one numpy rfft and one irfft; time: the cached cosine
+    # matrices, in every projection of a solve
     pg = PeriodicGrid(16)
     wfr._cosine_matrices(8)  # built once, before counting
-    counts = dict(rfft=0, irfft=0, dct=0, idct=0)
+    counts = dict(rfft=0, irfft=0)
     for name in counts:
-        def counted(*args, _name=name, _f=getattr(wfr, name), **kwargs):
+        def counted(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
             return _f(*args, **kwargs)
-        monkeypatch.setattr(wfr, name, counted)
+        monkeypatch.setattr(np.fft, name, counted)
     per_call = []
     project_fn = wfr.continuity_project
 
@@ -511,8 +531,7 @@ def test_projection_makes_one_transform_each_way(monkeypatch):
         per_call.clear()
         with pytest.raises(WFRConvergenceError):
             solve_wfr(b1, nt=8, tol=1e-300, max_iters=50, **kw)
-        assert per_call == [dict(rfft=1, irfft=1, dct=0, idct=0)] * (50
-                                                                    + setup)
+        assert per_call == [dict(rfft=1, irfft=1)] * (50 + setup)
 
 
 def test_projection_idempotent_and_pins_ends():
@@ -713,7 +732,8 @@ def test_solver_input_validation():
     # bad stopping parameters fail before the first iteration
     for kw in ({"tol": np.nan}, {"tol": np.inf}, {"tol": 0.0},
                {"tol": -1e-7}, {"max_iters": 0}, {"max_iters": -5},
-               {"max_iters": 10.0}, {"max_iters": None}):
+               {"max_iters": 10.0}, {"max_iters": None},
+               {"max_iters": True}):
         with pytest.raises(ValueError, match="tol|max_iters"):
             solve_wfr(np.ones(16), 2 * np.ones(16), 8, **kw)
 
