@@ -133,7 +133,7 @@ class PeriodicGrid:
         if order > 0:
             c = c * fourier_multipliers(self.n)[1] ** order
         weights = np.full(self.n // 2 + 1, 2.0)  # 1, 2, ..., 2, 1
-        weights[[0, -1]] = 1.0
+        weights[0] = weights[-1] = 1.0
         return weights * c / self.n
 
     # -- monotone circle-map lifts ------------------------------------------
