@@ -279,8 +279,8 @@ def test_staggered_grid_validation_and_layout():
 
 
 def test_staggered_grid_sizes_must_be_integers():
-    # a float size used to build silently (16.5 gave a 17-point x) or fail
-    # later with a bare TypeError from np.zeros
+    # a float size must fail here, not build a 17-point x (nx = 16.5) or
+    # fail later inside np.zeros
     for nt, nx in ((8, 16.5), (8.0, 16), (8.5, 16), (8, 16.0), (True, 16),
                    (8, "16"), (None, 16)):
         with pytest.raises(ValueError, match="must be an integer"):
