@@ -10,9 +10,8 @@ dealiased with the 2/3 rule, and time stepping is fixed-step RK4 over a
 whole number of steps (grid.rk4_step, grid.step_count) on the rfft
 coefficients of u.  A right-hand side makes two transforms: one batched
 irfft to u, u_x, m and m_x, and one rfft of the products.
-The flow map integrates phi' = u(t, phi) after the fact from the stored
-trajectory, together with the gauge factor lam' = (u_x/2)(t, phi) lam
-whose square must track d_x phi (isotropy residual).
+The flow map is the group flow of (u, u_x/2) along the stored trajectory;
+its gauge factor squared must track d_x phi (isotropy residual).
 """
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .cone import ConeParams
 from .grid import PeriodicGrid, fourier_multipliers, rk4_step, step_count
-from .group import hdiv_energy
+from .group import hdiv_energy, pair_flow
 
 # fraction of spectral energy allowed above k = n/6 before declaring breaking
 _TAIL_FRACTION_LIMIT = 0.02
@@ -105,8 +104,8 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
         raise ValueError("dt and t_final must be nonzero with matching signs")
     n_steps = step_count(abs(t_final), abs(dt))
     u = np.asarray(u0, dtype=float).copy()
-    if u.shape != (grid.n,):
-        raise ValueError("u0 must be a nodal array on the grid")
+    if u.shape != (grid.n,) or not np.all(np.isfinite(u)):
+        raise ValueError("u0 must be a finite nodal array on the grid")
     out = np.empty((n_steps + 1, grid.n))
     out[0] = u
     scale0 = np.max(np.abs(u)) + 1.0
@@ -145,43 +144,34 @@ def ch_invariants(grid: PeriodicGrid, u: np.ndarray,
 
 
 def flow_map(traj: CHTrajectory) -> FlowPath:
-    """Integrate the Lagrangian flow and gauge factor along a trajectory.
+    """Integrate the Lagrangian flow and gauge factor along a trajectory:
+    the group flow (group.pair_flow) of the isotropy pair (u, u_x/2).
 
     u is interpolated in time with 4-point Lagrange stencils (order matched
     to RK4).  The RK4 stages at fractions 0 and 1 of a step are the stored
     slices; the midpoint stage weights the stencil's four slices by
     (5, 15, -5, 1)/16 on the first step, (-1, 9, 9, -1)/16 inside and
-    (1, -5, 15, 5)/16 on the last.  One stacked trig_eval call per stage
-    evaluates u and u_x.  Raises CHBlowupError at the first slice where
-    min d_x phi is below the breaking floor.
+    (1, -5, 15, 5)/16 on the last.  Raises CHBlowupError at the first slice
+    where min d_x phi is below the breaking floor.
     """
     grid = traj.grid
     n_steps = len(traj.times) - 1
     if n_steps < 3:
         raise ValueError("trajectory too short for the flow map")
-    dt = traj.dt
-    ux_all = grid.deriv(traj.u)
+    half_ux = 0.5 * grid.deriv(traj.u)
+    pairs = np.stack((traj.u, half_ux), axis=1)  # (T, 2, n)
     mid_weights = np.array([[5, 15, -5, 1], [-1, 9, 9, -1],
                             [1, -5, 15, 5]]) / 16
-    phi = np.empty((n_steps + 1, grid.n))
-    lam_ode = np.empty((n_steps + 1, grid.n))
-    phi[0] = grid.x
-    lam_ode[0] = 1.0
-    for j in range(n_steps):
+
+    def stages(j):  # the midpoint is formed once and used by two stages
         j0 = min(max(j - 1, 0), n_steps - 3)
         w = mid_weights[j - j0]
-        stages = {0.0: np.array((traj.u[j], ux_all[j])),  # (u, u_x) at c
-                  0.5: np.array((w @ traj.u[j0:j0 + 4],
-                                 w @ ux_all[j0:j0 + 4])),
-                  1.0: np.array((traj.u[j + 1], ux_all[j + 1]))}
+        # traj.u in its own layout: a matmul's rounding can depend on strides
+        mid = np.array((w @ traj.u[j0:j0 + 4], w @ half_ux[j0:j0 + 4]))
+        return pairs[j], mid, pairs[j + 1]
 
-        def rhs(c, y):
-            p, l = y
-            u_at, ux_at = grid.trig_eval(stages[c],
-                                         np.broadcast_to(p, (2, grid.n)))
-            return u_at, 0.5 * ux_at * l
-
-        phi[j + 1], lam_ode[j + 1] = rk4_step(rhs, (phi[j], lam_ode[j]), dt)
+    steps = pair_flow(grid, stages, traj.dt, n_steps)
+    phi, lam_ode = map(np.array, zip((grid.x, np.ones(grid.n)), *steps))
 
     phi_x = grid.lift_slope(phi)
     min_phi_x = np.min(phi_x, axis=-1)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ch import CHTrajectory, FlowPath
+from .cone import ConeParams
 from .grid import PeriodicGrid
 from .group import GroupElement
 
@@ -129,6 +130,14 @@ def pressure_from_state(grid: PeriodicGrid, u: np.ndarray) -> np.ndarray:
     return grid.solve_helmholtz(rhs, 1.0, 0.5)
 
 
+def require_unit_coefficients(traj: CHTrajectory, name: str) -> None:
+    """ValueError unless traj is at (a, b) = (1, 1/2), the coefficients of
+    pressure_from_state and of the planar chart."""
+    if traj.params != ConeParams():
+        raise ValueError(f"{name} needs a trajectory at coefficients (a, b) = "
+                         f"(1, 1/2), got ({traj.params.a}, {traj.params.b})")
+
+
 def _balances(traj: CHTrajectory) -> tuple[np.ndarray, np.ndarray]:
     """Pressure-free angular and radial balances, (T-2, n) each.
 
@@ -168,6 +177,7 @@ def euler_residual(traj: CHTrajectory, agrid: AnnulusGrid) -> EulerResidualRepor
     tests the polar_velocity formula, not the trajectory: every u maps to a
     divergence-free field, so it is zero up to rounding.
     """
+    require_unit_coefficients(traj, "euler_residual")
     angular, radial = _balances(traj)
     p = pressure_from_state(traj.grid, traj.u[1:-1])
     res_theta = np.max(np.abs(angular + 0.5 * traj.grid.deriv(p)), axis=1)

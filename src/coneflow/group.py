@@ -43,11 +43,6 @@ class GroupElement:
     def phi_x(self) -> np.ndarray:
         return self.grid.lift_slope(self.phi)
 
-    @property
-    def mass(self) -> np.ndarray:
-        # squared gauge: the mass coordinate of the cone-valued map
-        return self.lam ** 2
-
 
 @dataclass(frozen=True)
 class VelocityPair:
@@ -161,23 +156,31 @@ def lie_bracket(xi1: VelocityPair, xi2: VelocityPair) -> VelocityPair:
     return VelocityPair(grid, v, alpha)
 
 
+def pair_flow(grid: PeriodicGrid, stages, dt: float, n_steps: int):
+    """Yield (phi, lam) after each RK4 step of phi' = v o phi,
+    lam' = (alpha o phi) lam from the identity.  stages(j) returns the
+    stacked (v, alpha), shape (2, n), at fractions 0, 1/2 and 1 of step j;
+    each RK4 stage is one trig_eval call at phi broadcast to both rows."""
+    at = {}
+
+    def rhs(c, y):
+        v, alpha = grid.trig_eval(at[c], np.broadcast_to(y[0], (2, grid.n)))
+        return v, alpha * y[1]
+
+    y = (grid.x, np.ones(grid.n))
+    for j in range(n_steps):
+        at.update(zip((0.0, 0.5, 1.0), stages(j)))
+        y = rk4_step(rhs, y, dt)
+        yield y
+
+
 def group_exponential(xi: VelocityPair, t: float, dt: float) -> GroupElement:
     """Flow of the right-invariant field: phi' = v o phi, lam' = (alpha o phi) lam."""
-    grid = xi.grid
     n_steps = step_count(abs(t), dt)  # t < 0 takes the steps backwards
-    step = t / n_steps
-    phi = grid.x.copy()
-    lam = np.ones(grid.n)
-    fields = np.array((xi.v, xi.alpha))
-
-    def rhs(_, y):
-        p, l = y
-        v_at, a_at = grid.trig_eval(fields, np.broadcast_to(p, fields.shape))
-        return v_at, a_at * l
-
-    for _ in range(n_steps):
-        phi, lam = rk4_step(rhs, (phi, lam), step)
-    return GroupElement(grid, phi, lam)
+    stack = (np.array((xi.v, xi.alpha)),) * 3  # the same at every stage
+    for phi, lam in pair_flow(xi.grid, lambda _: stack, t / n_steps, n_steps):
+        pass  # only the last state is kept: memory is O(n) for any step count
+    return GroupElement(xi.grid, phi, lam)
 
 
 def hdiv_energy(grid: PeriodicGrid, v: np.ndarray,

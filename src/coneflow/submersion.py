@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ch import CHTrajectory, flow_map
-from .euler import pressure_from_state
+from .euler import pressure_from_state, require_unit_coefficients
 from .grid import PeriodicGrid
 from .group import DensityField, VelocityPair, infinitesimal_action, lie_bracket
 
@@ -267,6 +267,7 @@ def hessian_certificate(traj: CHTrajectory) -> tuple[float, float]:
     The blocks are ((p''/2, p'), (p', p)) pointwise in x at every stored
     slice; C is the largest absolute eigenvalue over all of them.
     """
+    require_unit_coefficients(traj, "hessian_certificate")
     grid = traj.grid
     p = pressure_from_state(grid, traj.u)
     px = grid.deriv(p)
@@ -300,6 +301,7 @@ def minimality_test(traj: CHTrajectory, family: PerturbationFamily,
     few paths.  window_ok states whether the trajectory length is inside
     the certified window.
     """
+    require_unit_coefficients(traj, "minimality_test")
     grid = traj.grid
     path = flow_map(traj)
     a_geo = path_action(grid, path.times, path.phi, path.lam)

@@ -411,6 +411,10 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     """
     rho0 = _validate_endpoint(rho0, "rho0")
     phi0 = np.asarray(phi0, dtype=float)
+    for name, field in (("rho0", rho0), ("phi0", phi0)):
+        if field.shape != (grid.n,) or not np.all(np.isfinite(field)):
+            raise ValueError(f"{name} must be a finite array of shape "
+                             f"({grid.n},)")
     n_steps = step_count(t_final, dt)
     _, ik, keep = fourier_multipliers(grid.n)
 

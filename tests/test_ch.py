@@ -244,3 +244,21 @@ def test_solver_input_validation():
         ch_solve(grid, np.zeros(grid.n), 1.0, -1e-2)
     with pytest.raises(ValueError):
         ch_solve(grid, np.zeros(grid.n), 0.0, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ch_solve_rejects_non_finite_u0(bad):
+    # bad input is a ValueError up front, not a wave-breaking report
+    grid = PeriodicGrid(16)
+    u0 = np.zeros(grid.n)
+    u0[3] = bad
+    with pytest.raises(ValueError, match="finite nodal array"):
+        ch_solve(grid, u0, 0.1, 0.01)
+
+
+def test_flow_map_needs_four_slices():
+    # the midpoint stencil spans four stored slices
+    grid = PeriodicGrid(16)
+    assert len(flow_map(ch_solve(grid, np.ones(grid.n), 0.03, 0.01)).times) == 4
+    with pytest.raises(ValueError, match="too short"):
+        flow_map(ch_solve(grid, np.ones(grid.n), 0.02, 0.01))

@@ -10,7 +10,8 @@ import pytest
 
 from coneflow import ConeParams, ConePoint, PeriodicGrid, cone_distance
 from coneflow.cli import main
-from coneflow.formats import read_density_csv, write_density_csv
+from coneflow.formats import (read_density_csv, write_density_csv,
+                              write_trajectory_csv)
 
 
 def run_cli(capsys, *argv):
@@ -264,6 +265,33 @@ def test_minimality_runs_only_at_the_reference_coefficients(capsys):
                               "--seed", "3", flag, "2")
         assert code == 1
         assert body["error"]["type"] == "CLIInputError"
+
+
+@pytest.mark.parametrize("amplitudes, message", [
+    ("0.1,x", "bad numeric list"), ("", "must be positive"),
+    (",", "must be positive"), ("0.1,-0.1", "must be positive"),
+    ("0", "must be positive")])
+def test_minimality_rejects_bad_amplitudes(capsys, amplitudes, message):
+    code, body = run_json(capsys, "minimality", "--init", "const:1",
+                          "--seed", "1", "--amplitudes", amplitudes)
+    assert code == 1
+    assert body["error"]["type"] == "CLIInputError"
+    assert message in body["error"]["message"]
+
+
+@pytest.mark.parametrize("times, message", [
+    ([0.0], "need at least two time slices"),
+    ([0.0, 0.1, 0.3], "not uniformly spaced")])
+def test_trajectory_files_need_uniform_time_slices(capsys, tmp_path, times,
+                                                   message):
+    grid = PeriodicGrid(16)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, times, grid.x, np.zeros((len(times), grid.n)))
+    for command in ("euler", "check"), ("ch", "invariants"):
+        code, body = run_json(capsys, *command, "--traj", str(path))
+        assert code == 1
+        assert body["error"]["type"] == "ValueError"
+        assert message in body["error"]["message"]
 
 
 def test_package_and_cli_import_load_no_scipy_module():

@@ -329,6 +329,9 @@ def test_type_validation():
                 ConeParams(**kw)
     with pytest.raises(ValueError):
         ConePoint(0.0, -0.1)
+    for x, m in ((np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan), (0.0, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            ConePoint(x, m)
     with pytest.raises(ValueError):
         cone_geodesic(ConePoint(0.0, 1.0), ConeTangent(1.0, 0.0), 1.0, -1e-3, P)
     with pytest.raises(ApexError):

@@ -6,6 +6,7 @@ import pytest
 
 from coneflow import (
     AnnulusGrid,
+    ConeParams,
     GroupElement,
     PeriodicGrid,
     PolarVectorField,
@@ -18,6 +19,8 @@ from coneflow import (
     hessian_certificate,
     lagrangian_measure_check,
     madelung,
+    make_perturbation_family,
+    minimality_test,
     polar_velocity,
     pressure_from_state,
     second_fundamental_form,
@@ -294,3 +297,27 @@ def test_vectorised_diagnostics_equal_the_per_slice_loops():
     assert forms.angular_gap == angular_gap
     assert forms.radial_gap == radial_gap
     assert hessian_certificate(traj) == reference_hessian_certificate(traj)
+
+
+def test_unit_coefficient_diagnostics_refuse_other_coefficients():
+    # the pressure and the planar chart are those of (1, 1/2); at other
+    # coefficients the residual would read 2e-2 and the window 17.8
+    grid = PeriodicGrid(64)
+    traj = ch_solve(grid, 0.2 * np.sin(grid.x), 0.2, 1e-3,
+                    ConeParams(1.5, 0.3))
+    family = make_perturbation_family(grid, traj.times, 2, seed=1)
+    for call in (lambda: euler_residual(traj, AnnulusGrid(grid, [1.0])),
+                 lambda: hessian_certificate(traj),
+                 lambda: minimality_test(traj, family)):
+        with pytest.raises(ValueError, match=r"\(a, b\) = \(1, 1/2\)"):
+            call()
+    # the kinematic identities hold at any coefficients
+    path = flow_map(traj)
+    assert lagrangian_measure_check(path).pushforward_residual < 1e-6
+    geodesic_form_consistency(traj, path)
+
+
+def test_euler_residual_needs_three_slices():
+    traj = ch_solve(GRID, 0.1 * np.sin(GRID.x), 0.01, 0.01)
+    with pytest.raises(ValueError, match="too short"):
+        euler_residual(traj, ANNULUS)

@@ -286,6 +286,24 @@ def test_read_rejects_inconsistent_grid_blocks(tmp_path):
         read_trajectory_csv(path)
 
 
+@pytest.mark.parametrize("blocks, error", [
+    ([((0.0,) * 4, [0, 1, 2, 3]), ((1.0,) * 3, [0, 1, 2])],
+     "do not form a time-major grid"),
+    ([((0.0,) * 3, [0, 1, 2]), ((1.0,) * 3, [0, 1, 2])],
+     "do not form a time-major grid"),
+    ([((0.0, 0.0, 0.5, 0.0), [0, 1, 2, 3]), ((1.0,) * 4, [0, 1, 2, 3])],
+     "time column varies within a time block"),
+], ids=["ragged", "too-few-nodes", "t-within-block"])
+def test_read_rejects_rows_off_a_time_major_grid(tmp_path, blocks, error):
+    path = tmp_path / "bad_traj.csv"
+    rows = ["t,x,u"]
+    for ts, xs in blocks:
+        rows += [f"{t},{x},0.0" for t, x in zip(ts, xs)]
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError, match=error):
+        read_trajectory_csv(path)
+
+
 def test_write_columns_requires_equal_lengths(tmp_path):
     with pytest.raises(ValueError):
         write_columns_csv(tmp_path / "c.csv", "a,b", [[1.0, 2.0], [1.0]])
@@ -322,4 +340,7 @@ def test_parse_field_spec_errors(tmp_path):
     path = tmp_path / "mismatch.csv"
     write_density_csv(path, other.x, np.ones(16))
     with pytest.raises(ValueError):
+        parse_field_spec(f"file:{path}", grid)
+    write_density_csv(path, grid.x + 0.01, np.ones(32))
+    with pytest.raises(ValueError, match="nodes do not match the grid"):
         parse_field_spec(f"file:{path}", grid)

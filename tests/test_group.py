@@ -1,4 +1,6 @@
 """Semidirect product of circle diffeomorphisms with positive gauge factors."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -283,3 +285,35 @@ def test_velocity_pair_and_element_validation():
         GroupElement(GRID, GRID.x, -np.ones(GRID.n))  # gauge must be positive
     with pytest.raises(ValueError):
         DensityField(GRID, -np.ones(GRID.n))
+    with pytest.raises(ValueError, match="nodal arrays"):
+        GroupElement(GRID, GRID.x[:-1], np.ones(GRID.n - 1))
+    folded = GRID.x + 1.5 * np.sin(GRID.x)  # d_x phi = 1 + 1.5 cos x < 0
+    with pytest.raises(ValueError, match="strictly increasing"):
+        GroupElement(GRID, folded, np.ones(GRID.n))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        embed_diffeo(GRID, folded)
+    with pytest.raises(ValueError, match="nodal array"):
+        DensityField(GRID, np.ones((2, GRID.n)))
+    with pytest.raises(ValueError, match="finite"):
+        DensityField(GRID, np.full(GRID.n, np.nan))
+
+
+def test_group_exponential_stores_no_path(monkeypatch):
+    # only the last state is kept: the peak does not grow with the steps.
+    # A pointwise stand-in for trig_eval keeps 10,000 traced steps to a few
+    # seconds; what is measured is the storage of the states.
+    monkeypatch.setattr(PeriodicGrid, "trig_eval",
+                        lambda self, values, points: values * np.cos(points))
+    grid = PeriodicGrid(64)
+    xi = VelocityPair(grid, 0.3 * np.sin(grid.x), 0.2 * np.cos(grid.x))
+    group_exponential(xi, 1.0, 1e-2)  # warm caches outside the trace
+    peaks = []
+    for dt in (1e-2, 1e-4):  # 100 and 10,000 steps
+        tracemalloc.start()
+        try:
+            group_exponential(xi, 1.0, dt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 10,000 stored (phi, lam) slices would be 10 MB
+    assert peaks[1] < 1.1 * peaks[0] + 4096

@@ -373,3 +373,18 @@ def test_minimality_rotation_beats_competitors():
     assert rep.window == pytest.approx(np.pi, abs=1e-10)
     assert np.all(rep.competitor_actions > rep.geodesic_action)
     assert rep.min_competitor_action > rep.geodesic_action
+
+
+def test_oneill_curvature_of_a_zero_vector_is_zero():
+    zero = VelocityPair(GRID, np.zeros(GRID.n), np.zeros(GRID.n))
+    l2 = horizontal_lift(UNIFORM, np.cos(GRID.x))
+    assert oneill_curvature(zero, l2.pair, UNIFORM) == 0.0
+
+
+def test_minimality_refuses_a_competitor_that_folds_the_flow():
+    grid = PeriodicGrid(64)
+    traj = ch_solve(grid, np.ones(grid.n), 0.1, 1e-2)
+    fam = make_perturbation_family(grid, traj.times, 2, seed=9)
+    # members have max |d_x eta| <= 1, so amplitude 100 folds phi
+    with pytest.raises(ValueError, match="breaks monotonicity"):
+        minimality_test(traj, fam, (0.01, 100.0))

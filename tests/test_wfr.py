@@ -32,6 +32,7 @@ import coneflow.wfr as wfr
 from coneflow.grid import rk4_step
 from coneflow.wfr import _inverse_symbol
 from prox_oracle import brute_prox
+from wfr_reference import circle_w2
 
 
 # Staggered states are (g, rho, m, mu) tuples: rho (nt+1, nx) at the time
@@ -727,6 +728,8 @@ def test_solver_input_validation():
         solve_wfr(-np.ones(16), np.ones(16), 8)
     with pytest.raises(ValueError):
         solve_wfr(np.ones(16), np.ones(8), 8)
+    with pytest.raises(ValueError, match="1d nodal array"):
+        solve_wfr(np.ones((2, 16)), np.ones(16), 8)
     with pytest.raises(ValueError):
         solve_wfr(np.ones(16), 2 * np.ones(16), 8, balanced=True)
     # bad stopping parameters fail before the first iteration
@@ -736,6 +739,24 @@ def test_solver_input_validation():
                {"max_iters": True}):
         with pytest.raises(ValueError, match="tol|max_iters"):
             solve_wfr(np.ones(16), 2 * np.ones(16), 8, **kw)
+
+
+def test_balanced_solver_converges_to_the_circle_w2_at_second_order():
+    # exact W2^2 from the quantile functions; at nt = 32 the time error
+    # (about 1.5e-5) is below a tenth of the space error at every nx
+    x = PeriodicGrid(16).x
+    w2 = circle_w2(1 + 0.5 * np.cos(x), 1 + 0.5 * np.cos(x - 1))
+    assert w2 == pytest.approx(0.7463459647311, abs=1e-12)
+    d2 = []
+    for nx in (32, 64, 128):
+        x = PeriodicGrid(nx).x
+        res = solve_wfr(1 + 0.5 * np.cos(x), 1 + 0.5 * np.cos(x - 1), 32,
+                        balanced=True, tol=1e-9)
+        d2.append(res.distance ** 2)
+    err = np.array(d2) - w2
+    ratios = err[:-1] / err[1:]
+    assert np.all((3 <= ratios) & (ratios <= 5)), ratios
+    assert abs((4 * d2[2] - d2[1]) / 3 - w2) < 5e-5
 
 
 def test_hellinger_distance_values():
@@ -789,6 +810,18 @@ def test_horizontal_flow_past_the_apex_overflows():
                         1.0, 1e-3)
     t = float(str(info.value).rsplit("t=", 1)[1])
     assert 0.5 <= t <= 0.51
+
+
+@pytest.mark.parametrize("name, rho0, phi0", [
+    ("phi0", np.ones(16), np.full(16, np.nan)),
+    ("phi0", np.ones(16), np.zeros(8)),
+    ("phi0", np.ones(16), 0.5),
+    ("rho0", np.ones(8), np.zeros(16)),
+], ids=["nan-phi0", "short-phi0", "scalar-phi0", "short-rho0"])
+def test_horizontal_flow_names_a_bad_initial_field(name, rho0, phi0):
+    with pytest.raises(ValueError, match=f"{name} must be a finite array of "
+                                         r"shape \(16,\)"):
+        horizontal_flow(PeriodicGrid(16), rho0, phi0, 0.1, 0.01)
 
 
 @pytest.mark.parametrize("t_final", [0.499, 0.5, 0.501, 0.502])
