@@ -110,7 +110,8 @@ def _read_table(path, header: str):
             data = np.frombuffer(flat, dtype=float).reshape(-1, width)
     if not np.all(np.isfinite(data)):
         raise ValueError(f"{path}: non-finite value")
-    return [data[:, j] for j in range(width)]
+    # contiguous columns: a matmul's rounding can depend on strides
+    return [np.ascontiguousarray(data[:, j]) for j in range(width)]
 
 
 def write_density_csv(path, x, values) -> None:

@@ -10,7 +10,7 @@ A stack of fields of shape (..., n) is evaluated in the same pass, each
 row at its own row of points.
 Circle maps are handled through their monotone lifts, evaluated through
 the same interpolant and inverted by safeguarded Newton.  All fixed-step
-integrators use rk4_step.
+integrators use rk4_step, the spectral PDE steppers in blocks (rk4_blocks).
 Spectral operators read the rfft multipliers of fourier_multipliers,
 built once per n, so each costs one rfft and one irfft.
 """
@@ -25,6 +25,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _BLOCK = 512  # points per block in _horner, which bounds its temporaries
+_BLOCK_STEPS = 64  # RK4 steps per block in rk4_blocks
 
 
 def wrap(x):
@@ -264,6 +265,19 @@ def rk4_step(f, y: tuple, dt: float) -> tuple:
     k4 = f(1.0, tuple([yi + dt * ki for yi, ki in zip(y, k3)]))
     return tuple([yi + (dt / 6.0) * (a + 2 * b + 2 * c + d)
                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+
+
+def rk4_blocks(f, yh: np.ndarray, dt: float, nodal: np.ndarray):
+    """RK4 steps of the rfft state yh (f as in rk4_step), _BLOCK_STEPS at a
+    time.  Row k of nodal (n_steps, ..., n) gets the irfft after step k + 1,
+    one irfft per block; each block yields (its first k, states, rows)."""
+    states = np.empty((_BLOCK_STEPS,) + yh.shape, dtype=complex)
+    for i in range(0, len(nodal), _BLOCK_STEPS):
+        rows = nodal[i:i + _BLOCK_STEPS]
+        for j in range(len(rows)):
+            yh = states[j] = rk4_step(f, (yh,), dt)[0]
+        np.fft.irfft(states[:len(rows)], n=nodal.shape[-1], out=rows)
+        yield i, states[:len(rows)], rows
 
 
 def bump_density(grid: PeriodicGrid, center: float, width: float,

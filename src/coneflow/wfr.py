@@ -28,7 +28,7 @@ import numpy as np
 
 from .cone import ConeParams
 from .grid import (PeriodicGrid, TWO_PI, fourier_multipliers,
-                   require_integer, rk4_step, step_count)
+                   require_integer, rk4_blocks, step_count)
 
 CONVENTIONS = {
     "lift-potential": "horizontal pairs are (Phi'/2, Phi) with the potential "
@@ -406,8 +406,9 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     |v - alpha_x / 2| over every stored slice.  RK4 steps the rfft
     coefficients of (v, alpha, rho); each equation is dealiased once (the
     2/3-rule filter is linear and commutes with d_x), in two batched
-    transforms per stage.  Raises RuntimeError on overflow, lost
-    positivity, or energy drift above 1e-3 (relative), as past an apex hit.
+    transforms per stage.  Raises RuntimeError at the first step that
+    overflows or loses positivity (guards check every step, a block at a
+    time), or on energy drift above 1e-3 (relative), as past an apex hit.
     """
     rho0 = _validate_endpoint(rho0, "rho0")
     phi0 = np.asarray(phi0, dtype=float)
@@ -429,15 +430,15 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     times = np.arange(n_steps + 1) * dt
     out = np.empty((3, n_steps + 1, grid.n))  # v, alpha, rho
     out[:, 0] = 0.5 * grid.deriv(phi0), phi0, rho0
-    state = np.fft.rfft(out[:, 0])
-    for i in range(n_steps):
-        state, = rk4_step(rhs, (state,), dt)
-        nodal = out[:, i + 1] = np.fft.irfft(state, n=grid.n)
-        t = (i + 1) * dt
-        if not np.all(np.isfinite(nodal)):
-            raise RuntimeError(f"horizontal flow state overflowed at t={t:.6g}")
-        if np.min(nodal[2]) < -1e-8:
-            raise RuntimeError(f"horizontal flow lost positivity at t={t:.6g}")
+    steps = out[:, 1:].swapaxes(0, 1)  # (n_steps, 3, n) view
+    for i, _, nodal in rk4_blocks(rhs, np.fft.rfft(out[:, 0]), dt, steps):
+        overflowed = ~np.isfinite(nodal).all(axis=(1, 2))
+        bad = np.flatnonzero(overflowed | (nodal[:, 2].min(-1) < -1e-8))
+        if bad.size:
+            j = int(bad[0])
+            t = (i + j + 1) * dt
+            what = "state overflowed" if overflowed[j] else "lost positivity"
+            raise RuntimeError(f"horizontal flow {what} at t={t:.6g}")
     out_v, out_a, out_rho = out
     energies = grid.integrate((out_v ** 2 + out_a ** 2) * out_rho)
     # E is conserved; past an apex hit it drifts before the state overflows

@@ -179,6 +179,22 @@ def test_wave_breaking_raises_with_diagnostics():
     assert diag["tail_fraction"] > 0.02
 
 
+@pytest.mark.parametrize("n, u0, message, time, tail", [
+    (64, 3.0, "spectral tail indicates wave breaking", 0.362,
+     0.020045374097949094),
+    (16, 1e200, "solution blew up", 0.001, np.nan),
+], ids=["tail", "blew-up"])
+def test_guards_raise_at_the_first_failing_step(n, u0, message, time, tail):
+    # each guard reports the first step it fails, also in mid-block
+    grid = PeriodicGrid(n)
+    with pytest.raises(CHBlowupError) as info:
+        ch_solve(grid, u0 * np.sin(grid.x), 4.0, 1e-3)
+    assert str(info.value) == f"{message} at t={time}"
+    diag = info.value.diagnostics
+    assert diag["time"] == time
+    assert np.array_equal(diag["tail_fraction"], tail, equal_nan=True)
+
+
 def test_flow_map_tracks_isotropy():
     grid = PeriodicGrid(128)
     traj = ch_solve(grid, 0.2 * np.sin(grid.x), 1.0, 1e-3)

@@ -181,6 +181,17 @@ def test_flow_horizontal_past_the_apex_prints_no_warnings():
     assert result.stderr == ""
 
 
+def test_ch_solve_blow_up_prints_no_warnings():
+    # the exit-2 line reports the blow-up; numpy must not add warnings
+    result = subprocess.run(
+        [sys.executable, "-m", "coneflow.cli", "ch", "solve", "--n", "16",
+         "--init", "sin:1e200", "--dt", "1e-3", "--t-final", "1"],
+        capture_output=True, text=True)
+    assert result.returncode == 2
+    assert "solution blew up at t=0.001" in result.stdout
+    assert result.stderr == ""
+
+
 def test_lift_solves_symbol_equation(capsys, tmp_path):
     out = tmp_path / "potential.csv"
     code, body = run_json(capsys, "lift", "--rho", "const:1", "--x", "sin:1",

@@ -6,7 +6,8 @@ from array import array
 import numpy as np
 import pytest
 
-from coneflow import PeriodicGrid, bump_density
+from coneflow import (CHTrajectory, PeriodicGrid, bump_density, ch_solve,
+                      flow_map)
 from coneflow.formats import (
     fmt_float,
     grid_from_x,
@@ -106,6 +107,21 @@ def test_trajectory_csv_round_trip_full_size(tmp_path):
     assert np.array_equal(t2, times)
     assert np.array_equal(x2, grid.x)
     assert np.array_equal(u2, u)
+
+
+def test_trajectory_csv_round_trip_gives_the_same_flow_map(tmp_path):
+    # the read columns are contiguous, so a matmul rounds them as it rounds
+    # the trajectory in memory
+    grid = PeriodicGrid(256)
+    traj = ch_solve(grid, 0.2 * np.sin(grid.x), 1.0, 1e-3)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj.times, grid.x, traj.u)
+    times, _, u = read_trajectory_csv(path)
+    assert u.flags.c_contiguous
+    path_mem = flow_map(traj)
+    path_csv = flow_map(CHTrajectory(grid, traj.params, traj.dt, times, u))
+    for name in ("phi", "lam", "lam_ode"):
+        assert np.array_equal(getattr(path_csv, name), getattr(path_mem, name))
 
 
 def fmt_float_table(header, columns):

@@ -5,14 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import coneflow.ch
 import coneflow.grid
-import coneflow.wfr
 
 from coneflow import (ConeParams, ConePoint, ConeTangent, PeriodicGrid,
-                      bump_density, ch_solve, circle_distance, cone_geodesic,
-                      horizontal_flow, wrap)
-from coneflow.grid import rk4_step, step_count
+                      bump_density, ch_rhs, ch_solve, circle_distance,
+                      cone_geodesic, horizontal_flow, wrap)
+from coneflow.grid import fourier_multipliers, rk4_step, step_count
 from dense_oracle import dense_diff_matrix
 
 
@@ -485,25 +483,25 @@ def test_step_count_requires_a_whole_number_of_steps():
             step_count(t_final, dt)
 
 
-@pytest.mark.parametrize("module, integrate", [
-    (coneflow.ch, lambda: ch_solve(PeriodicGrid(32),
-                                   0.2 * np.sin(PeriodicGrid(32).x), 3e-3,
-                                   1e-3, ConeParams(1.5, 0.3))),
-    (coneflow.wfr, lambda: horizontal_flow(
+@pytest.mark.parametrize("integrate", [
+    lambda: ch_solve(PeriodicGrid(32), 0.2 * np.sin(PeriodicGrid(32).x), 3e-3,
+                     1e-3, ConeParams(1.5, 0.3)),
+    lambda: horizontal_flow(
         PeriodicGrid(32), 1.0 + 0.3 * np.sin(PeriodicGrid(32).x),
-        0.3 * np.cos(PeriodicGrid(32).x), 3e-3, 1e-3)),
+        0.3 * np.cos(PeriodicGrid(32).x), 3e-3, 1e-3),
 ], ids=["ch_rhs", "horizontal_flow"])
-def test_spectral_rhs_makes_one_transform_each_way(monkeypatch, module,
-                                                   integrate):
+def test_spectral_rhs_makes_one_transform_each_way(monkeypatch, integrate):
     # the state is rfft coefficients: one batched irfft for the fields and
-    # derivatives and one rfft of the products inside every RK4 stage, and
-    # one irfft to the stored slice, so a whole step makes 9 transforms;
-    # counted through np.fft, steps from one rk4_step call to the next
-    counts = {"rfft": 0, "irfft": 0}
-    for name in counts:
-        def counted(*args, _name=name, _fft=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _fft(*args, **kwargs)
+    # derivatives and one rfft of the products inside every RK4 stage, so a
+    # whole step makes 8 transforms, and one batched irfft stores the slices
+    # of a block of steps; counted through np.fft, steps from one rk4_step
+    # call to the next
+    calls = []
+    for name in ("rfft", "irfft"):
+        def counted(a, *args, _name=name, _fft=getattr(np.fft, name),
+                    **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fft(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     per_stage = []
@@ -511,17 +509,81 @@ def test_spectral_rhs_makes_one_transform_each_way(monkeypatch, module,
 
     def counting_step(f, y, dt):
         def counted_f(c, y):
-            before = dict(counts)
+            before = len(calls)
             out = f(c, y)
-            per_stage.append({k: counts[k] - before[k] for k in counts})
+            per_stage.append(sorted(name for name, _ in calls[before:]))
             return out
-        step_starts.append(sum(counts.values()))
+        step_starts.append(len(calls))
         return rk4_step(counted_f, y, dt)
 
-    monkeypatch.setattr(module, "rk4_step", counting_step)
+    monkeypatch.setattr(coneflow.grid, "rk4_step", counting_step)
     integrate()
-    assert per_stage == [{"rfft": 1, "irfft": 1}] * 12
-    assert np.diff(step_starts).tolist() == [9, 9]
+    assert per_stage == [["irfft", "rfft"]] * 12
+    assert np.diff(step_starts).tolist() == [8, 8]
+    # the 3 steps fit in one block: its 3 states go through one irfft
+    name, shape = calls[step_starts[-1] + 8]
+    assert name == "irfft" and shape[0] == 3 and shape[-1] == 17
+
+
+def per_step_ch_solve(grid, u0, n_steps, dt):
+    """ch_solve's RK4 loop one step at a time: a step of the rfft state,
+    then an irfft to its stored slice."""
+    out = np.empty((n_steps + 1, grid.n))
+    out[0] = u0
+    uh = np.fft.rfft(u0)
+    for i in range(n_steps):
+        uh, = rk4_step(lambda _, y: (ch_rhs(grid, y[0]),), (uh,), dt)
+        out[i + 1] = np.fft.irfft(uh, n=grid.n)
+    return out
+
+
+def per_step_horizontal_flow(grid, rho0, phi0, n_steps, dt):
+    """horizontal_flow's RK4 loop one step at a time; returns the stored
+    (v, alpha, rho) slices."""
+    _, ik, keep = fourier_multipliers(grid.n)
+
+    def rhs(_, y):
+        v, alpha, rho, vx, ax = np.fft.irfft(
+            np.concatenate((y[0], ik * y[0][:2])), n=grid.n)
+        fv, fa, fr, fvr = np.fft.rfft(np.array((
+            v * vx + 2.0 * alpha * v, v * v - ax * v - alpha * alpha,
+            2.0 * alpha * rho, v * rho)))
+        return (keep * np.array((-fv, fa, fr - ik * fvr)),)
+
+    out = np.empty((3, n_steps + 1, grid.n))
+    out[:, 0] = 0.5 * grid.deriv(phi0), phi0, rho0
+    state = np.fft.rfft(out[:, 0])
+    for i in range(n_steps):
+        state, = rk4_step(rhs, (state,), dt)
+        out[:, i + 1] = np.fft.irfft(state, n=grid.n)
+    return out
+
+
+BLOCK = coneflow.grid._BLOCK_STEPS
+
+
+@pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                     2 * BLOCK + 5])
+def test_block_stepping_matches_the_per_step_loop(n_steps):
+    # a block's batched irfft stores the same bits as one irfft per step
+    grid = PeriodicGrid(64)
+    u0 = 0.2 * np.sin(grid.x) + 0.1 * np.cos(2 * grid.x)
+    traj = ch_solve(grid, u0, n_steps * 1e-3, 1e-3)
+    assert np.array_equal(traj.u, per_step_ch_solve(grid, u0, n_steps, 1e-3))
+    rho0 = 1.0 + 0.3 * np.sin(grid.x)
+    phi0 = 0.3 * np.cos(grid.x) + 0.2
+    res = horizontal_flow(grid, rho0, phi0, n_steps * 1e-3, 1e-3)
+    v, alpha, rho = per_step_horizontal_flow(grid, rho0, phi0, n_steps, 1e-3)
+    assert np.array_equal(res.v, v)
+    assert np.array_equal(res.alpha, alpha)
+    assert np.array_equal(res.rho, rho)
+
+
+def test_block_stepping_matches_the_per_step_loop_on_the_readme_run():
+    grid = PeriodicGrid(256)
+    u0 = 0.2 * np.sin(grid.x)
+    traj = ch_solve(grid, u0, 0.25, 1e-3)
+    assert np.array_equal(traj.u, per_step_ch_solve(grid, u0, 250, 1e-3))
 
 
 @pytest.mark.parametrize("integrate", [

@@ -812,6 +812,19 @@ def test_horizontal_flow_past_the_apex_overflows():
     assert 0.5 <= t <= 0.51
 
 
+@pytest.mark.parametrize("rho0, phi0, t_final, dt, error", [
+    (bump_density(PeriodicGrid(16), np.pi, 0.8, 1.0),
+     np.sin(PeriodicGrid(16).x), 2.0, 1e-2, "lost positivity at t=0.71"),
+    (np.ones(16), np.full(16, -2.0), 1.0, 1e-3, "state overflowed at t=0.503"),
+], ids=["lost-positivity", "overflowed"])
+def test_horizontal_flow_raises_at_the_first_failing_step(rho0, phi0, t_final,
+                                                          dt, error):
+    # each guard reports the first step it fails, also in mid-block
+    with pytest.raises(RuntimeError) as info:
+        horizontal_flow(PeriodicGrid(16), rho0, phi0, t_final, dt)
+    assert str(info.value) == f"horizontal flow {error}"
+
+
 @pytest.mark.parametrize("name, rho0, phi0", [
     ("phi0", np.ones(16), np.full(16, np.nan)),
     ("phi0", np.ones(16), np.zeros(8)),
