@@ -112,8 +112,8 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
     out[0] = u
     scale0 = np.max(np.abs(u)) + 1.0
 
-    def rhs(_, y):
-        return (ch_rhs(grid, y[0], params),)
+    def rhs(_, uh):
+        return ch_rhs(grid, uh, params)
 
     for i, uh, u in rk4_blocks(rhs, np.fft.rfft(u), dt, out[1:]):
         blown = ~np.isfinite(u).all(-1) | (np.abs(u).max(-1) > 100.0 * scale0)
@@ -166,10 +166,8 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
 
     def stages(j):  # the midpoint is formed once and used by two stages
         j0 = min(max(j - 1, 0), n_steps - 3)
-        w = mid_weights[j - j0]
-        # traj.u in its own layout: a matmul's rounding can depend on strides
-        mid = np.array((w @ traj.u[j0:j0 + 4], w @ half_ux[j0:j0 + 4]))
-        return pairs[j], mid, pairs[j + 1]
+        mid = mid_weights[j - j0] @ pairs[j0:j0 + 4].reshape(4, -1)
+        return pairs[j], mid.reshape(2, -1), pairs[j + 1]
 
     steps = pair_flow(grid, stages, traj.dt, n_steps)
     phi, lam_ode = map(np.array, zip((grid.x, np.ones(grid.n)), *steps))

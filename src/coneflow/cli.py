@@ -154,7 +154,9 @@ def _load_trajectory(path, params) -> CHTrajectory:
         raise ValueError(f"{path}: need at least two time slices")
     steps = np.diff(times)
     dt = float(steps[0])
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0):
+    # relative to dt, with a floor for the rounding of the t column
+    tol = 1e-9 * dt + 4 * np.finfo(float).eps * np.max(np.abs(times))
+    if dt <= 0 or np.max(np.abs(steps - dt)) > tol:
         raise ValueError(f"{path}: time column is not uniformly spaced")
     return CHTrajectory(grid, params, dt, times, u)
 

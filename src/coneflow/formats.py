@@ -134,10 +134,10 @@ def _grid_layout(t_col, x_col):
     n_times = len(x_col) // n
     x = x_col[:n]
     times = t_col[::n]
-    if not np.allclose(np.tile(x, n_times), x_col, atol=1e-12):
+    if not np.allclose(np.tile(x, n_times), x_col, rtol=0, atol=1e-12):
         raise ValueError("csv space column varies between time blocks")
     rep = np.repeat(times, n)
-    if not np.allclose(rep, t_col, atol=1e-12):
+    if not np.allclose(rep, t_col, rtol=0, atol=1e-12):
         raise ValueError("csv time column varies within a time block")
     return times, x, n_times, n
 

@@ -34,10 +34,10 @@ class GroupElement:
             raise ValueError("phi and lam must be nodal arrays on the grid")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "lam", lam)
-        if np.min(self.phi_x) <= _MONOTONE_TOL:
-            raise ValueError("phi must be strictly increasing")
-        if np.min(lam) <= 0:
-            raise ValueError("lam must be positive")
+        if not (np.isfinite(phi).all() and np.min(self.phi_x) > _MONOTONE_TOL):
+            raise ValueError("phi must be finite and strictly increasing")
+        if not (np.min(lam) > 0 and np.max(lam) < np.inf):  # NaN fails
+            raise ValueError("lam must be positive and finite")
 
     @property
     def phi_x(self) -> np.ndarray:
@@ -91,7 +91,7 @@ def embed_diffeo(grid: PeriodicGrid, phi: np.ndarray) -> GroupElement:
     """Isotropy embedding phi -> (phi, sqrt(phi_x)) of the diffeomorphisms."""
     phi = np.asarray(phi, dtype=float)
     phi_x = grid.lift_slope(phi)
-    if np.min(phi_x) <= _MONOTONE_TOL:
+    if not np.min(phi_x) > _MONOTONE_TOL:  # NaN fails
         raise ValueError("phi must be strictly increasing")
     return GroupElement(grid, phi, np.sqrt(phi_x))
 
@@ -157,17 +157,18 @@ def lie_bracket(xi1: VelocityPair, xi2: VelocityPair) -> VelocityPair:
 
 
 def pair_flow(grid: PeriodicGrid, stages, dt: float, n_steps: int):
-    """Yield (phi, lam) after each RK4 step of phi' = v o phi,
-    lam' = (alpha o phi) lam from the identity.  stages(j) returns the
-    stacked (v, alpha), shape (2, n), at fractions 0, 1/2 and 1 of step j;
-    each RK4 stage is one trig_eval call at phi broadcast to both rows."""
+    """Yield the stack (phi, lam), shape (2, n), after each RK4 step of
+    phi' = v o phi, lam' = (alpha o phi) lam from the identity.  stages(j)
+    returns the stack (v, alpha) at fractions 0, 1/2 and 1 of step j; each
+    RK4 stage is one trig_eval call at phi broadcast to both rows."""
     at = {}
 
     def rhs(c, y):
-        v, alpha = grid.trig_eval(at[c], np.broadcast_to(y[0], (2, grid.n)))
-        return v, alpha * y[1]
+        dy = grid.trig_eval(at[c], np.broadcast_to(y[0], y.shape))
+        dy[1] *= y[1]
+        return dy
 
-    y = (grid.x, np.ones(grid.n))
+    y = np.array((grid.x, np.ones(grid.n)))
     for j in range(n_steps):
         at.update(zip((0.0, 0.5, 1.0), stages(j)))
         y = rk4_step(rhs, y, dt)

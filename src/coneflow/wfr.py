@@ -419,13 +419,13 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     n_steps = step_count(t_final, dt)
     _, ik, keep = fourier_multipliers(grid.n)
 
-    def rhs(_, y):
+    def rhs(_, yh):
         v, alpha, rho, vx, ax = np.fft.irfft(
-            np.concatenate((y[0], ik * y[0][:2])), n=grid.n)
+            np.concatenate((yh, ik * yh[:2])), n=grid.n)
         fv, fa, fr, fvr = np.fft.rfft(np.array((
             v * vx + 2.0 * alpha * v, v * v - ax * v - alpha * alpha,
             2.0 * alpha * rho, v * rho)))
-        return (keep * np.array((-fv, fa, fr - ik * fvr)),)
+        return keep * np.array((-fv, fa, fr - ik * fvr))
 
     times = np.arange(n_steps + 1) * dt
     out = np.empty((3, n_steps + 1, grid.n))  # v, alpha, rho

@@ -4,6 +4,7 @@ import pytest
 
 from coneflow import (
     CHBlowupError,
+    CHTrajectory,
     ConeParams,
     PeriodicGrid,
     ch_invariants,
@@ -11,8 +12,10 @@ from coneflow import (
     ch_solve,
     flow_map,
 )
-from coneflow.grid import fourier_multipliers, rk4_step
+from coneflow.formats import read_trajectory_csv, write_trajectory_csv
+from coneflow.grid import fourier_multipliers
 from dense_oracle import dense_diff_matrix
+from rk4_oracle import tuple_pair_flow, tuple_rk4_step
 
 
 def manual_rhs(grid, u, params):
@@ -151,8 +154,8 @@ def reference_solve(grid, u0, n_steps, dt, params):
     out = np.empty((n_steps + 1, grid.n))
     out[0] = u = u0.copy()
     for i in range(n_steps):
-        u, = rk4_step(lambda _, y: (reference_rhs(grid, y[0], params),),
-                      (u,), dt)
+        u, = tuple_rk4_step(
+            lambda _, y: (reference_rhs(grid, y[0], params),), (u,), dt)
         out[i + 1] = u
     return out
 
@@ -250,6 +253,53 @@ def test_flow_map_stage_is_one_stacked_evaluation(monkeypatch):
     assert shapes == [(2, 256)] * (4 * 20)
     assert np.array_equal(stacked.phi, rows.phi)
     assert np.array_equal(stacked.lam_ode, rows.lam_ode)
+
+
+def reference_flow(traj):
+    """flow_map's (phi, lam_ode) by the tuple-state pair flow, with u and
+    u_x/2 interpolated in time each on its own."""
+    grid = traj.grid
+    n_steps = len(traj.times) - 1
+    half_ux = 0.5 * grid.deriv(traj.u)
+    mid_weights = np.array([[5, 15, -5, 1], [-1, 9, 9, -1],
+                            [1, -5, 15, 5]]) / 16
+
+    def stages(j):
+        j0 = min(max(j - 1, 0), n_steps - 3)
+        w = mid_weights[j - j0]
+        mid = (w @ traj.u[j0:j0 + 4], w @ half_ux[j0:j0 + 4])
+        return ((traj.u[j], half_ux[j]), mid,
+                (traj.u[j + 1], half_ux[j + 1]))
+
+    steps = tuple_pair_flow(grid, stages, traj.dt, n_steps)
+    return map(np.array, zip((grid.x, np.ones(grid.n)), *steps))
+
+
+@pytest.fixture(scope="module")
+def readme_run():
+    grid = PeriodicGrid(256)
+    return ch_solve(grid, 0.2 * np.sin(grid.x), 1.0, 1e-3)
+
+
+@pytest.mark.parametrize("source", ["memory", "csv"])
+def test_flow_map_is_bit_identical_to_the_tuple_state_flow(readme_run, source,
+                                                           tmp_path):
+    # (phi, lam) stepped as one stacked state and the midpoint stage formed
+    # as one product round as the two fields stepped separately
+    traj = readme_run
+    if source == "csv":
+        path = tmp_path / "run.csv"
+        write_trajectory_csv(path, traj.times, traj.grid.x, traj.u)
+        times, _, u = read_trajectory_csv(path)
+        traj = CHTrajectory(traj.grid, traj.params, traj.dt, times, u)
+    phi, lam_ode = reference_flow(traj)
+    path = flow_map(traj)
+    assert np.array_equal(path.phi, phi)
+    assert np.array_equal(path.lam_ode, lam_ode)
+    phi_x = traj.grid.lift_slope(phi)
+    assert np.array_equal(path.lam, np.sqrt(phi_x))
+    assert path.isotropy_residual == np.max(np.abs(lam_ode ** 2 - phi_x))
+    assert path.min_phi_x == np.min(phi_x)
 
 
 def test_solver_input_validation():

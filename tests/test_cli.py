@@ -292,7 +292,9 @@ def test_minimality_rejects_bad_amplitudes(capsys, amplitudes, message):
 
 @pytest.mark.parametrize("times, message", [
     ([0.0], "need at least two time slices"),
-    ([0.0, 0.1, 0.3], "not uniformly spaced")])
+    ([0.0, 0.1, 0.3], "not uniformly spaced"),
+    # a last step 497 times the others, all far below 1 in absolute terms
+    ([0.0, 1e-12, 2e-12, 3e-12, 5e-10], "not uniformly spaced")])
 def test_trajectory_files_need_uniform_time_slices(capsys, tmp_path, times,
                                                    message):
     grid = PeriodicGrid(16)
@@ -303,6 +305,41 @@ def test_trajectory_files_need_uniform_time_slices(capsys, tmp_path, times,
         assert code == 1
         assert body["error"]["type"] == "ValueError"
         assert message in body["error"]["message"]
+
+
+@pytest.mark.parametrize("row, column, offset, message", [
+    (2 * 16 + 15, 1, 2e-5, "space column varies between time blocks"),
+    (16 + 5, 0, 4e-6, "time column varies within a time block")],
+    ids=["x-in-third-block", "t-in-second-block"])
+def test_trajectory_files_are_checked_to_the_stated_tolerance(
+        capsys, tmp_path, row, column, offset, message):
+    # offsets below numpy's default relative tolerance at these values
+    grid = PeriodicGrid(16)
+    table = np.zeros((4 * 16, 3))
+    table[:, 0] = np.repeat(np.arange(4.0), 16)
+    table[:, 1] = np.tile(grid.x, 4)
+    table[row, column] += offset
+    path = tmp_path / "traj.csv"
+    path.write_text("t,x,u\n" + "".join(f"{t!r},{x!r},{u!r}\n"
+                                        for t, x, u in table.tolist()))
+    for command in ("euler", "check"), ("ch", "invariants"):
+        code, body = run_json(capsys, *command, "--traj", str(path))
+        assert code == 1
+        assert body["error"]["type"] == "ValueError"
+        assert message in body["error"]["message"]
+
+
+@pytest.mark.parametrize("times", [
+    np.arange(251) * 1e-3,  # the README run's size
+    1e6 + np.arange(4) * 1e-3,  # steps rounded at the scale of t
+], ids=["readme-size", "long-horizon"])
+def test_uniform_trajectory_files_load(capsys, tmp_path, times):
+    grid = PeriodicGrid(16)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, times, grid.x, np.zeros((len(times), grid.n)))
+    code, body = run_json(capsys, "ch", "invariants", "--traj", str(path))
+    assert code == 0
+    assert body["traj"] == str(path)
 
 
 def test_package_and_cli_import_load_no_scipy_module():

@@ -16,7 +16,8 @@ from coneflow import (
     planar_chart_inverse,
 )
 from coneflow.cone import APEX_FLOOR
-from coneflow.grid import rk4_step, step_count
+from coneflow.grid import step_count
+from rk4_oracle import tuple_rk4_step
 
 P = ConeParams()  # a = 1, b = 1/2: the chart is a global isometry
 
@@ -194,7 +195,7 @@ def reference_geodesic(p0, v0, t_final, dt, params=P):
                           dm * dm / (2.0 * m) + c * dx * dx * m]),)
 
     for i in range(n_steps):
-        state, = rk4_step(rhs, (state,), dt)
+        state, = tuple_rk4_step(rhs, (state,), dt)
         out[i + 1] = state
     return out
 

@@ -12,6 +12,7 @@ from coneflow import (ConeParams, ConePoint, ConeTangent, PeriodicGrid,
                       cone_geodesic, horizontal_flow, wrap)
 from coneflow.grid import fourier_multipliers, rk4_step, step_count
 from dense_oracle import dense_diff_matrix
+from rk4_oracle import tuple_rk4_step
 
 
 def random_trig(grid, rng, n_modes=5, scale=1.0):
@@ -442,16 +443,16 @@ def test_periodic_grid_size_must_be_an_integer():
 
 
 def test_rk4_step_is_fourth_order_on_a_rotation():
-    # y' = (-y2, y1) from (1, 0) is (cos t, sin t); the state is a tuple
+    # y' = (-y2, y1) from (1, 0) is (cos t, sin t); the state is one array
     def rotation(_, y):
-        return -y[1], y[0]
+        return np.array((-y[1], y[0]))
 
     def error(n_steps):
         dt = 1.0 / n_steps
-        y = (np.array([1.0]), np.array([0.0]))
+        y = np.array([1.0, 0.0])
         for _ in range(n_steps):
             y = rk4_step(rotation, y, dt)
-        return max(abs(y[0][0] - np.cos(1.0)), abs(y[1][0] - np.sin(1.0)))
+        return max(abs(y[0] - np.cos(1.0)), abs(y[1] - np.sin(1.0)))
 
     errors = [error(n) for n in (10, 20, 40)]
     for coarse, fine in zip(errors, errors[1:]):
@@ -463,9 +464,9 @@ def test_rk4_step_stage_fractions():
 
     def clock(c, y):
         seen.append(c)
-        return (np.ones(1),)
+        return np.ones(1)
 
-    y, = rk4_step(clock, (np.zeros(1),), 0.25)
+    y = rk4_step(clock, np.zeros(1), 0.25)
     assert seen == [0.0, 0.5, 0.5, 1.0]
     assert y[0] == 0.25
 
@@ -532,7 +533,7 @@ def per_step_ch_solve(grid, u0, n_steps, dt):
     out[0] = u0
     uh = np.fft.rfft(u0)
     for i in range(n_steps):
-        uh, = rk4_step(lambda _, y: (ch_rhs(grid, y[0]),), (uh,), dt)
+        uh, = tuple_rk4_step(lambda _, y: (ch_rhs(grid, y[0]),), (uh,), dt)
         out[i + 1] = np.fft.irfft(uh, n=grid.n)
     return out
 
@@ -554,7 +555,7 @@ def per_step_horizontal_flow(grid, rho0, phi0, n_steps, dt):
     out[:, 0] = 0.5 * grid.deriv(phi0), phi0, rho0
     state = np.fft.rfft(out[:, 0])
     for i in range(n_steps):
-        state, = rk4_step(rhs, (state,), dt)
+        state, = tuple_rk4_step(rhs, (state,), dt)
         out[:, i + 1] = np.fft.irfft(state, n=grid.n)
     return out
 

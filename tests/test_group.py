@@ -22,6 +22,7 @@ from coneflow import (
     lie_bracket,
     pushforward_action,
 )
+from rk4_oracle import tuple_pair_flow
 
 GRID = PeriodicGrid(128)
 
@@ -252,6 +253,22 @@ def test_group_exponential_stage_is_one_stacked_evaluation(monkeypatch):
     assert np.array_equal(stacked.lam, rows.lam)
 
 
+@pytest.mark.parametrize("t", [0.5, -0.3])
+def test_group_exponential_is_bit_identical_to_the_tuple_state_flow(t):
+    # (phi, lam) stepped as one stacked state rounds as the two fields
+    # stepped separately
+    grid = PeriodicGrid(64)
+    xi = VelocityPair(grid, 0.3 * np.sin(grid.x), 0.2 * np.cos(2 * grid.x))
+    n_steps = round(abs(t) / 0.01)
+    stages = ((xi.v, xi.alpha),) * 3
+    for phi, lam in tuple_pair_flow(grid, lambda _: stages, t / n_steps,
+                                    n_steps):
+        pass
+    g = group_exponential(xi, t, 0.01)
+    assert np.array_equal(g.phi, phi)
+    assert np.array_equal(g.lam, lam)
+
+
 def test_hdiv_energy_values():
     # int a^2 sin^2 + b^2 cos^2 = pi (a^2 + b^2): 5 pi / 4 at (1, 1/2)
     u = np.sin(GRID.x)
@@ -296,6 +313,21 @@ def test_velocity_pair_and_element_validation():
         DensityField(GRID, np.ones((2, GRID.n)))
     with pytest.raises(ValueError, match="finite"):
         DensityField(GRID, np.full(GRID.n, np.nan))
+
+
+@pytest.mark.parametrize("phi, lam, message", [
+    (np.full(GRID.n, np.nan), np.ones(GRID.n), "strictly increasing"),
+    (GRID.x, np.full(GRID.n, np.nan), "positive and finite"),
+    (GRID.x, np.full(GRID.n, np.inf), "positive and finite")],
+    ids=["nan-phi", "nan-lam", "inf-lam"])
+def test_group_element_rejects_non_finite_fields(phi, lam, message):
+    with pytest.raises(ValueError, match=message):
+        GroupElement(GRID, phi, lam)
+
+
+def test_embed_diffeo_rejects_nan():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        embed_diffeo(GRID, np.full(GRID.n, np.nan))
 
 
 def test_group_exponential_stores_no_path(monkeypatch):

@@ -29,9 +29,9 @@ from coneflow import (
 
 
 import coneflow.wfr as wfr
-from coneflow.grid import rk4_step
 from coneflow.wfr import _inverse_symbol
 from prox_oracle import brute_prox
+from rk4_oracle import tuple_rk4_step
 from wfr_reference import circle_w2
 
 
@@ -890,7 +890,7 @@ def reference_horizontal_flow(grid, rho0, phi0, t_final, dt):
     out[:, 0] = rho, v, alpha
     defect = lift_defect(grid, v, alpha, rho)
     for i in range(n_steps):
-        v, alpha, rho = rk4_step(rhs, (v, alpha, rho), dt)
+        v, alpha, rho = tuple_rk4_step(rhs, (v, alpha, rho), dt)
         out[:, i + 1] = rho, v, alpha
         if (i + 1) % 10 == 0 or i + 1 == n_steps:
             defect = max(defect, lift_defect(grid, v, alpha, rho))
