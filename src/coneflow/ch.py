@@ -105,9 +105,7 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
     if dt == 0 or t_final == 0 or np.sign(dt) != np.sign(t_final):
         raise ValueError("dt and t_final must be nonzero with matching signs")
     n_steps = step_count(abs(t_final), abs(dt))
-    u = np.asarray(u0, dtype=float).copy()
-    if u.shape != (grid.n,) or not np.all(np.isfinite(u)):
-        raise ValueError("u0 must be a finite nodal array on the grid")
+    u = grid.field("u0", u0)
     out = np.empty((n_steps + 1, grid.n))
     out[0] = u
     scale0 = np.max(np.abs(u)) + 1.0

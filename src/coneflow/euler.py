@@ -92,7 +92,8 @@ def _homogeneous_profiles(field: PolarVectorField) -> tuple[np.ndarray, np.ndarr
     def sup(w):  # max |w| over the radius and angle axes, with no |w| copy
         return np.maximum(np.max(w, axis=(0, -1)), -np.min(w, axis=(0, -1)))
 
-    # one component at a time, so one (n_radii, ..., n) temporary is alive
+    # one component at a time, so one (n_radii, ..., n) temporary is alive:
+    # this pass sets euler check's peak memory, and stacking both raises it
     profiles, scale, spread = [], 0.0, 0.0
     for v in (field.v_theta, field.v_r):
         w = v / r

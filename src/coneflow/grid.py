@@ -64,6 +64,14 @@ class PeriodicGrid:
     def x(self) -> np.ndarray:
         return np.arange(self.n) * self.h
 
+    def field(self, name: str, values) -> np.ndarray:
+        """values as a float array; ValueError unless finite of shape (n,)."""
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.n,) or not np.isfinite(values).all():
+            raise ValueError(f"{name} must be a finite nodal array of shape "
+                             f"({self.n},)")
+        return values
+
     # -- spectral calculus -------------------------------------------------
 
     def deriv(self, values: np.ndarray, order: int = 1) -> np.ndarray:
@@ -286,9 +294,11 @@ def bump_density(grid: PeriodicGrid, center: float, width: float,
     exp(kappa(cos(x-c)-1)) is the von Mises shape; the discrete sum is
     renormalized so the Riemann-sum mass is exact on the given grid.
     """
-    if width <= 0:
+    if not np.isfinite(center):
+        raise ValueError("bump center must be finite")
+    if not 0 < width < np.inf:  # NaN fails
         raise ValueError("bump width must be positive")
-    if mass < 0:
+    if not 0 <= mass < np.inf:
         raise ValueError("bump mass must be nonnegative")
     kappa = 1.0 / (width * width)
     vals = np.exp(kappa * (np.cos(grid.x - center) - 1.0))

@@ -28,16 +28,12 @@ class GroupElement:
     lam: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        lam = np.asarray(self.lam, dtype=float)
-        if phi.shape != (self.grid.n,) or lam.shape != (self.grid.n,):
-            raise ValueError("phi and lam must be nodal arrays on the grid")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "lam", lam)
-        if not (np.isfinite(phi).all() and np.min(self.phi_x) > _MONOTONE_TOL):
-            raise ValueError("phi must be finite and strictly increasing")
-        if not (np.min(lam) > 0 and np.max(lam) < np.inf):  # NaN fails
-            raise ValueError("lam must be positive and finite")
+        object.__setattr__(self, "phi", self.grid.field("phi", self.phi))
+        object.__setattr__(self, "lam", self.grid.field("lam", self.lam))
+        if not np.min(self.phi_x) > _MONOTONE_TOL:
+            raise ValueError("phi must be strictly increasing")
+        if not np.min(self.lam) > 0:
+            raise ValueError("lam must be positive")
 
     @property
     def phi_x(self) -> np.ndarray:
@@ -53,12 +49,8 @@ class VelocityPair:
     alpha: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
-        if v.shape != (self.grid.n,) or alpha.shape != (self.grid.n,):
-            raise ValueError("v and alpha must be nodal arrays on the grid")
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "v", self.grid.field("v", self.v))
+        object.__setattr__(self, "alpha", self.grid.field("alpha", self.alpha))
 
 
 @dataclass(frozen=True)
@@ -69,11 +61,7 @@ class DensityField:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n,):
-            raise ValueError("density must be a nodal array on the grid")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("density must be finite")
+        values = self.grid.field("density", self.values)
         if np.min(values) < 0:
             raise ValueError("density must be nonnegative")
         object.__setattr__(self, "values", values)
@@ -89,11 +77,9 @@ def identity(grid: PeriodicGrid) -> GroupElement:
 
 def embed_diffeo(grid: PeriodicGrid, phi: np.ndarray) -> GroupElement:
     """Isotropy embedding phi -> (phi, sqrt(phi_x)) of the diffeomorphisms."""
-    phi = np.asarray(phi, dtype=float)
-    phi_x = grid.lift_slope(phi)
-    if not np.min(phi_x) > _MONOTONE_TOL:  # NaN fails
-        raise ValueError("phi must be strictly increasing")
-    return GroupElement(grid, phi, np.sqrt(phi_x))
+    phi = grid.field("phi", phi)
+    slope = np.maximum(grid.lift_slope(phi), 0.0)  # GroupElement rejects folds
+    return GroupElement(grid, phi, np.sqrt(slope))
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:

@@ -62,9 +62,7 @@ def horizontal_lift(rho: DensityField, x_rho: np.ndarray) -> LiftResult:
     also raised when the final max residual exceeds 1e-6 max|X|.
     """
     grid = rho.grid
-    x_rho = np.asarray(x_rho, dtype=float)
-    if x_rho.shape != (grid.n,) or not np.all(np.isfinite(x_rho)):
-        raise ValueError("perturbation must be a finite nodal array on the grid")
+    x_rho = grid.field("perturbation", x_rho)
     if np.min(rho.values) <= 0:
         raise ValueError("horizontal lift requires a strictly positive density")
     root = np.sqrt(rho.values)
@@ -81,8 +79,8 @@ def horizontal_lift(rho: DensityField, x_rho: np.ndarray) -> LiftResult:
     rz = r @ p
     tol = _LIFT_RTOL ** 2 * rz
     iterations = 0
-    # "not <=" keeps iterating on a NaN residual, so it ends in the error
-    while not rz <= tol and iterations < _LIFT_MAX_ITERS:
+    # a NaN or infinite rz is a breakdown: it ends the loop in the error
+    while tol < rz < np.inf and iterations < _LIFT_MAX_ITERS:
         iterations += 1
         ap = apply(p)
         step = rz / (p @ ap)
@@ -91,7 +89,8 @@ def horizontal_lift(rho: DensityField, x_rho: np.ndarray) -> LiftResult:
         z = precondition(r)
         rz, rz_old = r @ z, rz
         p = z + (rz / rz_old) * p
-    residual = float(np.max(np.abs(apply(phi) - x_rho)))
+    residual = float(np.max(np.abs(apply(phi) - x_rho))) \
+        if np.isfinite(phi).all() else np.nan  # a checked pair rejects NaN
     x_max = float(np.max(np.abs(x_rho)))
     if not rz <= tol:
         raise RuntimeError(f"horizontal lift: CG stalled after {iterations} "

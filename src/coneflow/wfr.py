@@ -367,10 +367,8 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
 def hellinger_distance(grid: PeriodicGrid, rho0: np.ndarray, rho1: np.ndarray,
                        params: ConeParams = ConeParams()) -> float:
     """Pure growth distance 2 b | sqrt(rho1) - sqrt(rho0) |_{L2}."""
-    rho0 = _validate_endpoint(rho0, "rho0")
-    rho1 = _validate_endpoint(rho1, "rho1")
-    if rho0.shape != (grid.n,) or rho1.shape != (grid.n,):
-        raise ValueError(f"endpoint densities must have shape ({grid.n},)")
+    rho0 = grid.field("rho0", _validate_endpoint(rho0, "rho0"))
+    rho1 = grid.field("rho1", _validate_endpoint(rho1, "rho1"))
     gap = np.sqrt(rho1) - np.sqrt(rho0)
     return float(2.0 * params.b * np.sqrt(grid.integrate(gap ** 2)))
 
@@ -410,12 +408,8 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     overflows or loses positivity (guards check every step, a block at a
     time), or on energy drift above 1e-3 (relative), as past an apex hit.
     """
-    rho0 = _validate_endpoint(rho0, "rho0")
-    phi0 = np.asarray(phi0, dtype=float)
-    for name, field in (("rho0", rho0), ("phi0", phi0)):
-        if field.shape != (grid.n,) or not np.all(np.isfinite(field)):
-            raise ValueError(f"{name} must be a finite array of shape "
-                             f"({grid.n},)")
+    rho0 = grid.field("rho0", _validate_endpoint(rho0, "rho0"))
+    phi0 = grid.field("phi0", phi0)
     n_steps = step_count(t_final, dt)
     _, ik, keep = fourier_multipliers(grid.n)
 

@@ -230,6 +230,17 @@ def test_lift_stall_exits_two(capsys, argv):
     assert "stalled" in body["error"]["message"]
 
 
+def test_lift_nan_preconditioner_exits_two(capsys, monkeypatch):
+    # NaN inside CG is a solver breakdown (exit 2), not bad input (exit 1)
+    monkeypatch.setattr(PeriodicGrid, "solve_helmholtz",
+                        lambda self, rhs, a, b: np.full(np.shape(rhs), np.nan))
+    code, body = run_json(capsys, "lift", "--rho", "bump:3.0,0.8,1",
+                          "--x", "sin:1")
+    assert code == 2
+    assert body["error"]["type"] == "RuntimeError"
+    assert "stalled" in body["error"]["message"]
+
+
 def test_lift_near_vacuum_residual_exits_two(capsys):
     # min rho 2e-14: CG meets its stop rule with a residual of 5e-2 max|X|
     code, body = run_json(capsys, "lift", "--rho", "bump:3.14,0.25,1",

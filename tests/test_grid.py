@@ -426,6 +426,38 @@ def test_bump_density_mass_and_shape():
         bump_density(grid, 0.0, 0.1, -1.0)
 
 
+@pytest.mark.parametrize("center, width, mass, message", [
+    (np.nan, 0.4, 1.0, "center must be finite"),
+    (np.inf, 0.4, 1.0, "center must be finite"),
+    (0.0, np.nan, 1.0, "width must be positive"),
+    (0.0, np.inf, 1.0, "width must be positive"),
+    (0.0, 0.4, np.nan, "mass must be nonnegative"),
+    (0.0, 0.4, np.inf, "mass must be nonnegative"),
+], ids=["nan-center", "inf-center", "nan-width", "inf-width", "nan-mass",
+        "inf-mass"])
+def test_bump_density_rejects_non_finite_parameters(center, width, mass,
+                                                    message):
+    # each used to return an all-NaN, infinite or uniform density, or warn
+    with pytest.raises(ValueError, match=f"bump {message}"):
+        bump_density(PeriodicGrid(16), center, width, mass)
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(15), np.zeros((2, 16)), 0.0, np.full(16, np.nan),
+    np.full(16, np.inf), np.full(16, -np.inf)],
+    ids=["short", "stacked", "scalar", "nan", "inf", "-inf"])
+def test_field_names_a_bad_nodal_array(values):
+    with pytest.raises(ValueError, match=r"^rho must be a finite nodal array "
+                                         r"of shape \(16,\)$"):
+        PeriodicGrid(16).field("rho", values)
+
+
+def test_field_returns_a_float_array():
+    values = PeriodicGrid(8).field("u", [0, 1, 2, 3, 4, 5, 6, 7])
+    assert values.dtype == float
+    assert np.array_equal(values, np.arange(8.0))
+
+
 def test_periodic_grid_validation():
     with pytest.raises(ValueError):
         PeriodicGrid(0)

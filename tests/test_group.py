@@ -1,5 +1,6 @@
 """Semidirect product of circle diffeomorphisms with positive gauge factors."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -302,7 +303,7 @@ def test_velocity_pair_and_element_validation():
         GroupElement(GRID, GRID.x, -np.ones(GRID.n))  # gauge must be positive
     with pytest.raises(ValueError):
         DensityField(GRID, -np.ones(GRID.n))
-    with pytest.raises(ValueError, match="nodal arrays"):
+    with pytest.raises(ValueError, match="phi must be a finite nodal array"):
         GroupElement(GRID, GRID.x[:-1], np.ones(GRID.n - 1))
     folded = GRID.x + 1.5 * np.sin(GRID.x)  # d_x phi = 1 + 1.5 cos x < 0
     with pytest.raises(ValueError, match="strictly increasing"):
@@ -316,9 +317,9 @@ def test_velocity_pair_and_element_validation():
 
 
 @pytest.mark.parametrize("phi, lam, message", [
-    (np.full(GRID.n, np.nan), np.ones(GRID.n), "strictly increasing"),
-    (GRID.x, np.full(GRID.n, np.nan), "positive and finite"),
-    (GRID.x, np.full(GRID.n, np.inf), "positive and finite")],
+    (np.full(GRID.n, np.nan), np.ones(GRID.n), "phi must be a finite nodal"),
+    (GRID.x, np.full(GRID.n, np.nan), "lam must be a finite nodal"),
+    (GRID.x, np.full(GRID.n, np.inf), "lam must be a finite nodal")],
     ids=["nan-phi", "nan-lam", "inf-lam"])
 def test_group_element_rejects_non_finite_fields(phi, lam, message):
     with pytest.raises(ValueError, match=message):
@@ -326,8 +327,37 @@ def test_group_element_rejects_non_finite_fields(phi, lam, message):
 
 
 def test_embed_diffeo_rejects_nan():
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match="phi must be a finite nodal array"):
         embed_diffeo(GRID, np.full(GRID.n, np.nan))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["v", "alpha"])
+def test_velocity_pair_rejects_non_finite_fields(name, bad):
+    # a NaN pair used to flow on into NaN brackets, adjoints and curvatures
+    fields = {"v": np.sin(GRID.x), "alpha": np.cos(GRID.x)}
+    fields[name][3] = bad
+    with pytest.raises(ValueError, match=f"^{name} must be a finite nodal"):
+        VelocityPair(GRID, **fields)
+
+
+def test_group_exponential_of_an_infinite_field_raises_before_stepping(
+        monkeypatch):
+    steps = []
+    monkeypatch.setattr(PeriodicGrid, "trig_eval",
+                        lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="v must be a finite nodal array"):
+        group_exponential(VelocityPair(GRID, np.full(GRID.n, np.inf),
+                                       np.zeros(GRID.n)), 1.0, 0.1)
+    assert steps == []
+
+
+def test_embed_diffeo_rejects_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="phi must be a finite nodal"):
+            embed_diffeo(PeriodicGrid(16), np.full(16, np.inf))
 
 
 def test_group_exponential_stores_no_path(monkeypatch):

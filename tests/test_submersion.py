@@ -79,6 +79,44 @@ def test_lift_stall_raises_with_the_residual_reached():
         horizontal_lift(rho, np.sin(GRID.x))
 
 
+def nan_preconditioner(monkeypatch, good_calls):
+    """Make PeriodicGrid.solve_helmholtz return NaN after good_calls calls."""
+    solve = PeriodicGrid.solve_helmholtz
+    calls = []
+
+    def solve_then_nan(self, rhs, a, b):
+        calls.append(None)
+        out = solve(self, rhs, a, b)
+        return out if len(calls) <= good_calls else np.full_like(out, np.nan)
+
+    monkeypatch.setattr(PeriodicGrid, "solve_helmholtz", solve_then_nan)
+
+
+@pytest.mark.parametrize("good_calls", [0, 2], ids=["first", "third"])
+def test_lift_nan_preconditioner_is_a_stall(monkeypatch, good_calls):
+    # NaN inside CG is a solver breakdown, not bad input: the loop ends at
+    # the first NaN rz, and no NaN direction reaches a checked VelocityPair
+    nan_preconditioner(monkeypatch, good_calls)
+    rho = DensityField(GRID, 1.0 + 0.5 * np.cos(GRID.x))
+    with pytest.raises(RuntimeError, match=f"CG stalled after {good_calls} "
+                                           "iterations"):
+        horizontal_lift(rho, np.sin(2.0 * GRID.x))
+
+
+def test_lift_overflowing_step_is_a_stall(monkeypatch):
+    # M^-1 scaled by 1e200 overflows p.Ap (the warnings this forces are
+    # silenced), so the first step puts NaN in the potential: the stall is
+    # reported at a NaN residual, and no NaN pair is checked
+    solve = PeriodicGrid.solve_helmholtz
+    monkeypatch.setattr(PeriodicGrid, "solve_helmholtz",
+                        lambda self, *args: 1e200 * solve(self, *args))
+    rho = DensityField(GRID, 1.0 + 0.5 * np.cos(GRID.x))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(RuntimeError, match="CG stalled after 1 iterations "
+                                              "at residual nan"):
+        horizontal_lift(rho, np.sin(2.0 * GRID.x))
+
+
 @pytest.mark.parametrize("n", [64, 128, 512])
 def test_lift_near_vacuum_raises_on_its_residual(n):
     # min rho 2e-14: the preconditioned stop is met, the residual is not

@@ -832,8 +832,8 @@ def test_horizontal_flow_raises_at_the_first_failing_step(rho0, phi0, t_final,
     ("rho0", np.ones(8), np.zeros(16)),
 ], ids=["nan-phi0", "short-phi0", "scalar-phi0", "short-rho0"])
 def test_horizontal_flow_names_a_bad_initial_field(name, rho0, phi0):
-    with pytest.raises(ValueError, match=f"{name} must be a finite array of "
-                                         r"shape \(16,\)"):
+    with pytest.raises(ValueError, match=f"{name} must be a finite nodal "
+                                         r"array of shape \(16,\)"):
         horizontal_flow(PeriodicGrid(16), rho0, phi0, 0.1, 0.01)
 
 
