@@ -24,8 +24,7 @@ from .euler import (AnnulusGrid, EulerResidualReport, FormConsistencyReport,
                     geodesic_form_consistency, lagrangian_measure_check,
                     madelung, polar_velocity, pressure_from_state,
                     weighted_divergence)
-from .submersion import (IIResult, LiftResult, MinimalityReport,
-                         PerturbationFamily, SplitResult,
+from .submersion import (IIResult, LiftResult, MinimalityReport, SplitResult,
                          gauss_codazzi_sectional, hessian_certificate,
                          horizontal_lift, make_perturbation_family,
                          minimality_test, oneill_curvature, pair_inner,

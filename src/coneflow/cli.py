@@ -285,9 +285,9 @@ def cmd_minimality(args):
     grid = PeriodicGrid(args.n)
     u0 = parse_field_spec(args.init, grid)
     traj = ch_solve(grid, u0, args.t_final, args.dt)
-    family = make_perturbation_family(grid, traj.times, args.members,
-                                      args.seed)
-    report = minimality_test(traj, family, amplitudes)
+    members = make_perturbation_family(grid, traj.times, args.members,
+                                       args.seed)
+    report = minimality_test(traj, members, amplitudes)
     geodesic_below = bool(report.geodesic_action
                           <= report.min_competitor_action)
     return {"n": args.n, "dt": args.dt, "t_final": args.t_final,

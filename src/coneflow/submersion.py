@@ -108,7 +108,6 @@ def horizontal_lift(rho: DensityField, x_rho: np.ndarray) -> LiftResult:
 class SplitResult:
     horizontal: VelocityPair
     vertical: VelocityPair
-    lift: LiftResult
     orthogonality_defect: float
     vertical_defect: float
 
@@ -121,7 +120,7 @@ def vertical_horizontal_split(xi: VelocityPair, rho: DensityField) -> SplitResul
     vertical = VelocityPair(grid, xi.v - lift.pair.v, xi.alpha - lift.pair.alpha)
     ortho = abs(pair_inner(lift.pair, vertical, rho))
     vert_defect = float(np.max(np.abs(infinitesimal_action(vertical, rho))))
-    return SplitResult(lift.pair, vertical, lift, ortho, vert_defect)
+    return SplitResult(lift.pair, vertical, ortho, vert_defect)
 
 
 @dataclass(frozen=True)
@@ -215,18 +214,13 @@ def oneill_curvature(xi1: VelocityPair, xi2: VelocityPair,
 # -- minimality of constrained geodesics ------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """Seeded competitors: _N_X_MODES Fourier modes in x with _N_T_MODES
-    sine envelopes in t that vanish at both endpoints.  Members are
-    normalized so that max(|eta|, |d_x eta|) = 1."""
-
-    members: np.ndarray  # (n_members, n_times, n)
-    seed: int
-
-
 def make_perturbation_family(grid: PeriodicGrid, times: np.ndarray,
-                             n_members: int, seed: int) -> PerturbationFamily:
+                             n_members: int, seed: int) -> np.ndarray:
+    """Seeded competitors (n_members, len(times), n): _N_X_MODES Fourier
+    modes in x with _N_T_MODES sine envelopes in t that vanish at both
+    endpoints.  Members are normalized so that max(|eta|, |d_x eta|) = 1."""
+    if not (len(times) >= 2 and times[-1] > times[0]):  # NaN fails too
+        raise ValueError("competitor times must span a positive duration")
     rng = np.random.default_rng(seed)
     # per member and time mode: the constant, then cos/sin of each x mode
     coef = rng.standard_normal((n_members, _N_T_MODES, 1 + 2 * _N_X_MODES))
@@ -241,7 +235,7 @@ def make_perturbation_family(grid: PeriodicGrid, times: np.ndarray,
     for eta, profile in zip(members, profiles):
         eta[...] = np.sum(envelopes[:, :, None] * profile[:, None, :], axis=0)
         eta /= max(np.max(np.abs(eta)), np.max(np.abs(grid.deriv(eta))))
-    return PerturbationFamily(members, seed)
+    return members
 
 
 def path_action(grid: PeriodicGrid, times: np.ndarray, phi: np.ndarray,
@@ -287,10 +281,9 @@ class MinimalityReport:
     hessian_bound: float
     window: float
     window_ok: bool
-    amplitudes: tuple
 
 
-def minimality_test(traj: CHTrajectory, family: PerturbationFamily,
+def minimality_test(traj: CHTrajectory, members: np.ndarray,
                     amplitudes: tuple = (1e-2, 1e-1)) -> MinimalityReport:
     """Compare the geodesic action against isotropy-constrained competitors.
 
@@ -308,8 +301,8 @@ def minimality_test(traj: CHTrajectory, family: PerturbationFamily,
     duration = float(path.times[-1] - path.times[0])
     window_ok = duration < window
     amps = np.asarray(amplitudes, dtype=float)[:, None, None]
-    actions = np.empty((len(family.members), len(amplitudes)))
-    for row, eta in zip(actions, family.members):
+    actions = np.empty((len(members), len(amplitudes)))
+    for row, eta in zip(actions, members):
         phi_c = path.phi + amps * eta
         phi_x = grid.lift_slope(phi_c)
         if np.min(phi_x) <= 0:
@@ -318,4 +311,4 @@ def minimality_test(traj: CHTrajectory, family: PerturbationFamily,
                 "reduce the amplitude")
         row[:] = path_action(grid, path.times, phi_c, np.sqrt(phi_x))
     return MinimalityReport(float(a_geo), actions, float(np.min(actions)),
-                            c_bound, window, window_ok, tuple(amplitudes))
+                            c_bound, window, window_ok)

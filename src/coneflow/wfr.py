@@ -11,7 +11,7 @@ first-order primal-dual iteration on a scaled dual that alternates the
 exact pointwise proximal map of the action integrand (monotone Newton,
 warm-started from the previous iterate) with the Euclidean projection
 onto the continuity constraint (real FFT in space, cosine transform in
-time by a cached closed-form matrix, cached symbol).
+time by a closed-form matrix, operators cached per grid).
 Every operator works on plain arrays: rho (nt+1, nx) at the time slices,
 m and mu (nt, nx) at the space faces and the cell centers.
 
@@ -150,8 +150,8 @@ def prox_action(rho, m, mu, gamma: float,
     hits the apex (0, 0, 0) exactly when the root leaves the positive axis.
     """
     rho, m, mu = (np.asarray(v, dtype=float) for v in (rho, m, mu))
-    if gamma <= 0:
-        raise ValueError("prox weight gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError("prox weight gamma must be positive and finite")
     c1, c2 = 2.0 * gamma * params.a ** 2, 2.0 * gamma * params.b ** 2
     qm, qmu = params.a ** 2 * m ** 2, params.b ** 2 * mu ** 2
     slack0 = gamma * (qm / c1 ** 2 + qmu / c2 ** 2)
@@ -186,32 +186,28 @@ def prox_action(rho, m, mu, gamma: float,
 
 
 @lru_cache(maxsize=16)
-def _inverse_symbol(nt: int, nx: int, balanced: bool) -> np.ndarray:
-    """Read-only inverse of the normal-equation symbol on (nt, nx//2 + 1)
-    cosine x real-Fourier modes; balanced mode zeroes the constant mode."""
-    g = StaggeredGrid(nt, nx)
-    lam_t = (2.0 - 2.0 * np.cos(np.pi * np.arange(nt) / nt)) / g.dt ** 2
-    lam_x = (2.0 - 2.0 * np.cos(g.h * np.arange(nx // 2 + 1))) / g.h ** 2
+def _projection_operators(g: StaggeredGrid, balanced: bool):
+    """Read-only (c, ci, inv) of continuity_project on the grid g.
+
+    c @ r is dct(r, type=2, axis=0) and ci @ r its idct:
+    c[j, k] = 2 cos(pi (j (2k + 1) mod 4 nt) / (2 nt)), reduced in integers,
+    and ci = c.T / (2 nt) with column 0 halved (the type-3 transform).
+    inv is the inverse of the normal-equation symbol on (nt, nx//2 + 1)
+    cosine x real-Fourier modes; balanced mode zeroes the constant mode.
+    """
+    j = np.arange(g.nt)
+    c = 2.0 * np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * g.nt)) / (2 * g.nt))
+    ci = np.ascontiguousarray(c.T) / (2 * g.nt)
+    ci[:, 0] *= 0.5
+    lam_t = (2.0 - 2.0 * np.cos(np.pi * j / g.nt)) / g.dt ** 2
+    lam_x = (2.0 - 2.0 * np.cos(g.h * np.arange(g.nx // 2 + 1))) / g.h ** 2
     denom = lam_t[:, None] + lam_x[None, :] + (0.0 if balanced else 1.0)
     if balanced:
         denom[0, 0] = np.inf  # the Laplacian's kernel, as the pseudo-inverse
     inv = 1.0 / denom
-    inv.setflags(write=False)
-    return inv
-
-
-@lru_cache(maxsize=16)
-def _cosine_matrices(nt: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (c, ci): c @ r is dct(r, type=2, axis=0), ci @ r its idct.
-    c[j, k] = 2 cos(pi (j (2k + 1) mod 4 nt) / (2 nt)), reduced in integers;
-    ci = c.T / (2 nt) with column 0 halved (the type-3 transform)."""
-    j = np.arange(nt)
-    c = 2.0 * np.cos(np.pi * (np.outer(j, 2 * j + 1) % (4 * nt)) / (2 * nt))
-    ci = np.ascontiguousarray(c.T) / (2 * nt)
-    ci[:, 0] *= 0.5
-    for a in (c, ci):
+    for a in (c, ci, inv):
         a.setflags(write=False)
-    return c, ci
+    return c, ci, inv
 
 
 def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
@@ -223,8 +219,8 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     on the grid g are overwritten and returned, so pass copies of arrays
     that must survive.  The normal equations decouple as a Neumann
     Laplacian in time (cosine transform) plus a periodic Laplacian in space
-    (real FFT) plus the identity from the source term, with the inverse
-    symbol cached per grid; balanced mode zeroes mu, requires matching
+    (real FFT) plus the identity from the source term, with both operators
+    cached per grid; balanced mode zeroes mu, requires matching
     masses (checked before any write), and treats the constant mode as the
     pseudo-inverse does.
     """
@@ -240,9 +236,9 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     rho[-1] = rho1
     r = continuity_residual(g, rho, m, mu)
 
-    c, ci = _cosine_matrices(g.nt)
+    c, ci, inv = _projection_operators(g, balanced)
     r_hat = np.fft.rfft(c @ r, axis=1)
-    r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
+    r_hat *= inv
     q = ci @ np.fft.irfft(r_hat, n=g.nx, axis=1)
 
     rho[1:-1] -= (q[:-1] - q[1:]) / g.dt

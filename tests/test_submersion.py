@@ -281,15 +281,24 @@ def test_perturbation_family_properties():
     grid = PeriodicGrid(64)
     times = np.linspace(0.0, 1.0, 51)
     fam = make_perturbation_family(grid, times, 8, seed=7)
-    assert fam.members.shape == (8, 51, grid.n)
+    assert fam.shape == (8, 51, grid.n)
     # endpoint envelopes vanish, members are sup-normalized
-    assert np.max(np.abs(fam.members[:, 0])) < 1e-12
-    assert np.max(np.abs(fam.members[:, -1])) < 1e-12
-    for eta in fam.members:
+    assert np.max(np.abs(fam[:, 0])) < 1e-12
+    assert np.max(np.abs(fam[:, -1])) < 1e-12
+    for eta in fam:
         scale = max(np.max(np.abs(eta)), np.max(np.abs(grid.deriv(eta))))
         assert scale == pytest.approx(1.0, abs=1e-12)
     again = make_perturbation_family(grid, times, 8, seed=7)
-    assert np.array_equal(fam.members, again.members)
+    assert np.array_equal(fam, again)
+
+
+@pytest.mark.parametrize("times", [
+    np.zeros(1), np.full(5, 0.3), np.array([0.0, 0.5, np.nan])],
+    ids=["one-slice", "equal-times", "nan-end"])
+def test_perturbation_family_needs_a_positive_duration(times):
+    with pytest.raises(ValueError,
+                       match="competitor times must span a positive duration"):
+        make_perturbation_family(PeriodicGrid(16), times, 2, seed=1)
 
 
 def member_loop_family(grid, times, n_members, seed):
@@ -324,7 +333,7 @@ def test_perturbation_family_equals_the_member_loop(n, n_times, n_members,
     grid = PeriodicGrid(n)
     times = np.linspace(0.0, 1.0, n_times)
     fam = make_perturbation_family(grid, times, n_members, seed)
-    assert np.array_equal(fam.members,
+    assert np.array_equal(fam,
                           member_loop_family(grid, times, n_members, seed))
 
 
@@ -338,7 +347,7 @@ def test_competitor_actions_match_the_complex_chart():
     assert rep.competitor_actions.shape == (12, 3)
     assert rep.geodesic_action == pytest.approx(
         complex_chart_action(grid, traj.times, path.phi, path.lam), rel=1e-13)
-    for eta, row in zip(fam.members, rep.competitor_actions):
+    for eta, row in zip(fam, rep.competitor_actions):
         for amp, action in zip(amplitudes, row):
             phi = path.phi + amp * eta
             lam = np.sqrt(grid.lift_slope(phi))
@@ -377,7 +386,7 @@ def test_perturbation_family_memory_is_the_members_array():
     fam, peak = traced_peak(make_perturbation_family, grid, times, 100, 11)
     # an all-at-once build of the (members, time modes, T, n) products
     # would need about four times this
-    assert peak < 1.25 * fam.members.nbytes
+    assert peak < 1.25 * fam.nbytes
 
 
 def test_minimality_memory_is_a_few_paths():
@@ -386,7 +395,7 @@ def test_minimality_memory_is_a_few_paths():
     fam = make_perturbation_family(grid, traj.times, 100, seed=11)
     _, peak = traced_peak(minimality_test, traj, fam)
     # one member at both amplitudes per pass; 8-member blocks need 8.5 MB
-    assert peak < fam.members.nbytes / 4
+    assert peak < fam.nbytes / 4
 
 
 def test_path_action_rotation_closed_form():

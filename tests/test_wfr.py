@@ -29,10 +29,10 @@ from coneflow import (
 
 
 import coneflow.wfr as wfr
-from coneflow.wfr import _inverse_symbol
+from coneflow.wfr import _projection_operators
 from prox_oracle import brute_prox
 from rk4_oracle import tuple_rk4_step
-from wfr_reference import circle_w2
+from wfr_reference import calibrated_pair, circle_w2
 
 
 # Staggered states are (g, rho, m, mu) tuples: rho (nt+1, nx) at the time
@@ -112,14 +112,14 @@ def reference_project(state, rho0, rho1, balanced, by_matrix=True):
     m = m.copy()
     mu = np.zeros_like(mu) if balanced else mu.copy()
     r = reference_residual(g, rho, m, mu)
+    c, ci, inv = _projection_operators(g, balanced)
     if by_matrix:
-        c, ci = wfr._cosine_matrices(g.nt)
         r_hat = rfft(c @ r, axis=1)
-        r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
+        r_hat *= inv
         q = ci @ irfft(r_hat, n=g.nx, axis=1)
     else:
         r_hat = rfft(dct(r, type=2, axis=0), axis=1)
-        r_hat *= _inverse_symbol(g.nt, g.nx, balanced)
+        r_hat *= inv
         q = idct(irfft(r_hat, n=g.nx, axis=1), type=2, axis=0)
     rho[1:-1] -= (q[:-1] - q[1:]) / g.dt
     m -= (q - np.roll(q, -1, axis=1)) / g.h
@@ -396,6 +396,14 @@ def test_prox_guess_changes_only_the_round_count(params):
                 assert np.max(np.abs(w - c)) < 1e-12
 
 
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0])
+def test_prox_rejects_a_weight_that_is_not_positive_and_finite(gamma):
+    zero = np.zeros(3)
+    with pytest.raises(ValueError,
+                       match="gamma must be positive and finite"):
+        prox_action(np.ones(3), zero, zero, gamma)
+
+
 def test_prox_raises_on_nan_input():
     rho = np.array([0.5, np.nan, 1.0])
     zero = np.zeros(3)
@@ -480,8 +488,8 @@ def test_projection_symbol_cache_across_grids_and_modes():
         for state, rho0, rho1, balanced, dense in cases:
             fast = project(state, rho0, rho1, balanced=balanced)
             assert state_gap(fast, dense) < 1e-10
-    symbol = _inverse_symbol(5, 7, True)
-    assert symbol is _inverse_symbol(5, 7, True)
+    symbol = _projection_operators(StaggeredGrid(5, 7), True)[2]
+    assert symbol is _projection_operators(StaggeredGrid(5, 7), True)[2]
     assert symbol.shape == (5, 4) and symbol[0, 0] == 0.0
     assert not symbol.flags.writeable
     with pytest.raises(ValueError):
@@ -491,8 +499,8 @@ def test_projection_symbol_cache_across_grids_and_modes():
 def test_cosine_matrices_are_cached_read_only_transforms():
     rng = np.random.default_rng(70)
     for nt in (4, 5, 16, 64):
-        c, ci = wfr._cosine_matrices(nt)
-        assert wfr._cosine_matrices(nt)[0] is c
+        c, ci, _ = _projection_operators(StaggeredGrid(nt, 8), False)
+        assert _projection_operators(StaggeredGrid(nt, 8), False)[0] is c
         # entries within a few ulp of scipy's; without the integer argument
         # reduction they drift to 8.7e-15 at nt = 16 and 3.9e-14 at nt = 64
         assert np.max(np.abs(c - dct(np.eye(nt), type=2, axis=0))) < 4e-15
@@ -509,7 +517,8 @@ def test_projection_makes_one_transform_each_way(monkeypatch):
     # space: one numpy rfft and one irfft; time: the cached cosine
     # matrices, in every projection of a solve
     pg = PeriodicGrid(16)
-    wfr._cosine_matrices(8)  # built once, before counting
+    # the operators are built once, before counting
+    _projection_operators(StaggeredGrid(8, 16), False)
     counts = dict(rfft=0, irfft=0)
     for name in counts:
         def counted(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
@@ -810,6 +819,50 @@ def test_horizontal_flow_past_the_apex_overflows():
                         1.0, 1e-3)
     t = float(str(info.value).rsplit("t=", 1)[1])
     assert 0.5 <= t <= 0.51
+
+
+def test_calibrated_pair_refuses_a_path_through_the_apex():
+    # Phi0 = -2 on rho0 = 1 reaches the apex at t = 1/2, where lam = |1 - 2t|
+    # vanishes; at t = 1 lam is back to 1, so only the whole interval tells
+    grid = PeriodicGrid(16)
+    rho, v, alpha, _ = calibrated_pair(grid, np.ones(16), np.full(16, -2.0),
+                                       0.4)
+    assert np.max(np.abs(rho - 0.04)) < 1e-15 and np.max(np.abs(v)) == 0.0
+    assert np.max(np.abs(alpha + 10.0)) < 1e-13
+    with pytest.raises(ValueError, match="reaches the apex or folds"):
+        calibrated_pair(grid, np.ones(16), np.full(16, -2.0), 1.0)
+
+
+def calibrated_data(n):
+    # acceptance test 6's horizontal geodesic
+    grid = PeriodicGrid(n)
+    return grid, 1.0 + 0.3 * np.sin(grid.x), 0.3 * np.cos(grid.x) + 0.2
+
+
+def test_horizontal_flow_matches_the_closed_form():
+    grid, rho0, phi0 = calibrated_data(64)
+    flow = horizontal_flow(grid, rho0, phi0, 1.0, 1e-3)
+    for i in (500, 1000):
+        rho, v, alpha, energy = calibrated_pair(grid, rho0, phi0,
+                                                flow.times[i])
+        assert np.max(np.abs(flow.rho[i] - rho)) < 1e-11
+        assert np.max(np.abs(flow.v[i] - v)) < 1e-11
+        assert np.max(np.abs(flow.alpha[i] - alpha)) < 1e-11
+    assert energy == pytest.approx(0.6047565858160352, abs=1e-15)
+    assert abs(flow.action - energy) < 1e-12
+
+
+def test_unbalanced_distance_converges_to_the_geodesic_energy():
+    # the unit-time horizontal geodesic is minimal, so d^2 = E in the limit;
+    # the solver's gap d^2 - E shrinks at O(h^2) (nt = 32 is too coarse)
+    gaps = []
+    for nx in (32, 64, 128):
+        grid, rho0, phi0 = calibrated_data(nx)
+        rho1, _, _, energy = calibrated_pair(grid, rho0, phi0)
+        res = solve_wfr(rho0, rho1, 64, tol=1e-9)
+        gaps.append(res.distance ** 2 - energy)
+    ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+    assert np.all((3.0 <= ratios) & (ratios <= 5.0)), (gaps, ratios)
 
 
 @pytest.mark.parametrize("rho0, phi0, t_final, dt, error", [

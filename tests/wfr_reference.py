@@ -1,4 +1,4 @@
-"""Exact continuum reference for balanced transport on the circle.
+"""Exact continuum references for transport on the circle.
 
 circle_w2 is the quadratic Wasserstein distance between two densities on
 the circle of length 2 pi, computed from their quantile functions (Delon,
@@ -13,6 +13,8 @@ C''(theta) = 2 int X'(s) Y'(s + theta) ds > 0, so theta is found by Newton
 steps kept inside a sign-change bracket of C'.  X - Y(. + theta) is smooth
 and periodic in s, so the midpoint rule in s converges spectrally.
 Numpy only; used by the tests as an oracle for solve_wfr(balanced=True).
+calibrated_pair, the closed-form horizontal geodesic, is the oracle for
+horizontal_flow and for the unbalanced solve_wfr.
 """
 import numpy as np
 
@@ -109,3 +111,56 @@ def circle_w2(rho0, rho1, nodes: int = 2048) -> float:
         if not lo < theta < hi:
             theta = 0.5 * (lo + hi)
     raise RuntimeError("shift minimisation did not converge")
+
+
+def calibrated_pair(grid, rho0, phi0, t=1.0):
+    """Exact horizontal geodesic from rho0 launched by the potential phi0.
+
+    At the coefficient pair (1, 1/2) the cone chart z = lam exp(i phi) is
+    flat, so the label x of a horizontal geodesic moves on the straight
+    line z = exp(ix) (1 + s w) with w = Phi0 + i Phi0'/2; lam^2 = |1 + s w|^2
+    and phi = x + arg(1 + s w).  The label fields are rho0 lam^2 / phi_x,
+    (Phi0'/2) / lam^2 and (Phi0 + s |w|^2) / lam^2.  Returns the nodal
+    (rho, v, alpha) at time t, which read them at phi(t)^-1 of the nodes,
+    and the conserved energy E = int (Phi0'^2 / 4 + Phi0^2) rho0, the
+    squared WFR distance from rho0 to rho while the geodesic is minimal.
+
+    rho0 and phi0 are nodal samples of trigonometric polynomials that the
+    grid resolves, so they are evaluated off the nodes exactly.  Raises
+    ValueError if a label reaches the apex (lam = 0) or folds (phi_x = 0)
+    by time t: lam^2 phi_x = Im(conj(1 + s w) (i (1 + s w) + s w_x)) is a
+    quadratic in s, 1 at s = 0, that vanishes at both, and its minimum over
+    [0, t] must exceed 1e-12 at every node.
+    """
+    rho0, phi0 = np.asarray(rho0, float), np.asarray(phi0, float)
+
+    def labels(y):
+        p, p1, p2 = (grid.trig_eval(phi0, y, order=k) for k in (0, 1, 2))
+        return p, p1, p + 0.5j * p1, p1 + 0.5j * p2
+
+    # u = 1 + c1 s + c2 s^2 at the nodes; its minimum on [0, t]
+    _, _, w, w_x = labels(grid.x)
+    c1 = 2.0 * w.real + w_x.imag
+    c2 = np.abs(w) ** 2 + (np.conj(w) * w_x).imag
+    vertex = np.divide(-c1, 2.0 * c2, out=np.zeros(grid.n), where=c2 > 0)
+    s = np.stack((np.full(grid.n, t), np.clip(vertex, 0.0, t)))
+    if np.min(1.0 + c1 * s + c2 * s * s) <= 1e-12:  # rounding of a touch
+        raise ValueError("a label reaches the apex or folds by time t")
+    # |arg(1 + t w)| < pi off the apex.  invert_lift reads phi through the
+    # interpolant of its nodal samples; Newton on the exact phi polishes it
+    z = 1.0 + t * w
+    y = grid.invert_lift(grid.x + np.angle(z))
+    for _ in range(20):
+        p, p1, w, w_x = labels(y)
+        z = 1.0 + t * w
+        lam2 = np.abs(z) ** 2
+        phi_x = 1.0 + t * (w_x * np.conj(z)).imag / lam2
+        gap = y + np.angle(z) - grid.x
+        if np.max(np.abs(gap)) <= 1e-14 * TWO_PI:
+            break
+        y = y - gap / phi_x
+    else:
+        raise RuntimeError("inverse flow map did not converge")
+    rho = grid.trig_eval(rho0, y) * lam2 / phi_x
+    energy = grid.integrate((0.25 * grid.deriv(phi0) ** 2 + phi0 ** 2) * rho0)
+    return rho, 0.5 * p1 / lam2, (p + t * np.abs(w) ** 2) / lam2, energy
