@@ -148,24 +148,25 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
 
     u is interpolated in time with 4-point Lagrange stencils (order matched
     to RK4).  The RK4 stages at fractions 0 and 1 of a step are the stored
-    slices; the midpoint stage weights the stencil's four slices by
+    slices, the midpoint stage weights the stencil's four slices by
     (5, 15, -5, 1)/16 on the first step, (-1, 9, 9, -1)/16 inside and
-    (1, -5, 15, 5)/16 on the last.  Raises CHBlowupError at the first slice
-    where min d_x phi is below the breaking floor.
+    (1, -5, 15, 5)/16 on the last, and each is one block, built once.
+    Raises CHBlowupError at the first slice where min d_x phi < _PHI_X_FLOOR.
     """
     grid = traj.grid
     n_steps = len(traj.times) - 1
     if n_steps < 3:
         raise ValueError("trajectory too short for the flow map")
-    half_ux = 0.5 * grid.deriv(traj.u)
-    pairs = np.stack((traj.u, half_ux), axis=1)  # (T, 2, n)
+    pairs = np.stack((traj.u, 0.5 * grid.deriv(traj.u)), axis=1)  # (T, 2, n)
     mid_weights = np.array([[5, 15, -5, 1], [-1, 9, 9, -1],
                             [1, -5, 15, 5]]) / 16
+    end = [grid._trig_block(pairs[0])]
 
-    def stages(j):  # the midpoint is formed once and used by two stages
+    def stages(j):  # each slice's block and the midpoint's are built once
         j0 = min(max(j - 1, 0), n_steps - 3)
         mid = mid_weights[j - j0] @ pairs[j0:j0 + 4].reshape(4, -1)
-        return pairs[j], mid.reshape(2, -1), pairs[j + 1]
+        start, end[0] = end[0], grid._trig_block(pairs[j + 1])
+        return start, grid._trig_block(mid.reshape(2, -1)), end[0]
 
     steps = pair_flow(grid, stages, traj.dt, n_steps)
     phi, lam_ode = map(np.array, zip((grid.x, np.ones(grid.n)), *steps))

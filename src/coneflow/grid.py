@@ -5,9 +5,9 @@ collocation derivatives, integrals are uniform Riemann sums (exact for
 trigonometric polynomials below the Nyquist band), and off-grid evaluation
 sums the trigonometric interpolant as a polynomial in z = exp(ix) by
 baby-step giant-step: O(P*n) flops in about 2 sqrt(n/2) numpy rounds, with
-temporaries bounded by a fixed block of points.
-A stack of fields of shape (..., n) is evaluated in the same pass, each
-row at its own row of points.
+temporaries bounded by a fixed block of points.  A stack of fields of
+shape (..., n) is laid out once as one coefficient block and evaluated in
+the same pass, each row at its own row of points.
 Circle maps are handled through their monotone lifts, evaluated through
 the same interpolant and inverted by safeguarded Newton.  All fixed-step
 integrators use rk4_step, the spectral PDE steppers in blocks (rk4_blocks).
@@ -145,6 +145,10 @@ class PeriodicGrid:
         weights[0] = weights[-1] = 1.0
         return weights * c / self.n
 
+    def _trig_block(self, values: np.ndarray) -> np.ndarray:
+        """The _giant_rows block of values' interpolant, for _evaluate."""
+        return _giant_rows(self._trig_coeffs(values, 0))
+
     # -- monotone circle-map lifts ------------------------------------------
 
     def eval_lift(self, phi: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -204,26 +208,32 @@ def fourier_multipliers(n: int) -> tuple:
 
 
 def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Real part of sum_j coeff[..., j] exp(i j x) at x = points.
+    """Real part of sum_j coeff[..., j] exp(i j x) at x = points, batch rows
+    at rows of points, by baby-step giant-step: _evaluate of _giant_rows."""
+    return _evaluate(_giant_rows(coeff), points)
 
-    Leading axes of coeff are batch axes and must lead points; each row's
-    polynomial is evaluated at that row's points by baby-step giant-step
-    (Paterson-Stockmeyer): for m coefficients and L = ceil(sqrt(m)), one
-    matmul takes z^0 .. z^(L-1), z = exp(ix), against the coefficients as a
-    (ceil(m/L), L) array, and Horner's rule in z^L sums its ceil(m/L) rows.
-    Points go in blocks of at most _BLOCK, whole rows together if they fit.
-    Points broadcast along the batch axes (zero strides) share one set of
-    powers per block; each row's matmul and bits are those of copied points.
-    """
+
+def _giant_rows(coeff: np.ndarray) -> np.ndarray:
+    """coeff (..., m) zero-padded to G*L, L = ceil(sqrt(m)), as the block
+    (G, ..., L) whose [g, ..., l] is the coefficient of z^(g*L + l)."""
     m = coeff.shape[-1]
     size = math.isqrt(m - 1) + 1
     c = np.zeros((coeff[..., 0].size, -(-m // size), size), complex)
     c.reshape(len(c), -1)[:, :m] = coeff.reshape(len(c), m)
-    nb = coeff.ndim - 1
+    return np.ascontiguousarray(c.swapaxes(0, 1)).reshape(
+        c.shape[1:2] + coeff.shape[:-1] + (size,))
+
+
+def _evaluate(block: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """_horner of a _giant_rows block: per _BLOCK points, one matmul by the
+    powers of z = exp(ix), then Horner in z^L on contiguous (rows, P) slices;
+    shared (broadcast) points take one flat (G*rows, L) @ (L, P) matmul."""
+    c = block.reshape(len(block), -1, block.shape[-1])
+    (n_giant, n_rows, size), nb = c.shape, block.ndim - 2
     shared = points.size > 0 and not any(points.strides[:nb])
     x = (points[(0,) * nb] if shared else points).reshape(
-        1 if shared else len(c), math.prod(points.shape[nb:]))
-    out = np.empty((len(c), x.shape[1]))
+        1 if shared else n_rows, math.prod(points.shape[nb:]))
+    out = np.empty((n_rows, x.shape[1]))
     per = max(1, _BLOCK // max(x.shape[1], 1))
     for i in range(0, len(x), per):
         rows = slice(None) if shared else slice(i, i + per)
@@ -232,12 +242,19 @@ def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
             powers = np.ones((len(z), size) + z.shape[1:], complex)
             for k in range(1, size):
                 np.multiply(powers[:, k - 1], z, out=powers[:, k])
-            z *= powers[:, -1]  # z^L
-            giant = c[rows] @ powers
-            acc = giant[:, -1]
-            for q in range(giant.shape[1] - 2, -1, -1):
+            if shared:
+                giant = (c.reshape(-1, size) @ powers[0]).reshape(
+                    n_giant, n_rows, -1)
+            else:
+                giant = np.empty((n_giant,) + z.shape, complex)
+                np.matmul(c[:, rows].swapaxes(0, 1), powers,
+                          out=giant.swapaxes(0, 1))
+            acc = giant[-1]
+            z *= powers[:, -1]  # z^L, at the accumulator's shape
+            z = z.repeat(len(acc), axis=0) if shared else z
+            for q in range(n_giant - 2, -1, -1):
                 acc *= z
-                acc += giant[:, q]
+                acc += giant[q]
             out[rows, j:j + _BLOCK] = acc.real
     return out.reshape(points.shape)
 

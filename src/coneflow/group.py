@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeParams
-from .grid import PeriodicGrid, rk4_step, step_count
+from .grid import PeriodicGrid, _evaluate, rk4_step, step_count
 
 _MONOTONE_TOL = 1e-10
 
@@ -145,12 +145,13 @@ def lie_bracket(xi1: VelocityPair, xi2: VelocityPair) -> VelocityPair:
 def pair_flow(grid: PeriodicGrid, stages, dt: float, n_steps: int):
     """Yield the stack (phi, lam), shape (2, n), after each RK4 step of
     phi' = v o phi, lam' = (alpha o phi) lam from the identity.  stages(j)
-    returns the stack (v, alpha) at fractions 0, 1/2 and 1 of step j; each
-    RK4 stage is one trig_eval call at phi broadcast to both rows."""
+    returns blocks (grid._trig_block) of (v, alpha), each built once, at
+    fractions 0, 1/2 and 1 of step j; each RK4 stage evaluates one at phi
+    broadcast to both rows."""
     at = {}
 
     def rhs(c, y):
-        dy = grid.trig_eval(at[c], np.broadcast_to(y[0], y.shape))
+        dy = _evaluate(at[c], np.broadcast_to(y[0], y.shape))
         dy[1] *= y[1]
         return dy
 
@@ -162,9 +163,10 @@ def pair_flow(grid: PeriodicGrid, stages, dt: float, n_steps: int):
 
 
 def group_exponential(xi: VelocityPair, t: float, dt: float) -> GroupElement:
-    """Flow of the right-invariant field: phi' = v o phi, lam' = (alpha o phi) lam."""
+    """Flow of the right-invariant field: phi' = v o phi, lam' = (alpha o phi)
+    lam; every stage evaluates one block of (v, alpha), built once."""
     n_steps = step_count(abs(t), dt)  # t < 0 takes the steps backwards
-    stack = (np.array((xi.v, xi.alpha)),) * 3  # the same at every stage
+    stack = (xi.grid._trig_block(np.array((xi.v, xi.alpha))),) * 3
     for phi, lam in pair_flow(xi.grid, lambda _: stack, t / n_steps, n_steps):
         pass  # only the last state is kept: memory is O(n) for any step count
     return GroupElement(xi.grid, phi, lam)

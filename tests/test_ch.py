@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+import coneflow.grid
+import coneflow.group
 from coneflow import (
     CHBlowupError,
     CHTrajectory,
@@ -235,24 +237,50 @@ def test_flow_map_advects_with_the_velocity():
 
 
 def test_flow_map_stage_is_one_stacked_evaluation(monkeypatch):
-    # u and u_x at each RK4 stage go through one trig_eval call; the same
-    # stages evaluated row by row give the same bits
+    # u and u_x/2 at each RK4 stage go through one 2-row evaluation of a
+    # coefficient block; each slice's block and each midpoint's is built
+    # once, so a step builds two; the same blocks evaluated row by row
+    # give the same bits
     grid = PeriodicGrid(256)
     traj = ch_solve(grid, 0.2 * np.sin(grid.x), 0.02, 1e-3)
     stacked = flow_map(traj)
-    trig_eval = PeriodicGrid.trig_eval
-    shapes = []
+    evaluate, giant_rows = coneflow.grid._evaluate, coneflow.grid._giant_rows
+    rows_per_call, built = [], []
 
-    def row_by_row(self, values, points, order=0):
-        shapes.append(np.shape(values))
-        return np.array([trig_eval(self, v, p, order)
-                         for v, p in zip(values, points)])
+    def row_by_row(block, points):
+        rows_per_call.append(block.shape[1:-1])
+        return np.array([evaluate(block[:, i], p)
+                         for i, p in enumerate(points)])
 
-    monkeypatch.setattr(PeriodicGrid, "trig_eval", row_by_row)
+    def counted(coeff):
+        built.append(coeff.shape)
+        return giant_rows(coeff)
+
+    monkeypatch.setattr(coneflow.group, "_evaluate", row_by_row)
+    monkeypatch.setattr(coneflow.grid, "_giant_rows", counted)
     rows = flow_map(traj)
-    assert shapes == [(2, 256)] * (4 * 20)
+    assert rows_per_call == [(2,)] * (4 * 20)
+    assert built == [(2, 129)] * (2 * 20 + 1)
     assert np.array_equal(stacked.phi, rows.phi)
     assert np.array_equal(stacked.lam_ode, rows.lam_ode)
+
+
+def test_flow_map_makes_two_coefficient_transforms_a_step(monkeypatch):
+    # 20 steps: the slices' and midpoints' blocks take 2 rffts a step,
+    # plus the first slice's block, u_x and the final d_x phi; the four
+    # RK4 stages of a step share those blocks
+    grid = PeriodicGrid(256)
+    traj = ch_solve(grid, 0.2 * np.sin(grid.x), 0.02, 1e-3)
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    flow_map(traj)
+    assert len(calls) == 2 * 20 + 3
 
 
 def reference_flow(traj):

@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+import coneflow.grid
+import coneflow.group
 from coneflow import (
     ConeParams,
     DensityField,
@@ -235,23 +237,47 @@ def test_group_exponential_rejects_partial_and_empty_horizons(t):
 
 
 def test_group_exponential_stage_is_one_stacked_evaluation(monkeypatch):
-    # v and alpha at each RK4 stage go through one trig_eval call; the same
-    # fields evaluated row by row give the same bits
+    # (v, alpha) is one coefficient block, built once per call; each RK4
+    # stage evaluates it in one 2-row call, and the same block evaluated
+    # row by row gives the same bits
     xi = random_pair(np.random.default_rng(17), scale=0.5)
     stacked = group_exponential(xi, 0.5, 0.05)
-    trig_eval = PeriodicGrid.trig_eval
-    shapes = []
+    evaluate, giant_rows = coneflow.grid._evaluate, coneflow.grid._giant_rows
+    rows_per_call, built = [], []
 
-    def row_by_row(self, values, points, order=0):
-        shapes.append(np.shape(values))
-        return np.array([trig_eval(self, v, p, order)
-                         for v, p in zip(values, points)])
+    def row_by_row(block, points):
+        rows_per_call.append(block.shape[1:-1])
+        return np.array([evaluate(block[:, i], p)
+                         for i, p in enumerate(points)])
 
-    monkeypatch.setattr(PeriodicGrid, "trig_eval", row_by_row)
+    def counted(coeff):
+        built.append(coeff.shape)
+        return giant_rows(coeff)
+
+    monkeypatch.setattr(coneflow.group, "_evaluate", row_by_row)
+    monkeypatch.setattr(coneflow.grid, "_giant_rows", counted)
     rows = group_exponential(xi, 0.5, 0.05)
-    assert shapes == [(2, GRID.n)] * (4 * 10)
+    assert rows_per_call == [(2,)] * (4 * 10)
+    assert built == [(2, GRID.n // 2 + 1)]
     assert np.array_equal(stacked.phi, rows.phi)
     assert np.array_equal(stacked.lam, rows.lam)
+
+
+@pytest.mark.parametrize("steps", [1, 7, 400])
+def test_group_exponential_transforms_its_pair_once(monkeypatch, steps):
+    # one rfft of the stacked (v, alpha) for any number of steps; the
+    # returned element's own check (phi_x) takes one more
+    xi = random_pair(np.random.default_rng(19), scale=0.5)
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    group_exponential(xi, 0.2, 0.2 / steps)
+    assert calls == [(2, GRID.n), (GRID.n,)]
 
 
 @pytest.mark.parametrize("t", [0.5, -0.3])

@@ -768,6 +768,15 @@ def test_balanced_solver_converges_to_the_circle_w2_at_second_order():
     assert abs((4 * d2[2] - d2[1]) / 3 - w2) < 5e-5
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_circle_w2_of_a_two_mode_pair(n):
+    # modes 1 and 2, so the optimal plan is no rigid shift: the quantile
+    # value is the same on every grid that resolves both densities
+    x = PeriodicGrid(n).x
+    w2 = circle_w2(1 + 0.3 * np.sin(x), 1 + 0.4 * np.cos(2 * x))
+    assert w2 == pytest.approx(0.3540121924601, abs=1e-12)
+
+
 def test_hellinger_distance_values():
     pg = PeriodicGrid(32)
     # uniform 1 -> 4: 2b |2 - 1| sqrt(2 pi) at b = 1/2
