@@ -34,6 +34,14 @@ class ConeParams:
         if not (0 < self.a < np.inf and 0 < self.b < np.inf):  # NaN fails
             raise ValueError("cone parameters a, b must be finite and "
                              "positive")
+        # every formula weights by a^2 and b^2: an overflowing square is an
+        # OverflowError or inf downstream, an underflowing one a silent 0
+        for name, value in (("a", self.a), ("b", self.b)):
+            if not np.finfo(float).tiny <= value * value < np.inf:
+                raise ValueError(
+                    f"cone parameter {name}={value!r} is out of range: its "
+                    f"square must be a normal float, so {name} must lie in "
+                    f"about [1.5e-154, 1.3e154]")
 
     @property
     def half_ratio(self) -> float:

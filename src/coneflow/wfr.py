@@ -13,7 +13,8 @@ warm-started from the previous iterate) with the Euclidean projection
 onto the continuity constraint (real FFT in space, cosine transform in
 time by a closed-form matrix, operators cached per grid).
 Every operator works on plain arrays: rho (nt+1, nx) at the time slices,
-m and mu (nt, nx) at the space faces and the cell centers.
+m and mu (nt, nx) at the space faces and the cell centers; solve_wfr
+updates them in place, in a workspace allocated once per solve.
 
 Two scalar conventions coexist in this corner of the code base and are
 never converted implicitly (see CONVENTIONS): the lift potential Phi of
@@ -42,6 +43,8 @@ _SIGMA = 0.95  # dual and primal step sizes of solve_wfr
 _TAU = 0.95
 _CHECK_EVERY = 25
 _MIN_ITERS = 200
+_MIN_PEAK = 1e-10  # solve_wfr needs an endpoint density above this, or 0
+_max = np.maximum.reduce  # ndarray.max without its Python-level wrapper
 
 
 class WFRConvergenceError(RuntimeError):
@@ -90,30 +93,68 @@ class StaggeredGrid:
         return (np.arange(self.nt) + 0.5) * self.dt
 
 
-def _shift(a: np.ndarray, s: int) -> np.ndarray:
-    """np.roll(a, s, axis=-1) for 0 < |s| < a.shape[-1], by slice assignment."""
-    out = np.empty_like(a)
-    out[..., s:] = a[..., :-s]
-    out[..., :s] = a[..., -s:]
-    return out
+def _roll_calls(op, a: np.ndarray, s: int, out: np.ndarray) -> list:
+    """The ufunc calls that write op(a, np.roll(a, s, axis=-1)) into the
+    C-contiguous out, for s = 1 or -1: one over the rows laid end to end,
+    then one for the column that wraps around."""
+    flat, flat_out = a.reshape(-1), out.reshape(-1)
+    if s == 1:
+        return [(op, (flat[1:], flat[:-1], flat_out[1:])),
+                (op, (a[..., 0], a[..., -1], out[..., 0]))]
+    return [(op, (flat[:-1], flat[1:], flat_out[:-1])),
+            (op, (a[..., -1], a[..., 0], out[..., -1]))]
+
+
+def _run(calls: list) -> None:
+    """Make the calls (ufunc, operands), each with its output last; a call
+    of np.positive is a copy."""
+    for op, args in calls:
+        op(*args)
+
+
+def _centers_calls(rho, m, out: np.ndarray) -> list:
+    """Calls that write the density and momentum rows of
+    interpolate_centers into the (2, nt, nx) array out."""
+    return ([(np.add, (rho[:-1], rho[1:], out[0]))]
+            + _roll_calls(np.add, m, 1, out[1])
+            + [(np.multiply, (out, 0.5, out))])
 
 
 def interpolate_centers(rho, m, mu):
     """Staggered arrays averaged to the cell centers; mu, which already
     lives there, is returned as is, not copied."""
-    return 0.5 * (rho[:-1] + rho[1:]), 0.5 * (m + _shift(m, 1)), mu
+    out = np.empty((2,) + np.shape(m))
+    _run(_centers_calls(rho, m, out))
+    return out[0], out[1], mu
 
 
-def _adjoint_centers(grid: StaggeredGrid, w_rho, w_m, w_mu):
-    """Adjoint of interpolate_centers; boundary density slices receive zero."""
-    rho = np.zeros((grid.nt + 1, grid.nx))
-    rho[1:-1] = 0.5 * (w_rho[:-1] + w_rho[1:])
-    return rho, 0.5 * (w_m + _shift(w_m, -1)), w_mu
+def _adjoint_calls(z: np.ndarray, out: np.ndarray) -> list:
+    """Calls that write the adjoint of interpolate_centers on the
+    (3, nt, nx) stack z into the (3 nt + 1, nx) array out; its boundary
+    density rows, which receive zero, are not written."""
+    nt = z.shape[1]
+    return ([(np.add, (z[0, :-1], z[0, 1:], out[1:nt]))]
+            + _roll_calls(np.add, z[1], -1, out[nt + 1:2 * nt + 1])
+            + [(np.multiply, (out[:2 * nt + 1], 0.5, out[:2 * nt + 1])),
+               (np.positive, (z[2], out[2 * nt + 1:]))])
+
+
+def _residual_into(g: StaggeredGrid, rho, m, mu, out: np.ndarray,
+                   work: np.ndarray) -> np.ndarray:
+    """continuity_residual written into out, with work as scratch."""
+    np.subtract(rho[1:], rho[:-1], out=out)
+    out /= g.dt
+    _run(_roll_calls(np.subtract, m, 1, work))
+    work /= g.h
+    out += work
+    out -= mu
+    return out
 
 
 def continuity_residual(g: StaggeredGrid, rho, m, mu) -> np.ndarray:
     """d_t rho + d_x m - mu at the cell centers."""
-    return (rho[1:] - rho[:-1]) / g.dt + (m - _shift(m, 1)) / g.h - mu
+    work = np.empty((2, g.nt, g.nx))
+    return _residual_into(g, rho, m, mu, work[0], work[1])
 
 
 def wfr_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
@@ -137,7 +178,7 @@ def wfr_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
 
 
 def prox_action(rho, m, mu, gamma: float,
-                params: ConeParams = ConeParams(), guess=None):
+                params: ConeParams = ConeParams(), guess=None, out=None):
     """Pointwise prox of gamma * (a^2 m^2 + b^2 mu^2)/rho on rho >= 0.
 
     Eliminating m and mu leaves one equation f(r) = 0 (cubic when a = b,
@@ -148,38 +189,70 @@ def prox_action(rho, m, mu, gamma: float,
     count.  It stops at |f| < 1e-13 (1 + max r) and raises RuntimeError
     with the worst |f| after 200 rounds (NaN input ends there).  The prox
     hits the apex (0, 0, 0) exactly when the root leaves the positive axis.
+
+    The two fluxes run as one (2, ...) stack, each step one call for both,
+    in one scratch block per call.  Returns the rows of a (3, ...) array:
+    out when it is given (guess may be its first row, the inputs may not
+    overlap it), else a new one.
     """
     rho, m, mu = (np.asarray(v, dtype=float) for v in (rho, m, mu))
     if not 0 < gamma < np.inf:
         raise ValueError("prox weight gamma must be positive and finite")
-    c1, c2 = 2.0 * gamma * params.a ** 2, 2.0 * gamma * params.b ** 2
-    qm, qmu = params.a ** 2 * m ** 2, params.b ** 2 * mu ** 2
-    slack0 = gamma * (qm / c1 ** 2 + qmu / c2 ** 2)
-    # apex cells get rho = qm = qmu = 0, so f = 0 at their floor r = 0 and
-    # every output there is 0; NaN cells stay live
-    live = ~(rho + slack0 <= 0.0)
-    rho = rho * live
-    qm, qmu = gamma * live * qm, gamma * live * qmu
-
-    floor = np.maximum(rho, 0.0)
-    r = floor if guess is None else np.maximum(guess, floor) * live
+    if out is None:
+        out = np.empty((3,) + rho.shape)
+    a2, b2 = params.a ** 2, params.b ** 2
+    c1, c2 = 2.0 * gamma * a2, 2.0 * gamma * b2
+    # per-flux coefficients, shaped to broadcast over the (2, ...) stacks
+    c, weight, c_sq = np.reshape(((c1, c2), (a2, b2), (c1 ** 2, c2 ** 2)),
+                                 (3, 2) + (1,) * rho.ndim)
+    work = np.empty((8,) + rho.shape)
+    q, t = work[:2], work[2:4]
+    q1, q2, t1, t2, f, step, floor, rho_live = work
+    r, s = out[0], out[1:]
+    np.multiply(m, m, out=q1)
+    np.multiply(mu, mu, out=q2)
+    q *= weight
+    np.divide(q, c_sq, out=t)
+    np.add(t1, t2, out=f)
+    f *= gamma
+    f += rho
+    # apex cells get rho = q = 0, so f = 0 at their floor r = 0 and every
+    # output there is 0; NaN cells stay live
+    live = ~(f <= 0.0)
+    np.multiply(rho, live, out=rho_live)
+    np.multiply(gamma, live, out=f)
+    q *= f
+    np.maximum(rho_live, 0.0, out=floor)
+    if guess is None:
+        r[...] = floor
+    else:
+        np.maximum(guess, floor, out=r)
+        r *= live
     # df >= 1 everywhere, so |f(r)| bounds the distance to the root
     for _ in range(200):
-        s1 = r + c1
-        s2 = r + c2
-        t1 = qm / (s1 * s1)
-        t2 = qmu / (s2 * s2)
-        f = r - rho - t1 - t2
-        worst = np.abs(f).max()
-        if worst < 1e-13 * (1.0 + r.max()):
+        np.add(r, c, out=s)
+        np.multiply(s, s, out=t)
+        np.divide(q, t, out=t)
+        np.subtract(r, rho_live, out=f)
+        f -= t1
+        f -= t2
+        worst = _max(np.abs(f, out=step), axis=None)
+        if worst < 1e-13 * (1.0 + _max(r, axis=None)):
             break
-        r = np.maximum(r - f / (1.0 + 2.0 * (t1 / s1 + t2 / s2)), floor)
+        np.divide(t, s, out=t)
+        np.add(t1, t2, out=step)
+        step *= 2.0
+        step += 1.0
+        np.divide(f, step, out=step)
+        np.subtract(r, step, out=step)
+        np.maximum(step, floor, out=r)
     else:
         raise RuntimeError(f"prox Newton stalled after 200 rounds "
                            f"(max |f| = {worst:.3e})")
-    m_out = (r / s1) * m
-    mu_out = (r / s2) * mu
-    return r, m_out, mu_out
+    np.divide(r, s, out=s)
+    s[0] *= m
+    s[1] *= mu
+    return out[0], out[1], out[2]
 
 
 # -- projection onto the continuity constraint --------------------------------
@@ -222,7 +295,8 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     (real FFT) plus the identity from the source term, with both operators
     cached per grid; balanced mode zeroes mu, requires matching
     masses (checked before any write), and treats the constant mode as the
-    pseudo-inverse does.
+    pseudo-inverse does.  The residual and the update are computed in one
+    (2, nt, nx) work array.
     """
     if balanced:
         mass_gap = g.h * float(np.sum(rho1) - np.sum(rho0))
@@ -234,15 +308,22 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
         mu.fill(0.0)
     rho[0] = rho0
     rho[-1] = rho1
-    r = continuity_residual(g, rho, m, mu)
+    work = np.empty((2, g.nt, g.nx))
+    r = _residual_into(g, rho, m, mu, work[0], work[1])
 
     c, ci, inv = _projection_operators(g, balanced)
-    r_hat = np.fft.rfft(c @ r, axis=1)
+    r_hat = np.fft.rfft(np.matmul(c, r, out=work[1]), axis=1)
     r_hat *= inv
-    q = ci @ np.fft.irfft(r_hat, n=g.nx, axis=1)
+    q = np.matmul(ci, np.fft.irfft(r_hat, n=g.nx, axis=1, out=work[1]),
+                  out=work[0])
 
-    rho[1:-1] -= (q[:-1] - q[1:]) / g.dt
-    m -= (q - _shift(q, -1)) / g.h
+    d = work[1]
+    np.subtract(q[:-1], q[1:], out=d[:-1])
+    d[:-1] /= g.dt
+    rho[1:-1] -= d[:-1]
+    _run(_roll_calls(np.subtract, q, -1, d))
+    d /= g.h
+    m -= d
     if not balanced:
         mu += q
     return rho, m, mu
@@ -294,7 +375,16 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     raises WFRConvergenceError at max_iters.  In balanced mode the start
     is projected once before the loop, and continuity_project rejects
     endpoints of unequal mass.  Each prox starts from the last prox
-    density: fewer rounds, same iterates.
+    density: fewer rounds, same iterates.  Endpoints whose largest value
+    is positive but at most _MIN_PEAK raise ValueError; a pair that is
+    zero at both ends has distance 0.
+
+    The workspace: the primal state is one (3 nt + 1, nx) array with rho,
+    m and mu as row views, so u -= step K^T z is one operation; the dual
+    z, K u at the last two iterates, y and the prox output are (3, nt, nx)
+    stacks, so each dual update is one operation.  The mu row of K u is a
+    copy (interpolate_centers returns mu itself, and u changes in place).
+    The result holds views of this workspace, which no later solve touches.
     """
     require_integer("max_iters", max_iters)
     if not (np.isfinite(tol) and tol > 0 and max_iters >= 1):
@@ -304,21 +394,29 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     rho1 = _validate_endpoint(rho1, "rho1")
     if rho0.shape != rho1.shape:
         raise ValueError("endpoint densities must share a grid")
+    peak = max(rho0.max(), rho1.max())
+    if 0 < peak <= _MIN_PEAK:
+        # the prox stops at the absolute |f| < 1e-13 (1 + max r), which such
+        # densities meet before any Newton step: the distance would be wrong
+        raise ValueError(f"endpoint densities peak at {peak:.3e}, at or "
+                         f"below the smallest scale solved, {_MIN_PEAK:.0e}")
     nx = len(rho0)
     g = StaggeredGrid(nt, nx)
 
+    # the workspace; the boundary density rows of kt_z stay zero
+    u = np.zeros((3 * g.nt + 1, g.nx))
+    u_rho, u_m, u_mu = u[:g.nt + 1], u[g.nt + 1:2 * g.nt + 1], u[2 * g.nt + 1:]
+    kt_z = np.zeros_like(u)
+    z, y, p, k0, k1 = (np.zeros((3, g.nt, g.nx)) for _ in range(5))
+
     # start: linear density interpolation, mu absorbing growth unless balanced
     frac = g.t_slices[:, None]
-    u_rho = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
-    u_m = np.zeros((g.nt, g.nx))
+    u_rho[...] = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
     if balanced:
-        u_mu = np.zeros((g.nt, g.nx))
         continuity_project(g, u_rho, u_m, u_mu, rho0, rho1, balanced=True)
     else:
-        u_mu = np.broadcast_to((rho1 - rho0)[None, :], (g.nt, g.nx)).copy()
+        u_mu[...] = rho1 - rho0
 
-    # the dual is kept scaled, z = w / _SIGMA, and K u is carried over
-    z_rho, z_m, z_mu = (np.zeros((g.nt, g.nx)) for _ in range(3))
     gamma = 1.0 / _SIGMA
     step = _SIGMA * _TAU
     bound = 2.0 * params.b * (np.sqrt(g.h * rho0.sum())
@@ -326,22 +424,29 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     noise = max(np.finfo(float).eps * bound ** 2, np.finfo(float).tiny)
     action_prev = np.inf
     converged = False
-    ku_rho, ku_m, ku_mu = interpolate_centers(u_rho, u_m, u_mu)
-    p_rho = ku_rho
+    # the dual is kept scaled, z = w / _SIGMA, and K u is carried over in
+    # k0 and k1 by turns.  The loop's in-place updates are ufunc calls on
+    # fixed views of the workspace: u -= step K^T z, then K u into one
+    # buffer, its mu row a copy as u_mu changes in place, and
+    # y = z + 2 K u_new - K u_old.
+    _run(_centers_calls(u_rho, u_m, k0[:2]))
+    k0[2] = u_mu
+    p[0] = k0[0]
+    primal = _adjoint_calls(z, kt_z) + [(np.multiply, (kt_z, step, kt_z)),
+                                        (np.subtract, (u, kt_z, u))]
+    dual = [_centers_calls(u_rho, u_m, new[:2])
+            + [(np.positive, (u_mu, new[2])), (np.multiply, (new, 2.0, y)),
+               (np.add, (y, z, y)), (np.subtract, (y, old, y))]
+            for new, old in ((k0, k1), (k1, k0))]
+    y_rows, p_rho = tuple(y), p[0]
     for iterations in range(1, max_iters + 1):
-        a_rho, a_m, a_mu = _adjoint_centers(g, z_rho, z_m, z_mu)
-        u_rho, u_m, u_mu = continuity_project(
-            g, u_rho - step * a_rho, u_m - step * a_m, u_mu - step * a_mu,
-            rho0, rho1, balanced=balanced)
-        kn_rho, kn_m, kn_mu = interpolate_centers(u_rho, u_m, u_mu)
-        y_rho = z_rho + 2.0 * kn_rho - ku_rho
-        y_m = z_m + 2.0 * kn_m - ku_m
-        y_mu = z_mu + 2.0 * kn_mu - ku_mu
-        p_rho, p_m, p_mu = prox_action(y_rho, y_m, y_mu, gamma, params, p_rho)
-        z_rho, z_m, z_mu = y_rho - p_rho, y_m - p_m, y_mu - p_mu
-        ku_rho, ku_m, ku_mu = kn_rho, kn_m, kn_mu
+        _run(primal)
+        continuity_project(g, u_rho, u_m, u_mu, rho0, rho1, balanced=balanced)
+        _run(dual[iterations % 2])
+        prox_action(*y_rows, gamma, params, p_rho, out=p)
+        np.subtract(y, p, out=z)
         if iterations % _CHECK_EVERY == 0 or iterations == max_iters:
-            action = wfr_action(g, p_rho, p_m, p_mu, params)
+            action = wfr_action(g, *p, params)
             rel_change = abs(action - action_prev) / max(abs(action), noise)
             action_prev = action
             if iterations >= _MIN_ITERS and rel_change < tol:
@@ -352,7 +457,7 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
                                                          u_mu))))
     result = WFRResult(float(np.sqrt(max(action, 0.0))), action, iterations,
                        converged, constraint, rel_change, g, u_rho, u_m, u_mu,
-                       p_rho, p_m, p_mu)
+                       *p)
     if not converged:
         raise WFRConvergenceError(
             f"no convergence in {max_iters} iterations "

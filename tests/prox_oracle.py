@@ -1,4 +1,5 @@
-"""Independent staged grid-search oracle for the action-integrand prox."""
+"""Oracles for the action-integrand prox: an independent staged grid
+search, and the per-component Newton arithmetic of prox_action."""
 import numpy as np
 
 from coneflow import ConeParams
@@ -42,3 +43,30 @@ def brute_prox(rho, m, mu, gamma, params=ConeParams(), n_grid=801, stages=4):
     m_out = np.where(use_apex, 0.0, r_out * m / (r_out + c1))
     mu_out = np.where(use_apex, 0.0, r_out * mu / (r_out + c2))
     return r_out, m_out, mu_out
+
+
+def per_component_prox(rho, m, mu, gamma, params=ConeParams(), guess=None):
+    """The Newton prox of the action integrand with each flux as its own
+    array: the arithmetic prox_action must reproduce bit for bit."""
+    rho, m, mu = (np.asarray(v, dtype=float) for v in (rho, m, mu))
+    c1, c2 = 2.0 * gamma * params.a ** 2, 2.0 * gamma * params.b ** 2
+    qm, qmu = params.a ** 2 * m ** 2, params.b ** 2 * mu ** 2
+    slack0 = gamma * (qm / c1 ** 2 + qmu / c2 ** 2)
+    live = ~(rho + slack0 <= 0.0)
+    rho = rho * live
+    qm, qmu = gamma * live * qm, gamma * live * qmu
+
+    floor = np.maximum(rho, 0.0)
+    r = floor if guess is None else np.maximum(guess, floor) * live
+    for _ in range(200):
+        s1 = r + c1
+        s2 = r + c2
+        t1 = qm / (s1 * s1)
+        t2 = qmu / (s2 * s2)
+        f = r - rho - t1 - t2
+        if np.abs(f).max() < 1e-13 * (1.0 + r.max()):
+            break
+        r = np.maximum(r - f / (1.0 + 2.0 * (t1 / s1 + t2 / s2)), floor)
+    else:
+        raise RuntimeError("prox Newton stalled after 200 rounds")
+    return r, (r / s1) * m, (r / s2) * mu

@@ -470,6 +470,30 @@ def test_non_finite_coefficients_and_horizons_exit_one(capsys, argv):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("ch", "solve", "--n", "16", "--dt", "0.01", "--t-final", "0.1",
+      "--init", "sin:0.1", "--a", "1e200"), "cone parameter a"),
+    (("wfr", "solve", "--rho0", "const:1", "--rho1", "const:2", "--n", "16",
+      "--nt", "8", "--a", "1e200"), "cone parameter a"),
+    (("cone", "dist", "--x0", "0", "--m0", "1", "--x1", "1", "--m1", "1",
+      "--b", "1e-200"), "cone parameter b"),
+    (("wfr", "solve", "--rho0", "const:1e-14", "--rho1", "const:2e-14",
+      "--n", "16", "--nt", "8"), "1e-10"),
+    (("wfr", "solve", "--rho0", "const:1e-20", "--rho1", "const:0",
+      "--n", "16", "--nt", "8"), "1e-10"),
+], ids=["ch-a-overflows", "wfr-a-overflows", "cone-b-underflows",
+        "wfr-mass-1e-14", "wfr-mass-1e-20"])
+def test_out_of_range_coefficients_and_tiny_masses_exit_one(capsys, argv,
+                                                            message):
+    # before: a traceback (OverflowError), a distance of 0, or a
+    # "converged" distance wrong by orders of magnitude
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and message in error["message"]
+
+
 @pytest.mark.parametrize("argv, error", [
     (("ch", "solve", "--init", "sin:0.1", "--t-final", "1e300",
       "--dt", "1e-300"), "ValueError"),

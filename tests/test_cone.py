@@ -337,3 +337,20 @@ def test_type_validation():
         cone_geodesic(ConePoint(0.0, 1.0), ConeTangent(1.0, 0.0), 1.0, -1e-3, P)
     with pytest.raises(ApexError):
         cone_geodesic(ConePoint(0.0, 0.0), ConeTangent(1.0, 0.0), 1.0, 1e-3, P)
+
+
+@pytest.mark.parametrize("name", ["a", "b"])
+@pytest.mark.parametrize("value", [1e200, 1e155, 1e-155, 1e-200, 1e-300])
+def test_coefficients_whose_square_is_not_a_normal_float_are_rejected(
+        name, value):
+    # 1e200 squared overflows (an OverflowError from a ** 2 downstream);
+    # 1e-200 squared underflows to 0, and a distance of 0 would come back
+    with pytest.raises(ValueError, match=f"cone parameter {name}=.*square"):
+        ConeParams(**{name: value})
+
+
+def test_coefficients_with_normal_squares_are_kept():
+    for value in (1.3e154, 1.5e-154, 1e-10, 1e10):
+        for kw in ({"a": value}, {"b": value}):
+            params = ConeParams(**kw)
+            assert getattr(params, next(iter(kw))) == value

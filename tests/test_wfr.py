@@ -30,7 +30,7 @@ from coneflow import (
 
 import coneflow.wfr as wfr
 from coneflow.wfr import _projection_operators
-from prox_oracle import brute_prox
+from prox_oracle import brute_prox, per_component_prox
 from rk4_oracle import tuple_rk4_step
 from wfr_reference import calibrated_pair, circle_w2
 
@@ -143,7 +143,7 @@ def start_state(rho0, rho1, nt, balanced, by_matrix=True):
 def reference_solve(rho0, rho1, nt, params=ConeParams(), balanced=False,
                     tol=1e-7, max_iters=50000):
     """The primal-dual loop over copied states with np.roll, written out,
-    on the scaled dual z = w / sigma.
+    on the scaled dual z = w / sigma, with the per-component prox.
 
     Returns (state, rho_c, m_c, mu_c, action, iterations, rel_change).
     """
@@ -169,8 +169,8 @@ def reference_solve(rho0, rho1, nt, params=ConeParams(), balanced=False,
         y_rho = z_rho + 2.0 * kn[0] - ku[0]
         y_m = z_m + 2.0 * kn[1] - ku[1]
         y_mu = z_mu + 2.0 * kn[2] - ku[2]
-        p_rho, p_m, p_mu = prox_action(y_rho, y_m, y_mu, 1.0 / wfr._SIGMA,
-                                       params, p_rho)
+        p_rho, p_m, p_mu = per_component_prox(y_rho, y_m, y_mu,
+                                              1.0 / wfr._SIGMA, params, p_rho)
         z_rho, z_m, z_mu = y_rho - p_rho, y_m - p_m, y_mu - p_mu
         ku = kn
         if k % wfr._CHECK_EVERY == 0 or k == max_iters:
@@ -394,6 +394,50 @@ def test_prox_guess_changes_only_the_round_count(params):
             warm = prox_action(rho, m, mu, gamma, params, guess=guess)
             for w, c in zip(warm, cold):
                 assert np.max(np.abs(w - c)) < 1e-12
+
+
+def same_bits(got, want):
+    """Equal values, shapes and signs of zero."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("params", [ConeParams(), ConeParams(1.0, 1.0),
+                                    ConeParams(1.5, 0.3)],
+                         ids=["default", "cubic", "a1.5-b0.3"])
+def test_prox_equals_the_per_component_oracle(params):
+    # the stacked Newton rounds repeat the per-component arithmetic bit for
+    # bit, with and without a guess or an output array, and leave the
+    # inputs as they were
+    rng = np.random.default_rng(71)
+    for shape in ((16, 24), (7,), (1,)):
+        rho = rng.uniform(-1.0, 3.0, shape)
+        m = rng.normal(0, 1.5, shape)
+        mu = rng.normal(0, 1.5, shape)
+        rho.flat[::5] = -5.0  # deep apex cells
+        rho.flat[1::7] = 0.0
+        for gamma in (0.3, 1.0 / 0.95, 2.0):
+            inputs = (rho, m, mu)
+            before = tuple(v.copy() for v in inputs)
+            root = per_component_prox(rho, m, mu, gamma, params)[0]
+            if rho.size > 1:
+                assert np.sum(root == 0.0) > 0 and np.sum(rho < 0) > 0
+            for guess in (None, 0.0, 0.5 * root, root - 0.1, root + 0.1,
+                          2.0 * root + 1.0, root):
+                want = per_component_prox(rho, m, mu, gamma, params, guess)
+                got = prox_action(rho, m, mu, gamma, params, guess)
+                out = np.full((3,) + shape, np.nan)
+                if guess is not None:
+                    out[0] = guess  # a guess may be out's own first row
+                written = prox_action(rho, m, mu, gamma, params,
+                                      None if guess is None else out[0],
+                                      out=out)
+                for g_row, w_row, o_row, view in zip(got, want, written, out):
+                    assert np.array_equal(g_row, w_row)
+                    assert same_bits(g_row, w_row)
+                    assert same_bits(o_row, w_row)
+                    assert np.shares_memory(o_row, view)
+                assert all(same_bits(v, b) for v, b in zip(inputs, before))
 
 
 @pytest.mark.parametrize("gamma", [np.nan, np.inf, 0.0])
@@ -704,6 +748,53 @@ def test_solver_equals_the_reference_loop():
         check(info.value.result, oracle(b1, b2, 8, tol=1e-7, max_iters=30))
 
 
+@pytest.mark.parametrize("balanced", [False, True])
+def test_solver_equals_the_reference_loop_at_odd_nx(balanced):
+    # the wrapped column of every periodic shift is a slice of its own
+    x = StaggeredGrid(5, 7).x
+    rho0 = 1.0 + 0.6 * np.cos(x - 1.0)
+    rho1 = np.roll(rho0, 3) if balanced else 1.5 + 0.8 * np.sin(2.0 * x)
+    kw = {"tol": 1e-6, "balanced": balanced}
+    res = solve_wfr(rho0, rho1, 5, **kw)
+    assert res.converged
+    assert_same_as_reference(res, reference_solve(rho0, rho1, 5, **kw))
+
+
+def test_solver_partial_result_equals_the_reference_loop_at_192_by_16():
+    # the shape of the benchmark's separated pair: two narrow bumps on a
+    # 192-point circle, mostly vacuum, stopped after 60 iterations
+    pg = PeriodicGrid(192)
+    rho0 = bump_density(pg, np.pi - np.pi / 8, 0.16, 1.0)
+    rho1 = bump_density(pg, np.pi + np.pi / 8, 0.16, 1.0)
+    with pytest.raises(WFRConvergenceError) as info:
+        solve_wfr(rho0, rho1, 16, tol=3e-6, max_iters=60)
+    assert info.value.result.iterations == 60
+    assert_same_as_reference(info.value.result, reference_solve(
+        rho0, rho1, 16, tol=3e-6, max_iters=60))
+
+
+def test_solver_results_own_their_arrays():
+    # each solve works in arrays of its own: a later solve changes neither
+    # an earlier result nor a partial one, and no solve writes its inputs
+    pg = PeriodicGrid(16)
+    b1 = bump_density(pg, 2.0, 0.8, 1.0)
+    b2 = bump_density(pg, 4.0, 0.6, 1.5)
+    ends = (b1.copy(), b2.copy())
+    first = solve_wfr(b1, b2, 8, tol=1e-6)
+    with pytest.raises(WFRConvergenceError) as info:
+        solve_wfr(b2, b1, 8, tol=1e-7, max_iters=30)
+    partial = info.value.result
+    fields = ("rho", "m", "mu", "rho_c", "m_c", "mu_c")
+    saved = [{f: getattr(r, f).copy() for f in fields}
+             for r in (first, partial)]
+    solve_wfr(b1, np.roll(b1, 3), 8, tol=1e-6, balanced=True)
+    solve_wfr(b2, b1, 8, tol=1e-6)
+    for r, before in zip((first, partial), saved):
+        for f in fields:
+            assert same_bits(getattr(r, f), before[f])
+    assert same_bits(b1, ends[0]) and same_bits(b2, ends[1])
+
+
 def test_solver_calls_each_layer_once_per_iteration(monkeypatch):
     pg = PeriodicGrid(16)
     b1 = bump_density(pg, 2.0, 0.8, 1.0)
@@ -730,6 +821,22 @@ def test_solver_calls_each_layer_once_per_iteration(monkeypatch):
             assert info.value.result.iterations == max_iters
             assert counts["prox_action"] == max_iters
             assert counts["continuity_project"] == max_iters + setup
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-20])
+def test_solver_rejects_densities_below_the_smallest_scale(scale):
+    # the prox's absolute stopping test would end every Newton loop before
+    # its first step: 200 iterations, "converged", and a wrong distance
+    with pytest.raises(ValueError, match="1e-10"):
+        solve_wfr(scale * np.ones(16), 2 * scale * np.ones(16), 8)
+    with pytest.raises(ValueError, match="1e-10"):
+        solve_wfr(np.zeros(16), scale * np.ones(16), 8)
+    # a zero pair has the exact answer 0
+    res = solve_wfr(np.zeros(16), np.zeros(16), 8)
+    assert res.converged and res.distance == 0.0
+    # above 1e-10 the solve runs
+    with pytest.raises(WFRConvergenceError):
+        solve_wfr(1e-10 * np.ones(16), 2e-10 * np.ones(16), 8, max_iters=1)
 
 
 def test_solver_input_validation():
