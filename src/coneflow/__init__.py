@@ -8,22 +8,17 @@ dynamic Wasserstein-Fisher-Rao distance on nonnegative densities obtained
 by Riemannian submersion.
 """
 from .cone import (APEX_FLOOR, ApexError, ConeGeodesic, ConeParams,
-                   ConePoint, ConeTangent, chart_validity_sector,
-                   cone_distance, cone_geodesic, cone_metric,
-                   cone_sectional_curvature, planar_chart,
-                   planar_chart_inverse)
+                   ConePoint, ConeTangent, cone_distance, cone_geodesic,
+                   cone_metric, planar_chart)
 from .grid import PeriodicGrid, bump_density, circle_distance, wrap
-from .group import (DensityField, GroupElement, VelocityPair, adjoint_action,
-                    compose, cone_l2_energy, embed_diffeo, group_exponential,
-                    hdiv_energy, identity, infinitesimal_action, inverse,
-                    lie_bracket, pushforward_action)
+from .group import (DensityField, GroupElement, VelocityPair, cone_l2_energy,
+                    hdiv_energy, infinitesimal_action, lie_bracket)
 from .ch import (CHBlowupError, CHTrajectory, FlowPath, ch_invariants, ch_rhs,
                  ch_solve, flow_map)
 from .euler import (AnnulusGrid, EulerResidualReport, FormConsistencyReport,
                     MeasureReport, PolarVectorField, euler_residual,
                     geodesic_form_consistency, lagrangian_measure_check,
-                    madelung, polar_velocity, pressure_from_state,
-                    weighted_divergence)
+                    polar_velocity, pressure_from_state, weighted_divergence)
 from .submersion import (IIResult, LiftResult, MinimalityReport, SplitResult,
                          gauss_codazzi_sectional, hessian_certificate,
                          horizontal_lift, make_perturbation_family,
@@ -33,7 +28,7 @@ from .submersion import (IIResult, LiftResult, MinimalityReport, SplitResult,
 from .wfr import (CONVENTIONS, HorizontalFlowResult, StaggeredGrid,
                   WFRConvergenceError, WFRResult, continuity_project,
                   continuity_residual, hellinger_distance, horizontal_flow,
-                  interpolate_centers, prox_action, solve_wfr, wfr_action)
+                  prox_action, solve_wfr, wfr_action)
 
 __version__ = "0.1.0"
 

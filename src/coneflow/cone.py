@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import TWO_PI, circle_distance, step_count, wrap
+from .grid import circle_distance, step_count, wrap
 
 APEX_FLOOR = 1e-12
 
@@ -101,57 +101,28 @@ def cone_distance(p1: ConePoint, p2: ConePoint,
                   params: ConeParams = ConeParams()) -> float:
     """Closed-form distance on the cone over the circle.
 
-    d^2 = 4 b^2 (m1 + m2 - 2 sqrt(m1 m2) cos(min((a/2b) d_circ, pi))).
+    With theta = min((a/2b) d_circ, pi), the law of cosines
+    d^2 = 4 b^2 (m1 + m2 - 2 sqrt(m1 m2) cos theta) is evaluated as
+    d^2 = 4 b^2 ((sqrt m1 - sqrt m2)^2 + 4 sqrt(m1 m2) sin^2(theta/2)),
+    which has no cancellation between near points.
     """
     ang = min(params.half_ratio * circle_distance(p1.x, p2.x), np.pi)
-    d2 = 4.0 * params.b ** 2 * (
-        p1.m + p2.m - 2.0 * np.sqrt(p1.m * p2.m) * np.cos(ang))
-    return float(np.sqrt(max(d2, 0.0)))
+    s1, s2 = math.sqrt(p1.m), math.sqrt(p2.m)
+    return 2.0 * params.b * math.sqrt(
+        (s1 - s2) ** 2 + 4.0 * s1 * s2 * math.sin(0.5 * ang) ** 2)
 
 
 def planar_chart(p: ConePoint, params: ConeParams = ConeParams()) -> np.ndarray:
     """Map (x, m) to the plane: radius 2 b sqrt(m), angle (a/2b) x.
 
     The chart is a global isometry onto the punctured plane iff a = 2b;
-    see chart_validity_sector for the angular sector covered otherwise.
+    otherwise one turn of the base sweeps the angle (a/2b) 2 pi.
     """
     if p.is_apex:
         raise ApexError("planar chart is undefined at the apex")
     r = 2.0 * params.b * np.sqrt(p.m)
     theta = params.half_ratio * p.x
     return np.array([r * np.cos(theta), r * np.sin(theta)])
-
-
-def planar_chart_inverse(point: np.ndarray,
-                         params: ConeParams = ConeParams()) -> ConePoint:
-    """Invert the planar chart on its validity sector."""
-    point = np.asarray(point, dtype=float)
-    r2 = float(point[0] ** 2 + point[1] ** 2)
-    if r2 <= APEX_FLOOR ** 2:
-        raise ApexError("planar chart inverse is undefined at the origin")
-    m = r2 / (4.0 * params.b ** 2)
-    theta = np.arctan2(point[1], point[0]) % TWO_PI
-    return ConePoint(wrap(theta / params.half_ratio), m)
-
-
-def chart_validity_sector(params: ConeParams = ConeParams()) -> float:
-    """Angular width (a/2b) * 2*pi swept in the plane by one turn of the base.
-
-    Equal to 2*pi exactly when the chart is a global isometry; smaller ratios
-    miss a sector of the plane, larger ones self-overlap.
-    """
-    return params.half_ratio * TWO_PI
-
-
-def cone_sectional_curvature(k_base: float, radial_plane: bool = False) -> float:
-    """Sectional curvature of the cone: k_base - 1 on horizontal planes.
-
-    Planes containing the radial direction are flat (the curvature tensor
-    annihilates the radial field).
-    """
-    if radial_plane:
-        return 0.0
-    return k_base - 1.0
 
 
 @np.errstate(over="ignore", invalid="ignore")  # ConePoint rejects inf mass

@@ -23,7 +23,6 @@ import numpy as np
 from .ch import CHTrajectory, FlowPath
 from .cone import ConeParams
 from .grid import PeriodicGrid
-from .group import GroupElement
 
 _HOMOGENEITY_RTOL = 1e-8
 
@@ -66,11 +65,6 @@ class PolarVectorField:
                              f"({n_radii}, ..., {n})")
         object.__setattr__(self, "v_theta", v_theta)
         object.__setattr__(self, "v_r", v_r)
-
-
-def madelung(g: GroupElement) -> np.ndarray:
-    """Map (phi, lam) to the complex field lam * exp(i phi)."""
-    return g.lam * np.exp(1j * g.phi)
 
 
 def polar_velocity(agrid: AnnulusGrid, u: np.ndarray) -> PolarVectorField:

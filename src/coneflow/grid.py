@@ -87,20 +87,11 @@ class PeriodicGrid:
         """Uniform Riemann sum; spectrally accurate for smooth periodic data."""
         return self.h * np.sum(values, axis=-1)
 
-    def mean(self, values: np.ndarray):
-        return np.mean(values, axis=-1)
-
     def solve_helmholtz(self, rhs: np.ndarray, a: float, b: float) -> np.ndarray:
         """Invert (a^2 - b^2 d_xx) with the Fourier symbol a^2 + b^2 k^2."""
         k = fourier_multipliers(self.n)[0]
         vh = np.fft.rfft(rhs, axis=-1)
         return np.fft.irfft(vh / (a * a + b * b * k * k), n=self.n, axis=-1)
-
-    def dealias(self, values: np.ndarray) -> np.ndarray:
-        """Zero all modes with |k| > n/3 (2/3 rule for quadratic products)."""
-        vh = np.fft.rfft(values, axis=-1)
-        return np.fft.irfft(vh * fourier_multipliers(self.n)[2], n=self.n,
-                            axis=-1)
 
     # -- off-grid evaluation ----------------------------------------------
 
@@ -151,11 +142,6 @@ class PeriodicGrid:
 
     # -- monotone circle-map lifts ------------------------------------------
 
-    def eval_lift(self, phi: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Evaluate the lift at arbitrary reals using phi(x+2pi)=phi(x)+2pi."""
-        points = np.asarray(points, dtype=float)
-        return points + self.trig_eval(phi - self.x, points)
-
     def lift_slope(self, phi: np.ndarray) -> np.ndarray:
         """d_x phi of lifts stored along the last axis, as 1 + (phi - id)'."""
         return 1.0 + self.deriv(phi - self.x)
@@ -164,8 +150,9 @@ class PeriodicGrid:
         """Solve phi(y) = x_i at every grid node x_i.
 
         phi is read through the trigonometric interpolant of its
-        displacement d = phi - id, as in eval_lift; the coefficients of d
-        and d' are computed once, and each Newton round sums both at once.
+        displacement d = phi - id, so phi(x + 2pi) = phi(x) + 2pi; the
+        coefficients of d and d' are computed once, and each Newton round
+        sums both at once.
         |d| is bounded by the 1-norm S of its Fourier coefficients, so each
         root lies in [x_i - S, x_i + S]; Newton steps that leave the
         shrinking bracket are replaced by bisection.  It stops once

@@ -5,7 +5,10 @@ values of its monotone lift, lam a positive field.  The product is
 (phi1, lam1) * (phi2, lam2) = (phi1 o phi2, (lam1 o phi2) lam2) and the
 group acts on densities on the left by rho -> push-forward of lam^2 rho
 under phi.  The right-trivialized tangent at the identity is a velocity
-pair (v, alpha).
+pair (v, alpha).  The package computes on the tangent side of this
+structure: the flow of a time-dependent pair (pair_flow, behind the flow
+map of ch), the infinitesimal action and the Lie bracket (the horizontal
+lift and O'Neill's curvature in submersion), and the two energies.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeParams
-from .grid import PeriodicGrid, _evaluate, rk4_step, step_count
+from .grid import PeriodicGrid, _evaluate, rk4_step
 
 _MONOTONE_TOL = 1e-10
 
@@ -66,67 +69,11 @@ class DensityField:
             raise ValueError("density must be nonnegative")
         object.__setattr__(self, "values", values)
 
-    @property
-    def mass(self) -> float:
-        return float(self.grid.integrate(self.values))
-
-
-def identity(grid: PeriodicGrid) -> GroupElement:
-    return GroupElement(grid, grid.x.copy(), np.ones(grid.n))
-
-
-def embed_diffeo(grid: PeriodicGrid, phi: np.ndarray) -> GroupElement:
-    """Isotropy embedding phi -> (phi, sqrt(phi_x)) of the diffeomorphisms."""
-    phi = grid.field("phi", phi)
-    slope = np.maximum(grid.lift_slope(phi), 0.0)  # GroupElement rejects folds
-    return GroupElement(grid, phi, np.sqrt(slope))
-
-
-def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """(phi1, lam1) * (phi2, lam2) = (phi1 o phi2, (lam1 o phi2) lam2)."""
-    grid = g1.grid
-    disp, lam = grid.trig_eval(np.array((g1.phi - grid.x, g1.lam)),
-                               np.broadcast_to(g2.phi, (2, grid.n)))
-    return GroupElement(grid, g2.phi + disp, lam * g2.lam)
-
-
-def inverse(g: GroupElement) -> GroupElement:
-    """(phi, lam)^-1 = (phi^-1, (1/lam) o phi^-1)."""
-    grid = g.grid
-    phi_inv = grid.invert_lift(g.phi)
-    lam_inv = 1.0 / grid.trig_eval(g.lam, phi_inv)
-    return GroupElement(grid, phi_inv, lam_inv)
-
-
-def pushforward_action(g: GroupElement, rho: DensityField) -> DensityField:
-    """Left action: the push-forward of lam^2 rho under phi.
-
-    Evaluated as (phi_inv)'(y) * (lam^2 rho)(phi_inv(y)) so that the
-    Riemann-sum mass of the output telescopes to the mass of lam^2 rho.
-    """
-    grid = g.grid
-    phi_inv = grid.invert_lift(g.phi)
-    d_phi_inv = grid.lift_slope(phi_inv)
-    weighted = g.lam ** 2 * rho.values
-    vals = d_phi_inv * grid.trig_eval(weighted, phi_inv)
-    return DensityField(grid, np.maximum(vals, 0.0))
-
 
 def infinitesimal_action(xi: VelocityPair, rho: DensityField) -> np.ndarray:
     """Derivative of the action at the identity: -(v rho)' + 2 alpha rho."""
     grid = xi.grid
     return -grid.deriv(xi.v * rho.values) + 2.0 * xi.alpha * rho.values
-
-
-def adjoint_action(g: GroupElement, xi: VelocityPair) -> VelocityPair:
-    """Ad_g xi = d/ds g exp(s xi) g^{-1} at s = 0."""
-    grid = g.grid
-    phi_inv = grid.invert_lift(g.phi)
-    log_deriv = grid.deriv(g.lam) / g.lam
-    v_new, a_new = grid.trig_eval(
-        np.array((g.phi_x * xi.v, log_deriv * xi.v + xi.alpha)),
-        np.broadcast_to(phi_inv, (2, grid.n)))
-    return VelocityPair(grid, v_new, a_new)
 
 
 def lie_bracket(xi1: VelocityPair, xi2: VelocityPair) -> VelocityPair:
@@ -160,16 +107,6 @@ def pair_flow(grid: PeriodicGrid, stages, dt: float, n_steps: int):
         at.update(zip((0.0, 0.5, 1.0), stages(j)))
         y = rk4_step(rhs, y, dt)
         yield y
-
-
-def group_exponential(xi: VelocityPair, t: float, dt: float) -> GroupElement:
-    """Flow of the right-invariant field: phi' = v o phi, lam' = (alpha o phi)
-    lam; every stage evaluates one block of (v, alpha), built once."""
-    n_steps = step_count(abs(t), dt)  # t < 0 takes the steps backwards
-    stack = (xi.grid._trig_block(np.array((xi.v, xi.alpha))),) * 3
-    for phi, lam in pair_flow(xi.grid, lambda _: stack, t / n_steps, n_steps):
-        pass  # only the last state is kept: memory is O(n) for any step count
-    return GroupElement(xi.grid, phi, lam)
 
 
 def hdiv_energy(grid: PeriodicGrid, v: np.ndarray,

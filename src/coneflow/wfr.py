@@ -113,23 +113,15 @@ def _run(calls: list) -> None:
 
 
 def _centers_calls(rho, m, out: np.ndarray) -> list:
-    """Calls that write the density and momentum rows of
-    interpolate_centers into the (2, nt, nx) array out."""
+    """Calls that write rho and m averaged to the cell centers (mu already
+    lives there) into the (2, nt, nx) array out."""
     return ([(np.add, (rho[:-1], rho[1:], out[0]))]
             + _roll_calls(np.add, m, 1, out[1])
             + [(np.multiply, (out, 0.5, out))])
 
 
-def interpolate_centers(rho, m, mu):
-    """Staggered arrays averaged to the cell centers; mu, which already
-    lives there, is returned as is, not copied."""
-    out = np.empty((2,) + np.shape(m))
-    _run(_centers_calls(rho, m, out))
-    return out[0], out[1], mu
-
-
 def _adjoint_calls(z: np.ndarray, out: np.ndarray) -> list:
-    """Calls that write the adjoint of interpolate_centers on the
+    """Calls that write the adjoint of the centering (_centers_calls) on the
     (3, nt, nx) stack z into the (3 nt + 1, nx) array out; its boundary
     density rows, which receive zero, are not written."""
     nt = z.shape[1]
@@ -161,7 +153,7 @@ def wfr_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
                params: ConeParams = ConeParams()) -> float:
     """Cell-measure-weighted action sum((a^2 m^2 + b^2 mu^2)/rho).
 
-    Takes cell-centered arrays (see interpolate_centers).  The integrand is
+    Takes cell-centered arrays (see _centers_calls).  The integrand is
     the 1-homogeneous perspective extension: zero mass with zero flux
     contributes nothing, zero mass with flux is infinite.
     """
@@ -189,6 +181,8 @@ def prox_action(rho, m, mu, gamma: float,
     count.  It stops at |f| < 1e-13 (1 + max r) and raises RuntimeError
     with the worst |f| after 200 rounds (NaN input ends there).  The prox
     hits the apex (0, 0, 0) exactly when the root leaves the positive axis.
+    ValueError unless gamma > 0 and 2 gamma a^2, 2 gamma b^2 have finite
+    squares.
 
     The two fluxes run as one (2, ...) stack, each step one call for both,
     in one scratch block per call.  Returns the rows of a (3, ...) array:
@@ -198,10 +192,13 @@ def prox_action(rho, m, mu, gamma: float,
     rho, m, mu = (np.asarray(v, dtype=float) for v in (rho, m, mu))
     if not 0 < gamma < np.inf:
         raise ValueError("prox weight gamma must be positive and finite")
-    if out is None:
-        out = np.empty((3,) + rho.shape)
     a2, b2 = params.a ** 2, params.b ** 2
     c1, c2 = 2.0 * gamma * a2, 2.0 * gamma * b2
+    if not max(c1 * c1, c2 * c2) < np.inf:  # c1 ** 2 would raise below
+        raise ValueError(f"prox coefficients 2 gamma a^2 = {c1:.3e} and "
+                         f"2 gamma b^2 = {c2:.3e} must have finite squares")
+    if out is None:
+        out = np.empty((3,) + rho.shape)
     # per-flux coefficients, shaped to broadcast over the (2, ...) stacks
     c, weight, c_sq = np.reshape(((c1, c2), (a2, b2), (c1 ** 2, c2 ** 2)),
                                  (3, 2) + (1,) * rho.ndim)
@@ -383,7 +380,8 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     m and mu as row views, so u -= step K^T z is one operation; the dual
     z, K u at the last two iterates, y and the prox output are (3, nt, nx)
     stacks, so each dual update is one operation.  The mu row of K u is a
-    copy (interpolate_centers returns mu itself, and u changes in place).
+    copy of u's mu row (mu already lives at the cell centers, and u
+    changes in place).
     The result holds views of this workspace, which no later solve touches.
     """
     require_integer("max_iters", max_iters)

@@ -33,6 +33,16 @@ def test_cone_dist_matches_library(capsys):
     assert body["distance"] == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("b", ["1e6", "1e8"])
+def test_cone_dist_keeps_its_digits_at_large_b(capsys, b):
+    # the angle 1/(2b) is tiny and the exact distance 4b sin(1/(4b)) is 1
+    # to 1e-14
+    code, body = run_json(capsys, "cone", "dist", "--x0", "0", "--m0", "1",
+                          "--x1", "1", "--m1", "1", "--b", b)
+    assert code == 0
+    assert abs(body["distance"] - 1.0) < 1e-13
+
+
 def test_cone_geodesic_writes_csv(capsys, tmp_path):
     out = tmp_path / "geo.csv"
     code, body = run_json(capsys, "cone", "geodesic", "--x0", "0", "--m0", "1",
@@ -539,6 +549,13 @@ def test_bad_inputs_exit_one(capsys):
         assert code == 1
         assert body["error"]["type"] == "CLIInputError"
         assert flag in body["error"]["message"]
+    # (2 gamma a^2)^2 overflows in the prox: a JSON line, not a traceback
+    code, body = run_json(capsys, "wfr", "solve", "--rho0", "const:1",
+                          "--rho1", "const:2", "--n", "16", "--nt", "8",
+                          "--a", "1e77")
+    assert code == 1
+    assert body["error"]["type"] == "ValueError"
+    assert "finite squares" in body["error"]["message"]
 
 
 def test_control_character_in_an_error_gives_a_json_line(capsys, tmp_path):

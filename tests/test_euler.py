@@ -12,13 +12,11 @@ from coneflow import (
     PolarVectorField,
     VelocityPair,
     ch_solve,
-    embed_diffeo,
     euler_residual,
     flow_map,
     geodesic_form_consistency,
     hessian_certificate,
     lagrangian_measure_check,
-    madelung,
     make_perturbation_family,
     minimality_test,
     polar_velocity,
@@ -248,14 +246,6 @@ def test_form_consistency_call_count_is_independent_of_slices(monkeypatch):
         geodesic_form_consistency(traj, path)
     # one call per pressure-free balance; p cancels, so it is never composed
     assert counts == [2, 2]
-
-
-def test_madelung_modulus_is_gauge():
-    phi = GRID.x + 0.2 * np.sin(GRID.x)
-    g = embed_diffeo(GRID, phi)
-    z = madelung(g)
-    assert np.max(np.abs(np.abs(z) - g.lam)) < 1e-12
-    assert np.max(np.abs(z / np.abs(z) - np.exp(1j * g.phi))) < 1e-12
 
 
 def test_annulus_validation():

@@ -21,7 +21,6 @@ from coneflow import (
     horizontal_flow,
     horizontal_lift,
     infinitesimal_action,
-    interpolate_centers,
     prox_action,
     solve_wfr,
     wfr_action,
@@ -32,6 +31,7 @@ import coneflow.wfr as wfr
 from coneflow.wfr import _projection_operators
 from prox_oracle import brute_prox, per_component_prox
 from rk4_oracle import tuple_rk4_step
+from spectral_oracle import dealias
 from wfr_reference import calibrated_pair, circle_w2
 
 
@@ -295,25 +295,14 @@ def test_staggered_grid_sizes_must_be_integers():
     assert solve_wfr(rho, 2 * rho, np.int64(8)).iterations == 200
 
 
-def test_interpolate_centers_shapes_and_means():
-    rho = np.arange(5.0)[:, None] * np.ones(8)
-    m = np.ones((4, 8))
-    mu = np.zeros((4, 8))
-    rho_c, m_c, mu_c = interpolate_centers(rho, m, mu)
-    assert rho_c.shape == (4, 8)
-    assert np.allclose(rho_c[:, 0], [0.5, 1.5, 2.5, 3.5])
-    assert np.allclose(m_c, 1.0)
-    assert mu_c is mu  # already cell-centered, returned without a copy
-
-
 # -- action values -------------------------------------------------------------
 
 
 def test_action_uniform_unit_field():
     # rho = 1, m = 1, mu = 0: integrand a^2 over the unit-time circle: 2 pi
     g = StaggeredGrid(8, 16)
-    centers = interpolate_centers(np.ones((9, 16)), np.ones((8, 16)),
-                                  np.zeros((8, 16)))
+    centers = reference_centers(np.ones((9, 16)), np.ones((8, 16)),
+                                np.zeros((8, 16)))
     assert wfr_action(g, *centers) == pytest.approx(2 * np.pi, abs=1e-12)
 
 
@@ -321,7 +310,7 @@ def test_action_perspective_boundary_cases():
     g = StaggeredGrid(4, 8)
 
     def action(rho, m):
-        return wfr_action(g, *interpolate_centers(rho, m, np.zeros((4, 8))))
+        return wfr_action(g, *reference_centers(rho, m, np.zeros((4, 8))))
 
     assert action(np.zeros((5, 8)), np.zeros((4, 8))) == 0.0
     assert action(np.zeros((5, 8)), np.ones((4, 8))) == np.inf  # flux
@@ -446,6 +435,18 @@ def test_prox_rejects_a_weight_that_is_not_positive_and_finite(gamma):
     with pytest.raises(ValueError,
                        match="gamma must be positive and finite"):
         prox_action(np.ones(3), zero, zero, gamma)
+
+
+def test_prox_rejects_coefficients_whose_squares_overflow():
+    # 2 gamma a^2 = 2e154 squares past the float range; at a = 1e76 the
+    # square is 4e304, and the solver runs
+    zero = np.zeros(3)
+    for params in (ConeParams(1e77, 0.5), ConeParams(0.5, 1e77)):
+        with pytest.raises(ValueError, match="must have finite squares"):
+            prox_action(np.ones(3), zero, zero, 1.0, params)
+    rho = np.ones(16)
+    result = solve_wfr(rho, 2 * rho, 8, ConeParams(1e76, 0.5))
+    assert np.isfinite(result.distance)
 
 
 def test_prox_raises_on_nan_input():
@@ -1049,10 +1050,9 @@ def reference_horizontal_flow(grid, rho0, phi0, t_final, dt):
         v, alpha, rho = y
         vx = grid.deriv(v)
         ax = grid.deriv(alpha)
-        dv = -grid.dealias(v * vx) - 2.0 * grid.dealias(alpha * v)
-        da = (-grid.dealias(ax * v) - grid.dealias(alpha * alpha)
-              + grid.dealias(v * v))
-        dr = -grid.deriv(grid.dealias(v * rho)) + 2.0 * grid.dealias(alpha * rho)
+        dv = -dealias(v * vx) - 2.0 * dealias(alpha * v)
+        da = -dealias(ax * v) - dealias(alpha * alpha) + dealias(v * v)
+        dr = -grid.deriv(dealias(v * rho)) + 2.0 * dealias(alpha * rho)
         return dv, da, dr
 
     out = np.empty((3, n_steps + 1, grid.n))
