@@ -8,9 +8,10 @@ which conserves the energy int a^2 u^2 + b^2 u_x^2 dx and the mean of m.
 Spatial derivatives are Fourier collocation, quadratic products are
 dealiased with the 2/3 rule, and time stepping is fixed-step RK4 over a
 whole number of steps (grid.rk4_blocks, grid.step_count) on the rfft
-coefficients of u.  A right-hand side makes two transforms: one batched
-irfft to u, u_x, m and m_x, and one rfft of the products.  The solver's
-guards check every step, a block of steps at a time.
+coefficients of u.  A right-hand side makes two transforms, both
+through grid's pocketfft helpers: one batched irfft to u, 2 u_x, m and
+m_x, and one rfft of the products.  The solver's guards check every step,
+a block of steps at a time.
 The flow map is the group flow of (u, u_x/2) along the stored trajectory;
 its gauge factor squared must track d_x phi (isotropy residual).
 """
@@ -22,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cone import ConeParams
-from .grid import PeriodicGrid, fourier_multipliers, rk4_blocks, step_count
+from .grid import (PeriodicGrid, _irfft, _rfft, fourier_multipliers,
+                   rk4_blocks, step_count)
 from .group import hdiv_energy, pair_flow
 
 # fraction of spectral energy allowed above k = n/6 before declaring breaking
@@ -66,11 +68,13 @@ class FlowPath:
 
 @lru_cache(maxsize=16)
 def _rhs_multipliers(n: int, a: float, b: float) -> tuple:
-    """Read-only multipliers of ch_rhs: [1, ik, s, ik s] from uh to u, u_x, m
-    and m_x, and the filter -keep/s, for the symbol s of a^2 - b^2 d_xx."""
+    """Read-only multipliers of ch_rhs: [1, 2ik, s, ik s] from uh to u,
+    2 u_x, m and m_x, and the filter -keep/s, for the symbol s of
+    a^2 - b^2 d_xx.  The factor 2 of 2 u_x m rides in the lift; scaling
+    by 2 is exact, so the products keep their bits."""
     k, ik, keep = fourier_multipliers(n)
     symbol = a ** 2 + b ** 2 * k * k
-    lift = np.array((np.ones_like(ik), ik, symbol, ik * symbol))
+    lift = np.array((np.ones_like(ik), 2.0 * ik, symbol, ik * symbol))
     filt = -keep / symbol
     for arr in (lift, filt):
         arr.setflags(write=False)
@@ -82,8 +86,8 @@ def ch_rhs(grid: PeriodicGrid, uh: np.ndarray,
     """d(uh)/dt of the momentum-form evolution (dealiased pseudospectral):
     uh and the result are the n/2 + 1 rfft coefficients of u and of du/dt."""
     lift, filt = _rhs_multipliers(grid.n, params.a, params.b)
-    u, ux, m, mx = np.fft.irfft(lift * uh, n=grid.n)
-    return filt * np.fft.rfft(u * mx + 2.0 * ux * m)
+    u, ux2, m, mx = _irfft(lift * uh, grid.n)
+    return filt * _rfft(u * mx + ux2 * m)
 
 
 def _tail_fraction(grid: PeriodicGrid, uh: np.ndarray) -> np.ndarray:
@@ -113,7 +117,7 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
     def rhs(_, uh):
         return ch_rhs(grid, uh, params)
 
-    for i, uh, u in rk4_blocks(rhs, np.fft.rfft(u), dt, out[1:]):
+    for i, uh, u in rk4_blocks(rhs, _rfft(u), dt, out[1:]):
         blown = ~np.isfinite(u).all(-1) | (np.abs(u).max(-1) > 100.0 * scale0)
         tail = _tail_fraction(grid, uh)
         bad = np.flatnonzero(blown | (tail > _TAIL_FRACTION_LIMIT))

@@ -13,6 +13,11 @@ the same interpolant and inverted by safeguarded Newton.  All fixed-step
 integrators use rk4_step, the spectral PDE steppers in blocks (rk4_blocks).
 Spectral operators read the rfft multipliers of fourier_multipliers,
 built once per n, so each costs one rfft and one irfft.
+Every transform of the package goes through _rfft and _irfft, which call
+numpy's pocketfft gufuncs directly, as np.fft.rfft and np.fft.irfft do
+inside their Python wrappers: the same kernels and factors, so the same
+bits, but without the wrapper, which on the small grids of the RK4
+steppers costs more than the transform itself.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft  # numpy >= 2.0
 
 TWO_PI = 2.0 * np.pi
 _BLOCK = 512  # points per block in _horner, which bounds its temporaries
@@ -80,8 +86,7 @@ class PeriodicGrid:
         # the Nyquist mode has no well-defined odd derivative on the grid;
         # even orders keep it, as (ik)^order with k = n/2 does
         symbol = ik ** order if order % 2 else (-k * k) ** (order // 2)
-        vh = np.fft.rfft(values, axis=-1)
-        return np.fft.irfft(vh * symbol, n=self.n, axis=-1)
+        return _irfft(_rfft(values) * symbol, self.n)
 
     def integrate(self, values: np.ndarray) -> float | np.ndarray:
         """Uniform Riemann sum; spectrally accurate for smooth periodic data."""
@@ -90,8 +95,7 @@ class PeriodicGrid:
     def solve_helmholtz(self, rhs: np.ndarray, a: float, b: float) -> np.ndarray:
         """Invert (a^2 - b^2 d_xx) with the Fourier symbol a^2 + b^2 k^2."""
         k = fourier_multipliers(self.n)[0]
-        vh = np.fft.rfft(rhs, axis=-1)
-        return np.fft.irfft(vh / (a * a + b * b * k * k), n=self.n, axis=-1)
+        return _irfft(_rfft(rhs) / (a * a + b * b * k * k), self.n)
 
     # -- off-grid evaluation ----------------------------------------------
 
@@ -129,7 +133,7 @@ class PeriodicGrid:
     def _trig_coeffs(self, values: np.ndarray, order: int) -> np.ndarray:
         """Coefficients of z^0 .. z^(n/2) of the real interpolant's order-th
         derivative, (..., n/2 + 1), for _horner."""
-        c = np.fft.rfft(values)
+        c = _rfft(values)
         if order > 0:
             c = c * fourier_multipliers(self.n)[1] ** order
         weights = np.full(self.n // 2 + 1, 2.0)  # 1, 2, ..., 2, 1
@@ -178,6 +182,27 @@ class PeriodicGrid:
             outside = (y_new < lo) | (y_new > hi)
             y = np.where(outside, 0.5 * (lo + hi), y_new)
         raise RuntimeError("lift inversion failed to converge")
+
+
+def _rfft(values) -> np.ndarray:
+    """np.fft.rfft of values along the last axis, bit for bit: pocketfft's
+    rfft gufunc for the parity of n, with factor 1, into a new complex128
+    array.  Real input of any dtype is transformed in float64: ints as
+    np.fft casts them, float32 unlike np.fft, which keeps float32."""
+    values = np.asarray(values)
+    n = values.shape[-1]
+    out = np.empty(values.shape[:-1] + (n // 2 + 1,), complex)
+    rfft = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
+    return rfft(values, 1, out=out)
+
+
+def _irfft(coeff, n: int, out=None) -> np.ndarray:
+    """np.fft.irfft(coeff, n) along the last axis, bit for bit: pocketfft's
+    irfft gufunc with factor 1/n, into out (..., n) of float64, which may
+    be a strided view; the length of its last axis is the output length."""
+    if out is None:
+        out = np.empty(np.shape(coeff)[:-1] + (n,))
+    return _pocketfft.irfft(coeff, 1 / n, out=out)
 
 
 @lru_cache(maxsize=16)
@@ -287,7 +312,7 @@ def rk4_blocks(f, yh: np.ndarray, dt: float, nodal: np.ndarray):
         rows = nodal[i:i + _BLOCK_STEPS]
         for j in range(len(rows)):
             yh = states[j] = rk4_step(f, yh, dt)
-        np.fft.irfft(states[:len(rows)], n=nodal.shape[-1], out=rows)
+        _irfft(states[:len(rows)], nodal.shape[-1], out=rows)
         yield i, states[:len(rows)], rows
 
 

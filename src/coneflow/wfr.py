@@ -28,8 +28,9 @@ from functools import lru_cache
 import numpy as np
 
 from .cone import ConeParams
-from .grid import (PeriodicGrid, TWO_PI, fourier_multipliers,
-                   require_integer, rk4_blocks, step_count)
+from .grid import (PeriodicGrid, TWO_PI, _irfft, _rfft,
+                   fourier_multipliers, require_integer, rk4_blocks,
+                   step_count)
 
 CONVENTIONS = {
     "lift-potential": "horizontal pairs are (Phi'/2, Phi) with the potential "
@@ -182,7 +183,7 @@ def prox_action(rho, m, mu, gamma: float,
     with the worst |f| after 200 rounds (NaN input ends there).  The prox
     hits the apex (0, 0, 0) exactly when the root leaves the positive axis.
     ValueError unless gamma > 0 and 2 gamma a^2, 2 gamma b^2 have finite
-    squares.
+    squares that do not underflow to zero.
 
     The two fluxes run as one (2, ...) stack, each step one call for both,
     in one scratch block per call.  Returns the rows of a (3, ...) array:
@@ -197,6 +198,10 @@ def prox_action(rho, m, mu, gamma: float,
     if not max(c1 * c1, c2 * c2) < np.inf:  # c1 ** 2 would raise below
         raise ValueError(f"prox coefficients 2 gamma a^2 = {c1:.3e} and "
                          f"2 gamma b^2 = {c2:.3e} must have finite squares")
+    if not min(c1 * c1, c2 * c2) > 0.0:  # q / c_sq would divide by zero
+        raise ValueError(f"prox coefficients 2 gamma a^2 = {c1:.3e} and "
+                         f"2 gamma b^2 = {c2:.3e} must have squares that do "
+                         f"not underflow to zero")
     if out is None:
         out = np.empty((3,) + rho.shape)
     # per-flux coefficients, shaped to broadcast over the (2, ...) stacks
@@ -309,10 +314,9 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     r = _residual_into(g, rho, m, mu, work[0], work[1])
 
     c, ci, inv = _projection_operators(g, balanced)
-    r_hat = np.fft.rfft(np.matmul(c, r, out=work[1]), axis=1)
+    r_hat = _rfft(np.matmul(c, r, out=work[1]))
     r_hat *= inv
-    q = np.matmul(ci, np.fft.irfft(r_hat, n=g.nx, axis=1, out=work[1]),
-                  out=work[0])
+    q = np.matmul(ci, _irfft(r_hat, g.nx, out=work[1]), out=work[0])
 
     d = work[1]
     np.subtract(q[:-1], q[1:], out=d[:-1])
@@ -503,9 +507,11 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     |v - alpha_x / 2| over every stored slice.  RK4 steps the rfft
     coefficients of (v, alpha, rho); each equation is dealiased once (the
     2/3-rule filter is linear and commutes with d_x), in two batched
-    transforms per stage.  Raises RuntimeError at the first step that
-    overflows or loses positivity (guards check every step, a block at a
-    time), or on energy drift above 1e-3 (relative), as past an apex hit.
+    transforms per stage, an irfft of the fields and derivatives and an
+    rfft of the products, both through grid's pocketfft helpers.  Raises
+    RuntimeError at the first step that overflows or loses positivity
+    (guards check every step, a block at a time), or on energy drift
+    above 1e-3 (relative), as past an apex hit.
     """
     rho0 = grid.field("rho0", _validate_endpoint(rho0, "rho0"))
     phi0 = grid.field("phi0", phi0)
@@ -513,9 +519,9 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     _, ik, keep = fourier_multipliers(grid.n)
 
     def rhs(_, yh):
-        v, alpha, rho, vx, ax = np.fft.irfft(
-            np.concatenate((yh, ik * yh[:2])), n=grid.n)
-        fv, fa, fr, fvr = np.fft.rfft(np.array((
+        v, alpha, rho, vx, ax = _irfft(
+            np.concatenate((yh, ik * yh[:2])), grid.n)
+        fv, fa, fr, fvr = _rfft(np.array((
             v * vx + 2.0 * alpha * v, v * v - ax * v - alpha * alpha,
             2.0 * alpha * rho, v * rho)))
         return keep * np.array((-fv, fa, fr - ik * fvr))
@@ -524,7 +530,7 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     out = np.empty((3, n_steps + 1, grid.n))  # v, alpha, rho
     out[:, 0] = 0.5 * grid.deriv(phi0), phi0, rho0
     steps = out[:, 1:].swapaxes(0, 1)  # (n_steps, 3, n) view
-    for i, _, nodal in rk4_blocks(rhs, np.fft.rfft(out[:, 0]), dt, steps):
+    for i, _, nodal in rk4_blocks(rhs, _rfft(out[:, 0]), dt, steps):
         overflowed = ~np.isfinite(nodal).all(axis=(1, 2))
         bad = np.flatnonzero(overflowed | (nodal[:, 2].min(-1) < -1e-8))
         if bad.size:

@@ -18,7 +18,7 @@ from coneflow.formats import read_trajectory_csv, write_trajectory_csv
 from coneflow.grid import fourier_multipliers
 from dense_oracle import dense_diff_matrix
 from rk4_oracle import tuple_pair_flow, tuple_rk4_step
-from spectral_oracle import dealias
+from spectral_oracle import count_transforms, dealias
 
 
 def manual_rhs(grid, u, params):
@@ -272,16 +272,9 @@ def test_flow_map_makes_two_coefficient_transforms_a_step(monkeypatch):
     # RK4 stages of a step share those blocks
     grid = PeriodicGrid(256)
     traj = ch_solve(grid, 0.2 * np.sin(grid.x), 0.02, 1e-3)
-    calls = []
-    rfft = np.fft.rfft
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counted)
+    calls = count_transforms(monkeypatch)
     flow_map(traj)
-    assert len(calls) == 2 * 20 + 3
+    assert [name for name, _ in calls].count("rfft") == 2 * 20 + 3
 
 
 def reference_flow(traj):

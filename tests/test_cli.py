@@ -491,8 +491,10 @@ def test_non_finite_coefficients_and_horizons_exit_one(capsys, argv):
       "--n", "16", "--nt", "8"), "1e-10"),
     (("wfr", "solve", "--rho0", "const:1e-20", "--rho1", "const:0",
       "--n", "16", "--nt", "8"), "1e-10"),
+    (("wfr", "solve", "--rho0", "const:1", "--rho1", "const:2", "--n", "16",
+      "--nt", "8", "--b", "1e-150"), "underflow to zero"),
 ], ids=["ch-a-overflows", "wfr-a-overflows", "cone-b-underflows",
-        "wfr-mass-1e-14", "wfr-mass-1e-20"])
+        "wfr-mass-1e-14", "wfr-mass-1e-20", "wfr-prox-b-underflows"])
 def test_out_of_range_coefficients_and_tiny_masses_exit_one(capsys, argv,
                                                             message):
     # before: a traceback (OverflowError), a distance of 0, or a
@@ -502,6 +504,19 @@ def test_out_of_range_coefficients_and_tiny_masses_exit_one(capsys, argv,
     assert out.count("\n") == 1
     error = json.loads(out)["error"]
     assert error["type"] == "ValueError" and message in error["message"]
+
+
+def test_wfr_solve_runs_where_the_prox_squares_are_subnormal(capsys):
+    # at b = 1e-80, (2 gamma b^2)^2 is subnormal, not zero: the solve runs
+    # and its distance scales with b from the one at b = 1e-60
+    argv = ("wfr", "solve", "--rho0", "const:1", "--rho1", "const:2",
+            "--n", "16", "--nt", "8", "--b")
+    code, tiny = run_json(capsys, *argv, "1e-80")
+    assert code == 0
+    code, small = run_json(capsys, *argv, "1e-60")
+    assert code == 0
+    assert tiny["distance"] == pytest.approx(1e-20 * small["distance"],
+                                             rel=1e-12)
 
 
 @pytest.mark.parametrize("argv, error", [

@@ -1,6 +1,8 @@
 """Spectral grid utilities: differentiation, interpolation, monotone lifts."""
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from coneflow import (ConeParams, ConePoint, ConeTangent, PeriodicGrid,
 from coneflow.grid import fourier_multipliers, rk4_step, step_count
 from dense_oracle import dense_diff_matrix
 from rk4_oracle import tuple_rk4_step
+from spectral_oracle import count_transforms
 
 
 def random_trig(grid, rng, n_modes=5, scale=1.0):
@@ -105,6 +108,71 @@ def test_cached_multipliers_change_no_bit():
                 assert np.array_equal(
                     grid.trig_eval(values, points, order),
                     uncached_trig_eval(n, values, points, order))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+def test_transform_helpers_match_np_fft_bit_for_bit_at_every_size():
+    # both parities pick their own rfft kernel; irfft scales by 1/n
+    rng = np.random.default_rng(43)
+    for n in range(7, 4097):
+        values = rng.normal(size=n)
+        coeff = np.fft.rfft(values)
+        assert same_bits(coeff, coneflow.grid._rfft(values))
+        assert same_bits(np.fft.irfft(coeff, n),
+                         coneflow.grid._irfft(coeff, n))
+
+
+def test_transform_helpers_match_np_fft_on_stacks_and_views():
+    rng = np.random.default_rng(44)
+    rfft, irfft = coneflow.grid._rfft, coneflow.grid._irfft
+    for shape in ((5, 64), (3, 33), (4, 7), (4, 3, 32), (6, 3, 17)):
+        values = rng.normal(size=shape)
+        coeff = np.fft.rfft(values)
+        assert same_bits(rfft(values), coeff)
+        assert same_bits(irfft(coeff, shape[-1]),
+                         np.fft.irfft(coeff, shape[-1]))
+    # horizontal_flow's layout: slices of a (3, T, n) array, read from and
+    # written to as a (T, 3, n) view
+    fields = rng.normal(size=(3, 6, 32))
+    states = rfft(fields[:, 0])
+    assert same_bits(states, np.fft.rfft(fields[:, 0]))
+    stack = np.fft.rfft(rng.normal(size=(5, 3, 32)))
+    view = fields[:, 1:].swapaxes(0, 1)
+    assert irfft(stack, 32, out=view) is view
+    assert same_bits(fields[:, 1:].swapaxes(0, 1), np.fft.irfft(stack, 32))
+    assert same_bits(rfft(view), np.fft.rfft(view))
+    # ints are transformed as floats, as np.fft casts them
+    ints = np.arange(-5, 20)
+    assert same_bits(rfft(ints), np.fft.rfft(ints))
+    assert same_bits(irfft(ints, 48), np.fft.irfft(ints, 48))
+    # float32 is transformed in float64, where np.fft keeps float32
+    single = rng.normal(size=64).astype(np.float32)
+    assert same_bits(rfft(single), np.fft.rfft(single.astype(float)))
+    assert not np.array_equal(rfft(single), np.fft.rfft(single))
+
+
+def test_every_transform_goes_through_the_grid_helpers():
+    # no src/coneflow module calls np.fft, and grid.py alone imports
+    # numpy.fft, for its pocketfft gufuncs: one transform path
+    package = Path(coneflow.grid.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "fft" \
+                    and getattr(node.value, "id", None) in ("np", "numpy"):
+                found.append(f"{path.name}:{node.lineno} np.fft")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) \
+                    and path.name != "grid.py":
+                prefix = f"{node.module}." \
+                    if isinstance(node, ast.ImportFrom) else ""
+                if any((prefix + a.name).startswith("numpy.fft")
+                       for a in node.names):
+                    found.append(f"{path.name}:{node.lineno} import")
+    assert found == []
 
 
 def test_fourier_multipliers_are_read_only():
@@ -365,16 +433,10 @@ def test_invert_lift_transforms_the_displacement_once(monkeypatch):
     # the value and slope coefficients are computed before the Newton loop
     grid = PeriodicGrid(128)
     disp = random_trig(grid, np.random.default_rng(5), n_modes=3, scale=0.2)
-    calls = []
-    rfft = np.fft.rfft
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "rfft", counted)
+    calls = count_transforms(monkeypatch)
     assert inversion_gap(grid, grid.x + disp) <= 1e-13
-    assert len(calls) == 3  # value and slope, then inversion_gap's check
+    # value and slope, then inversion_gap's check
+    assert [name for name, _ in calls].count("rfft") == 3
 
 
 def test_invert_lift_raises_when_it_cannot_converge():
@@ -507,16 +569,9 @@ def test_spectral_rhs_makes_one_transform_each_way(monkeypatch, integrate):
     # the state is rfft coefficients: one batched irfft for the fields and
     # derivatives and one rfft of the products inside every RK4 stage, so a
     # whole step makes 8 transforms, and one batched irfft stores the slices
-    # of a block of steps; counted through np.fft, steps from one rk4_step
-    # call to the next
-    calls = []
-    for name in ("rfft", "irfft"):
-        def counted(a, *args, _name=name, _fft=getattr(np.fft, name),
-                    **kwargs):
-            calls.append((_name, np.shape(a)))
-            return _fft(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
+    # of a block of steps; counted at grid's pocketfft gufuncs, steps from
+    # one rk4_step call to the next
+    calls = count_transforms(monkeypatch)
     per_stage = []
     step_starts = []
 

@@ -31,7 +31,7 @@ import coneflow.wfr as wfr
 from coneflow.wfr import _projection_operators
 from prox_oracle import brute_prox, per_component_prox
 from rk4_oracle import tuple_rk4_step
-from spectral_oracle import dealias
+from spectral_oracle import count_transforms, dealias
 from wfr_reference import calibrated_pair, circle_w2
 
 
@@ -449,6 +449,15 @@ def test_prox_rejects_coefficients_whose_squares_overflow():
     assert np.isfinite(result.distance)
 
 
+def test_prox_rejects_coefficients_whose_squares_underflow():
+    # 2 gamma b^2 = 2e-300 squares to 0, where q / c_sq would divide by
+    # zero
+    zero = np.zeros(3)
+    for params in (ConeParams(1e-150, 0.5), ConeParams(0.5, 1e-150)):
+        with pytest.raises(ValueError, match="underflow to zero"):
+            prox_action(np.ones(3), zero, zero, 1.0, params)
+
+
 def test_prox_raises_on_nan_input():
     rho = np.array([0.5, np.nan, 1.0])
     zero = np.zeros(3)
@@ -559,24 +568,20 @@ def test_cosine_matrices_are_cached_read_only_transforms():
 
 
 def test_projection_makes_one_transform_each_way(monkeypatch):
-    # space: one numpy rfft and one irfft; time: the cached cosine
-    # matrices, in every projection of a solve
+    # space: one rfft and one irfft through grid's pocketfft gufuncs; time:
+    # the cached cosine matrices, in every projection of a solve
     pg = PeriodicGrid(16)
     # the operators are built once, before counting
     _projection_operators(StaggeredGrid(8, 16), False)
-    counts = dict(rfft=0, irfft=0)
-    for name in counts:
-        def counted(*args, _name=name, _f=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _f(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = count_transforms(monkeypatch)
     per_call = []
     project_fn = wfr.continuity_project
 
     def counting_project(*args, **kwargs):
-        before = dict(counts)
+        before = len(calls)
         out = project_fn(*args, **kwargs)
-        per_call.append({k: counts[k] - before[k] for k in counts})
+        names = [name for name, _ in calls[before:]]
+        per_call.append({k: names.count(k) for k in ("rfft", "irfft")})
         return out
 
     monkeypatch.setattr(wfr, "continuity_project", counting_project)
