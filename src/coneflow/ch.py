@@ -10,8 +10,10 @@ dealiased with the 2/3 rule, and time stepping is fixed-step RK4 over a
 whole number of steps (grid.rk4_blocks, grid.step_count) on the rfft
 coefficients of u.  A right-hand side makes two transforms, both
 through grid's pocketfft helpers: one batched irfft to u, 2 u_x, m and
-m_x, and one rfft of the products.  The solver's guards check every step,
-a block of steps at a time.
+m_x, and one rfft of the products.  ch_solve builds it once per solve
+(_rhs_kernel), with its multipliers and scratch arrays, and ch_rhs is its
+one-shot form.  The solver's guards check every step, a block of steps
+at a time.
 The flow map is the group flow of (u, u_x/2) along the stored trajectory;
 its gauge factor squared must track d_x phi (isotropy residual).
 """
@@ -81,13 +83,35 @@ def _rhs_multipliers(n: int, a: float, b: float) -> tuple:
     return lift, filt
 
 
+def _rhs_kernel(n: int, params: ConeParams):
+    """The right-hand side f(c, uh) of ch_rhs on n nodes, built once per
+    solve: it reads the multipliers once and owns its scratch, lift * uh
+    (4, n/2 + 1) and the fields u, 2 u_x, m, m_x (4, n), whose rows take
+    u m_x, 2 u_x m and their sum in place.  Each call returns a new array,
+    as RK4 holds its four stage derivatives at once."""
+    lift, filt = _rhs_multipliers(n, params.a, params.b)
+    lifted = np.empty(lift.shape, complex)
+    fields = np.empty((4, n))
+    u, ux2, m, mx = fields
+
+    def rhs(_, uh):
+        _irfft(np.multiply(lift, uh, out=lifted), n, out=fields)
+        np.multiply(u, mx, out=mx)
+        np.multiply(ux2, m, out=m)
+        np.add(mx, m, out=mx)
+        out = _rfft(mx)
+        out *= filt
+        return out
+
+    return rhs
+
+
 def ch_rhs(grid: PeriodicGrid, uh: np.ndarray,
            params: ConeParams = ConeParams()) -> np.ndarray:
     """d(uh)/dt of the momentum-form evolution (dealiased pseudospectral):
-    uh and the result are the n/2 + 1 rfft coefficients of u and of du/dt."""
-    lift, filt = _rhs_multipliers(grid.n, params.a, params.b)
-    u, ux2, m, mx = _irfft(lift * uh, grid.n)
-    return filt * _rfft(u * mx + ux2 * m)
+    uh and the result are the n/2 + 1 rfft coefficients of u and of du/dt.
+    The one-shot form of the kernel that ch_solve builds once per solve."""
+    return _rhs_kernel(grid.n, params)(0.0, uh)
 
 
 def _tail_fraction(grid: PeriodicGrid, uh: np.ndarray) -> np.ndarray:
@@ -114,9 +138,7 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
     out[0] = u
     scale0 = np.max(np.abs(u)) + 1.0
 
-    def rhs(_, uh):
-        return ch_rhs(grid, uh, params)
-
+    rhs = _rhs_kernel(grid.n, params)
     for i, uh, u in rk4_blocks(rhs, _rfft(u), dt, out[1:]):
         blown = ~np.isfinite(u).all(-1) | (np.abs(u).max(-1) > 100.0 * scale0)
         tail = _tail_fraction(grid, uh)

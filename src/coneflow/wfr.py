@@ -508,31 +508,56 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     coefficients of (v, alpha, rho); each equation is dealiased once (the
     2/3-rule filter is linear and commutes with d_x), in two batched
     transforms per stage, an irfft of the fields and derivatives and an
-    rfft of the products, both through grid's pocketfft helpers.  Raises
-    RuntimeError at the first step that overflows or loses positivity
-    (guards check every step, a block at a time), or on energy drift
+    rfft of the products, both through grid's pocketfft helpers.  A stage
+    writes its five lifted rows, the fields and derivatives and its four
+    products into scratch arrays allocated once per solve, and returns one
+    new (3, n/2 + 1) array.  Raises RuntimeError at the first step that
+    overflows or loses positivity, rho < -1e-8 max rho0 (the flow is linear
+    in rho; guards check every step, a block at a time), or on energy drift
     above 1e-3 (relative), as past an apex hit.
     """
     rho0 = grid.field("rho0", _validate_endpoint(rho0, "rho0"))
     phi0 = grid.field("phi0", phi0)
     n_steps = step_count(t_final, dt)
     _, ik, keep = fourier_multipliers(grid.n)
+    lifted = np.empty((5, len(ik)), complex)  # v, alpha, rho, v_x, alpha_x
+    fields = np.empty((5, grid.n))
+    v, alpha, rho, vx, ax = fields
+    products = np.empty((4, grid.n))
+    p_v, p_a, p_r, p_vr = products
 
     def rhs(_, yh):
-        v, alpha, rho, vx, ax = _irfft(
-            np.concatenate((yh, ik * yh[:2])), grid.n)
-        fv, fa, fr, fvr = _rfft(np.array((
-            v * vx + 2.0 * alpha * v, v * v - ax * v - alpha * alpha,
-            2.0 * alpha * rho, v * rho)))
-        return keep * np.array((-fv, fa, fr - ik * fvr))
+        lifted[:3] = yh
+        np.multiply(ik, yh[:2], out=lifted[3:])
+        _irfft(lifted, grid.n, out=fields)
+        np.multiply(2.0, alpha, out=p_r)
+        np.multiply(v, vx, out=p_v)  # v v_x + 2 alpha v
+        np.multiply(p_r, v, out=p_a)
+        np.add(p_v, p_a, out=p_v)
+        np.multiply(v, v, out=p_a)  # v v - alpha_x v - alpha alpha
+        np.multiply(ax, v, out=ax)
+        np.subtract(p_a, ax, out=p_a)
+        np.multiply(alpha, alpha, out=vx)
+        np.subtract(p_a, vx, out=p_a)
+        np.multiply(p_r, rho, out=p_r)  # 2 alpha rho
+        np.multiply(v, rho, out=p_vr)  # v rho
+        fv, fa, fr, fvr = _rfft(products)
+        dy = np.empty((3, len(ik)), complex)  # keep * (-fv, fa, fr - ik fvr)
+        np.negative(fv, out=dy[0])
+        dy[1] = fa
+        np.multiply(ik, fvr, out=dy[2])
+        np.subtract(fr, dy[2], out=dy[2])
+        dy *= keep
+        return dy
 
     times = np.arange(n_steps + 1) * dt
     out = np.empty((3, n_steps + 1, grid.n))  # v, alpha, rho
     out[:, 0] = 0.5 * grid.deriv(phi0), phi0, rho0
     steps = out[:, 1:].swapaxes(0, 1)  # (n_steps, 3, n) view
+    floor = -1e-8 * np.max(rho0)
     for i, _, nodal in rk4_blocks(rhs, _rfft(out[:, 0]), dt, steps):
         overflowed = ~np.isfinite(nodal).all(axis=(1, 2))
-        bad = np.flatnonzero(overflowed | (nodal[:, 2].min(-1) < -1e-8))
+        bad = np.flatnonzero(overflowed | (nodal[:, 2].min(-1) < floor))
         if bad.size:
             j = int(bad[0])
             t = (i + j + 1) * dt

@@ -16,6 +16,7 @@ from coneflow import (
 )
 from coneflow.formats import read_trajectory_csv, write_trajectory_csv
 from coneflow.grid import fourier_multipliers
+from ch_reference import shifted, traveling_wave
 from dense_oracle import dense_diff_matrix
 from rk4_oracle import tuple_pair_flow, tuple_rk4_step
 from spectral_oracle import count_transforms, dealias
@@ -138,6 +139,25 @@ def test_spectral_self_convergence():
     assert errors[1] < 1e-3 * errors[0]
     assert errors[2] < 1e-3 * errors[1] or errors[2] < 1e-13
     assert errors[-1] < 1e-12
+
+
+@pytest.mark.parametrize("amplitude, speed", [
+    (0.1, 2.611747839741686), (0.3, 2.707679617488672)])
+def test_ch_solve_converges_at_fourth_order_to_a_traveling_wave(amplitude,
+                                                                speed):
+    # an exact solution that runs none of ch_solve's arithmetic: the wave
+    # U(x - c t), analytic while c > max U, is exact to rounding at n = 64,
+    # so the error after T = 1 is RK4's and falls 16x per halving of dt
+    grid = PeriodicGrid(64)
+    U, c, _ = traveling_wave(grid.n, amplitude)
+    assert c == pytest.approx(speed, rel=1e-12)
+    assert np.min(c - U) > 1.3
+    exact = shifted(U, c * 1.0)
+    errors = np.array([np.max(np.abs(ch_solve(grid, U, 1.0, dt).u[-1] - exact))
+                       for dt in (0.02, 0.01, 0.005)])
+    ratios = errors[:-1] / errors[1:]
+    assert np.all((14.0 <= ratios) & (ratios <= 18.0)), (errors, ratios)
+    assert errors[-1] < 1e-8
 
 
 def reference_rhs(grid, u, params):

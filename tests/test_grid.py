@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coneflow.ch
 import coneflow.grid
 
 from coneflow import (ConeParams, ConePoint, ConeTangent, PeriodicGrid,
@@ -593,14 +594,24 @@ def test_spectral_rhs_makes_one_transform_each_way(monkeypatch, integrate):
     assert name == "irfft" and shape[0] == 3 and shape[-1] == 17
 
 
-def per_step_ch_solve(grid, u0, n_steps, dt):
+def per_step_ch_solve(grid, u0, n_steps, dt, params=ConeParams()):
     """ch_solve's RK4 loop one step at a time: a step of the rfft state,
-    then an irfft to its stored slice."""
+    then an irfft to its stored slice.  The right-hand side is written out
+    with its own multipliers and temporaries."""
+    k, ik, keep = fourier_multipliers(grid.n)
+    symbol = params.a ** 2 + params.b ** 2 * k * k
+    lift = np.array((np.ones_like(ik), 2.0 * ik, symbol, ik * symbol))
+    filt = -keep / symbol
+
+    def rhs(_, y):
+        u, ux2, m, mx = np.fft.irfft(lift * y[0], n=grid.n)
+        return (filt * np.fft.rfft(u * mx + ux2 * m),)
+
     out = np.empty((n_steps + 1, grid.n))
     out[0] = u0
     uh = np.fft.rfft(u0)
     for i in range(n_steps):
-        uh, = tuple_rk4_step(lambda _, y: (ch_rhs(grid, y[0]),), (uh,), dt)
+        uh, = tuple_rk4_step(rhs, (uh,), dt)
         out[i + 1] = np.fft.irfft(uh, n=grid.n)
     return out
 
@@ -652,6 +663,33 @@ def test_block_stepping_matches_the_per_step_loop_on_the_readme_run():
     u0 = 0.2 * np.sin(grid.x)
     traj = ch_solve(grid, u0, 0.25, 1e-3)
     assert np.array_equal(traj.u, per_step_ch_solve(grid, u0, 250, 1e-3))
+
+
+def test_block_stepping_matches_the_per_step_loop_at_other_coefficients():
+    grid = PeriodicGrid(32)
+    u0 = 0.2 * np.sin(grid.x)
+    params = ConeParams(1.5, 0.3)
+    traj = ch_solve(grid, u0, 0.07, 1e-3, params)
+    assert np.array_equal(traj.u, per_step_ch_solve(grid, u0, 70, 1e-3,
+                                                    params))
+
+
+def test_ch_solve_builds_its_right_hand_side_once(monkeypatch):
+    # the multipliers are read once per solve, not once per stage, and
+    # ch_rhs, the one-shot form, reads them once per call
+    lookups = []
+    real = coneflow.ch._rhs_multipliers
+
+    def counted(*key):
+        lookups.append(key)
+        return real(*key)
+
+    monkeypatch.setattr(coneflow.ch, "_rhs_multipliers", counted)
+    grid = PeriodicGrid(32)
+    ch_solve(grid, 0.2 * np.sin(grid.x), 3e-3, 1e-3, ConeParams(1.5, 0.3))
+    assert lookups == [(32, 1.5, 0.3)]
+    ch_rhs(grid, np.fft.rfft(np.sin(grid.x)))
+    assert lookups == [(32, 1.5, 0.3), (32, 1.0, 0.5)]
 
 
 @pytest.mark.parametrize("integrate", [

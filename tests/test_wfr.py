@@ -1000,6 +1000,20 @@ def test_horizontal_flow_raises_at_the_first_failing_step(rho0, phi0, t_final,
     assert str(info.value) == f"horizontal flow {error}"
 
 
+@pytest.mark.parametrize("t_final", [1.0, 2.0])
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e6])
+def test_horizontal_flow_loses_positivity_at_the_same_step_at_any_scale(
+        scale, t_final):
+    # the flow is linear in rho (v and alpha never see its scale), so the
+    # positivity guard, relative to max rho0, fails at the same step; with
+    # an absolute floor, scale 1e-9 ran 47 steps past the crossing
+    grid = PeriodicGrid(32)
+    with pytest.raises(RuntimeError) as info:
+        horizontal_flow(grid, scale * (1.0 + 0.3 * np.sin(grid.x)),
+                        -0.6 + 0.4 * np.cos(grid.x), t_final, 1e-3)
+    assert str(info.value) == "horizontal flow lost positivity at t=0.954"
+
+
 @pytest.mark.parametrize("name, rho0, phi0", [
     ("phi0", np.ones(16), np.full(16, np.nan)),
     ("phi0", np.ones(16), np.zeros(8)),
