@@ -6,7 +6,7 @@ byte-identical output.  CSV artifacts are written next to the current
 directory unless CONEFLOW_OUTDIR points elsewhere.  Exit codes: 0 on
 success, 1 on invalid input (machine-readable error object), including
 a horizon with more steps than memory can hold, 2 when a solver breaks
-down (blow-up, non-convergence, apex hit, lost positivity).
+down (blow-up, non-convergence, apex hit or fold).
 """
 from __future__ import annotations
 

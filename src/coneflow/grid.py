@@ -9,15 +9,15 @@ temporaries bounded by a fixed block of points.  A stack of fields of
 shape (..., n) is laid out once as one coefficient block and evaluated in
 the same pass, each row at its own row of points.
 Circle maps are handled through their monotone lifts, evaluated through
-the same interpolant and inverted by safeguarded Newton.  All fixed-step
-integrators use rk4_step, the spectral PDE steppers in blocks (rk4_blocks).
+the same interpolant and inverted by safeguarded Newton.  Fixed-step
+integrators use rk4_step; ch_solve, the only block stepper, rk4_blocks.
 Spectral operators read the rfft multipliers of fourier_multipliers,
 built once per n, so each costs one rfft and one irfft.
 Every transform of the package goes through _rfft and _irfft, which call
 numpy's pocketfft gufuncs directly, as np.fft.rfft and np.fft.irfft do
 inside their Python wrappers: the same kernels and factors, so the same
-bits, but without the wrapper, which on the small grids of the RK4
-steppers costs more than the transform itself.
+bits, but without the wrapper, which on the small grids of ch_solve
+costs more than the transform itself.
 """
 from __future__ import annotations
 
@@ -305,8 +305,9 @@ def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
 
 def rk4_blocks(f, yh: np.ndarray, dt: float, nodal: np.ndarray):
     """RK4 steps of the rfft state yh (f as in rk4_step), _BLOCK_STEPS at a
-    time.  Row k of nodal (n_steps, ..., n) gets the irfft after step k + 1,
-    one irfft per block; each block yields (its first k, states, rows)."""
+    time; ch_solve is the only block stepper.  Row k of nodal (n_steps,
+    ..., n) gets the irfft after step k + 1, one irfft per block; each block
+    yields (its first k, states, rows)."""
     states = np.empty((_BLOCK_STEPS,) + yh.shape, dtype=complex)
     for i in range(0, len(nodal), _BLOCK_STEPS):
         rows = nodal[i:i + _BLOCK_STEPS]

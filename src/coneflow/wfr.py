@@ -28,9 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cone import ConeParams
-from .grid import (PeriodicGrid, TWO_PI, _irfft, _rfft,
-                   fourier_multipliers, require_integer, rk4_blocks,
-                   step_count)
+from .grid import (PeriodicGrid, TWO_PI, _evaluate, _irfft, _rfft,
+                   require_integer, step_count)
 
 CONVENTIONS = {
     "lift-potential": "horizontal pairs are (Phi'/2, Phi) with the potential "
@@ -490,88 +489,75 @@ class HorizontalFlowResult:
     mass: np.ndarray
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the checks report overflow
+@np.errstate(over="ignore", invalid="ignore")  # reported below
+def _flat_chart(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
+                times: np.ndarray) -> np.ndarray:
+    """Nodal (rho, v, alpha) of the horizontal geodesic from phi0 at the
+    times, (3, len(times), n).  The cone chart is flat at (1, 1/2): label y
+    moves on the line exp(iy) (1 + t w), w = Phi0 + i Phi0'/2, so phi = y +
+    arg(1 + t w), lam^2 = |1 + t w|^2, rho = rho0 lam^2/phi_y, v = Phi0'/(2
+    lam^2) and alpha = (Phi0 + t|w|^2)/lam^2 at y = phi^-1(x_i), found by
+    Newton inside |y - x_i| < pi to 2e-14 pi.  RuntimeError names the first
+    time and label, of 8 per node spacing (the nodes among them), at which
+    lam^2 phi_y = 1 + c1 t + c2 t^2 reaches 0 (1e-12), or if a field
+    overflows."""
+    nodal = np.array((rho0, phi0, grid.deriv(phi0), grid.deriv(phi0, 2)))
+    block, labels = grid._trig_block(nodal), np.arange(8 * grid.n) * grid.h / 8
+    _, p, p1, p2 = _evaluate(block, np.broadcast_to(labels, (4, 8 * grid.n)))
+    c1, c2 = 2 * p + 0.5 * p2, p * (p + 0.5 * p2) - 0.25 * p1 * p1
+    # the first root 2/den if den > 0; near the minimum if disc < 0 (a touch)
+    den = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2, 0.0)) - c1
+    first = 2.0 / np.maximum(den, 2.0 / times[-1])  # at most times[-1]
+    bad = np.flatnonzero(1.0 + c1 * first + c2 * first ** 2 <= 1e-12)
+    if bad.size:
+        j = bad[np.argmin(first[bad])]
+        raise RuntimeError(f"horizontal flow reaches the apex or folds at "
+                           f"t={first[j]:.6g} (label y={labels[j]:.6g})")
+    x, out = grid.x, np.empty((3, len(times), grid.n))
+    per = max(1, 2048 // grid.n)  # slices per chunk: bounds the temporaries
+    for i in range(0, len(times), per):
+        t, y, lo, hi = times[i:i + per, None], x, x - np.pi, x + np.pi
+        r, p, p1, p2, step = *nodal[:, None], 2 * np.pi
+        for _ in range(100):
+            a, b = 1.0 + t * p, 0.5 * t * p1  # 1 + t w
+            lam2 = a * a + b * b
+            phi_y = 1.0 + t * (0.5 * p2 * a - p1 * b) / lam2
+            f = y + np.arctan2(b, a) - x
+            live = np.abs(f) > 2e-14 * np.pi  # NaN, an overflow, stops too
+            if not live.any():
+                break
+            lo, hi = np.where(f <= 0, y, lo), np.where(f > 0, y, hi)
+            # bisect where Newton, unconverged, leaves the bracket or fails
+            # to halve the last step, as when it cycles about an inflection
+            new = y - f / phi_y
+            new = np.where(~live | ((lo <= new) & (new <= hi) & (
+                np.abs(new - y) <= 0.5 * np.abs(step))), new, 0.5 * (lo + hi))
+            y, step = new, new - y
+            r, p, p1, p2 = _evaluate(block, np.broadcast_to(y, (4,) + y.shape))
+        else:
+            raise RuntimeError("horizontal flow labels did not converge")
+        out[:, i:i + per] = (r * lam2 / phi_y, 0.5 * p1 / lam2,
+                             (p + t * (p * p + 0.25 * p1 * p1)) / lam2)
+    if not np.isfinite(out).all():
+        raise RuntimeError("horizontal flow overflowed")
+    return out
+
+
 def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
                     t_final: float, dt: float) -> HorizontalFlowResult:
-    """Geodesic flow launched horizontally from the potential phi0.
-
-    Integrates the coefficient-(1, 1/2) Eulerian system
-
-        v' + v v_x + 2 alpha v = 0,
-        alpha' + alpha_x v + alpha^2 - v^2 = 0,
-        rho' + (v rho)_x - 2 alpha rho = 0,
-
-    from (v, alpha)(0) = (phi0_x / 2, phi0).  The horizontal pairs at a
-    positive density are exactly (Phi'/2, Phi), so the flow stays
-    horizontal while v = alpha_x / 2; the reported defect is the sup of
-    |v - alpha_x / 2| over every stored slice.  RK4 steps the rfft
-    coefficients of (v, alpha, rho); each equation is dealiased once (the
-    2/3-rule filter is linear and commutes with d_x), in two batched
-    transforms per stage, an irfft of the fields and derivatives and an
-    rfft of the products, both through grid's pocketfft helpers.  A stage
-    writes its five lifted rows, the fields and derivatives and its four
-    products into scratch arrays allocated once per solve, and returns one
-    new (3, n/2 + 1) array.  Raises RuntimeError at the first step that
-    overflows or loses positivity, rho < -1e-8 max rho0 (the flow is linear
-    in rho; guards check every step, a block at a time), or on energy drift
-    above 1e-3 (relative), as past an apex hit.
-    """
+    """Geodesic flow launched horizontally from the potential phi0: the
+    (1, 1/2) system v' + v v_x + 2 alpha v = 0, alpha' + alpha_x v + alpha^2
+    = v^2, rho' + (v rho)_x = 2 alpha rho from (phi0_x/2, phi0, rho0), in
+    closed form (_flat_chart), so dt only spaces the stored slices.  The
+    defect is the sup of |v - alpha_x/2|, as horizontal pairs are (Phi'/2,
+    Phi); the action is E t_final, E = int (phi0_x^2/4 + phi0^2) rho0.
+    RuntimeError at the exact first apex or fold time of a label."""
     rho0 = grid.field("rho0", _validate_endpoint(rho0, "rho0"))
     phi0 = grid.field("phi0", phi0)
-    n_steps = step_count(t_final, dt)
-    _, ik, keep = fourier_multipliers(grid.n)
-    lifted = np.empty((5, len(ik)), complex)  # v, alpha, rho, v_x, alpha_x
-    fields = np.empty((5, grid.n))
-    v, alpha, rho, vx, ax = fields
-    products = np.empty((4, grid.n))
-    p_v, p_a, p_r, p_vr = products
-
-    def rhs(_, yh):
-        lifted[:3] = yh
-        np.multiply(ik, yh[:2], out=lifted[3:])
-        _irfft(lifted, grid.n, out=fields)
-        np.multiply(2.0, alpha, out=p_r)
-        np.multiply(v, vx, out=p_v)  # v v_x + 2 alpha v
-        np.multiply(p_r, v, out=p_a)
-        np.add(p_v, p_a, out=p_v)
-        np.multiply(v, v, out=p_a)  # v v - alpha_x v - alpha alpha
-        np.multiply(ax, v, out=ax)
-        np.subtract(p_a, ax, out=p_a)
-        np.multiply(alpha, alpha, out=vx)
-        np.subtract(p_a, vx, out=p_a)
-        np.multiply(p_r, rho, out=p_r)  # 2 alpha rho
-        np.multiply(v, rho, out=p_vr)  # v rho
-        fv, fa, fr, fvr = _rfft(products)
-        dy = np.empty((3, len(ik)), complex)  # keep * (-fv, fa, fr - ik fvr)
-        np.negative(fv, out=dy[0])
-        dy[1] = fa
-        np.multiply(ik, fvr, out=dy[2])
-        np.subtract(fr, dy[2], out=dy[2])
-        dy *= keep
-        return dy
-
-    times = np.arange(n_steps + 1) * dt
-    out = np.empty((3, n_steps + 1, grid.n))  # v, alpha, rho
-    out[:, 0] = 0.5 * grid.deriv(phi0), phi0, rho0
-    steps = out[:, 1:].swapaxes(0, 1)  # (n_steps, 3, n) view
-    floor = -1e-8 * np.max(rho0)
-    for i, _, nodal in rk4_blocks(rhs, _rfft(out[:, 0]), dt, steps):
-        overflowed = ~np.isfinite(nodal).all(axis=(1, 2))
-        bad = np.flatnonzero(overflowed | (nodal[:, 2].min(-1) < floor))
-        if bad.size:
-            j = int(bad[0])
-            t = (i + j + 1) * dt
-            what = "state overflowed" if overflowed[j] else "lost positivity"
-            raise RuntimeError(f"horizontal flow {what} at t={t:.6g}")
-    out_v, out_a, out_rho = out
-    energies = grid.integrate((out_v ** 2 + out_a ** 2) * out_rho)
-    # E is conserved; past an apex hit it drifts before the state overflows
-    bad = np.flatnonzero(~(abs(energies - energies[0]) <= 1e-3 * energies[0]))
-    if energies[0] > 0 and bad.size:
-        raise RuntimeError(f"horizontal flow energy drifted by more than 1e-3 "
-                           f"(relative) at t={times[bad[0]]:.6g}")
-    defect = float(np.max(np.abs(out_v - 0.5 * grid.deriv(out_a))))
-    action = float(np.trapezoid(energies, times))
-    mass = grid.h * np.sum(out_rho, axis=1)
-    return HorizontalFlowResult(times, out_rho, out_v, out_a, action,
-                                defect, mass)
+    times = np.arange(step_count(t_final, dt) + 1) * dt
+    rho, v, alpha = _flat_chart(grid, rho0, phi0, times)
+    energy = grid.integrate((0.25 * grid.deriv(phi0) ** 2 + phi0 ** 2) * rho0)
+    return HorizontalFlowResult(
+        times, rho, v, alpha, float(energy * times[-1]),
+        float(np.max(np.abs(v - 0.5 * grid.deriv(alpha)))),
+        grid.h * np.sum(rho, axis=1))

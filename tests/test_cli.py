@@ -168,16 +168,32 @@ def test_flow_horizontal_over_a_zero_density(capsys):
 
 
 def test_flow_horizontal_past_the_apex_exits_two(capsys):
-    # alpha = -2/(1 - 2t) overflows after the apex hit at t = 1/2
-    with np.errstate(all="ignore"):
-        code, out = run_cli(capsys, "flow", "horizontal", "--rho0",
-                            "const:1", "--phi0", "const:-2", "--n", "16",
-                            "--t-final", "1")
+    # rho = (1 - 2t)^2 reaches the apex at t = 1/2, named exactly
+    code, out = run_cli(capsys, "flow", "horizontal", "--rho0", "const:1",
+                        "--phi0", "const:-2", "--n", "16", "--t-final", "1")
     assert code == 2
     assert out.count("\n") == 1
     error = json.loads(out)["error"]
     assert error["type"] == "RuntimeError"
-    assert "horizontal flow state overflowed" in error["message"]
+    assert error["message"] == ("horizontal flow reaches the apex or folds "
+                                "at t=0.5 (label y=0)")
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_flow_horizontal_names_the_same_apex_at_any_resolution(capsys,
+                                                               tmp_path, n):
+    # the label y = pi of this pair reaches the apex at t = 1 exactly
+    grid = PeriodicGrid(n)
+    rho0, phi0 = tmp_path / "rho0.csv", tmp_path / "phi0.csv"
+    write_density_csv(rho0, grid.x, 1.0 + 0.3 * np.sin(grid.x))
+    write_density_csv(phi0, grid.x, -0.6 + 0.4 * np.cos(grid.x))
+    argv = ("flow", "horizontal", "--rho0", f"file:{rho0}", "--phi0",
+            f"file:{phi0}", "--n", str(n))
+    code, body = run_json(capsys, *argv, "--t-final", "1")
+    assert code == 2
+    assert body["error"]["message"].endswith("at t=1 (label y=3.14159)")
+    code, body = run_json(capsys, *argv, "--t-final", "0.9")
+    assert code == 0 and body["mass_final"] > 0
 
 
 def test_flow_horizontal_past_the_apex_prints_no_warnings():

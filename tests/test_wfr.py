@@ -1,5 +1,6 @@
 """Unbalanced transport: prox, constraint projection, solver, geodesic flows."""
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -890,6 +891,28 @@ def test_circle_w2_of_a_two_mode_pair(n):
     assert w2 == pytest.approx(0.3540121924601, abs=1e-12)
 
 
+def translated_bumps(width):
+    # unit-mass bumps pi/4 apart, as the benchmark's balanced pair
+    grid = PeriodicGrid(128)
+    return (bump_density(grid, np.pi - np.pi / 8, width, 1.0),
+            bump_density(grid, np.pi + np.pi / 8, width, 1.0))
+
+
+def test_circle_w2_refuses_near_vacuum_densities():
+    # min/max 3.7e-6: the midpoint rule in the mass coordinate gives
+    # 0.6300, above the translation plan's cost (pi/4)^2 = 0.61685
+    with pytest.raises(ValueError, match="min rho >= 1e-2 max rho"):
+        circle_w2(*translated_bumps(0.4), nodes=512)
+
+
+def test_circle_w2_of_translated_bumps_is_below_the_translation_cost():
+    # min/max 1.7e-2: converged in the node count
+    pair = translated_bumps(0.7)
+    coarse, fine = circle_w2(*pair, nodes=512), circle_w2(*pair, nodes=2048)
+    assert abs(coarse - fine) < 1e-9
+    assert fine <= (np.pi / 4) ** 2
+
+
 def test_hellinger_distance_values():
     pg = PeriodicGrid(32)
     # uniform 1 -> 4: 2b |2 - 1| sqrt(2 pi) at b = 1/2
@@ -934,13 +957,14 @@ def test_horizontal_flow_reaches_the_apex_in_closed_form():
 
 
 def test_horizontal_flow_past_the_apex_overflows():
+    # alpha = -2/(1 - 2t) would overflow past the apex; the flow stops at
+    # the apex itself, the root of lam^2 phi_x = (1 - 2t)^2
     grid = PeriodicGrid(16)
-    with np.errstate(all="ignore"), pytest.raises(
-            RuntimeError, match="horizontal flow state overflowed") as info:
+    with pytest.raises(RuntimeError) as info:
         horizontal_flow(grid, np.ones(grid.n), -2.0 * np.ones(grid.n),
                         1.0, 1e-3)
-    t = float(str(info.value).rsplit("t=", 1)[1])
-    assert 0.5 <= t <= 0.51
+    assert str(info.value) == ("horizontal flow reaches the apex or folds at "
+                               "t=0.5 (label y=0)")
 
 
 def test_calibrated_pair_refuses_a_path_through_the_apex():
@@ -974,6 +998,20 @@ def test_horizontal_flow_matches_the_closed_form():
     assert abs(flow.action - energy) < 1e-12
 
 
+def test_horizontal_flow_inverts_the_labels_in_bounded_chunks():
+    # the output is 1.5 MB; the labels of all 1,001 slices at once took
+    # 9.8 MB, above ch_solve's peak at n = 1,024
+    grid, rho0, phi0 = calibrated_data(64)
+    horizontal_flow(grid, rho0, phi0, 1.0, 1e-3)
+    tracemalloc.start()
+    try:
+        horizontal_flow(grid, rho0, phi0, 1.0, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_unbalanced_distance_converges_to_the_geodesic_energy():
     # the unit-time horizontal geodesic is minimal, so d^2 = E in the limit;
     # the solver's gap d^2 - E shrinks at O(h^2) (nt = 32 is too coarse)
@@ -989,29 +1027,77 @@ def test_unbalanced_distance_converges_to_the_geodesic_energy():
 
 @pytest.mark.parametrize("rho0, phi0, t_final, dt, error", [
     (bump_density(PeriodicGrid(16), np.pi, 0.8, 1.0),
-     np.sin(PeriodicGrid(16).x), 2.0, 1e-2, "lost positivity at t=0.71"),
-    (np.ones(16), np.full(16, -2.0), 1.0, 1e-3, "state overflowed at t=0.503"),
+     np.sin(PeriodicGrid(16).x), 2.0, 1e-2, "t=1 (label y=4.71239)"),
+    (np.ones(16), np.full(16, -2.0), 1.0, 1e-3, "t=0.5 (label y=0)"),
 ], ids=["lost-positivity", "overflowed"])
 def test_horizontal_flow_raises_at_the_first_failing_step(rho0, phi0, t_final,
                                                           dt, error):
-    # each guard reports the first step it fails, also in mid-block
+    # the first root of 1 + c1 t + c2 t^2 over the labels, whatever dt is:
+    # Phi0 = sin x has the roots 1 and 2 at y = 3 pi/2, where 1 + t w = 1 - t
+    # reaches the apex; Phi0 = -2 reaches it at t = 1/2 at every label
     with pytest.raises(RuntimeError) as info:
         horizontal_flow(PeriodicGrid(16), rho0, phi0, t_final, dt)
-    assert str(info.value) == f"horizontal flow {error}"
+    assert str(info.value) == ("horizontal flow reaches the apex or folds at "
+                               + error)
 
 
 @pytest.mark.parametrize("t_final", [1.0, 2.0])
 @pytest.mark.parametrize("scale", [1.0, 1e-9, 1e6])
 def test_horizontal_flow_loses_positivity_at_the_same_step_at_any_scale(
         scale, t_final):
-    # the flow is linear in rho (v and alpha never see its scale), so the
-    # positivity guard, relative to max rho0, fails at the same step; with
-    # an absolute floor, scale 1e-9 ran 47 steps past the crossing
+    # the flow is linear in rho (v and alpha never see its scale), and the
+    # label y = pi reaches the apex at t = 1 exactly: 1 + t w = 1 - t there
     grid = PeriodicGrid(32)
     with pytest.raises(RuntimeError) as info:
         horizontal_flow(grid, scale * (1.0 + 0.3 * np.sin(grid.x)),
                         -0.6 + 0.4 * np.cos(grid.x), t_final, 1e-3)
-    assert str(info.value) == "horizontal flow lost positivity at t=0.954"
+    assert str(info.value) == ("horizontal flow reaches the apex or folds at "
+                               "t=1 (label y=3.14159)")
+
+
+def test_horizontal_flow_finds_a_fold_between_the_nodes():
+    # Phi0 = 0.3 cos 6(x - h/2) folds first at the label y = h/2, midway
+    # between two nodes: c1 = -4.8 and c2 = -1.53 there, so t = 10/51.
+    # The nodes alone first fold at t = 0.211
+    grid = PeriodicGrid(16)
+    phi0 = 0.3 * np.cos(6 * (grid.x - grid.h / 2))
+    with pytest.raises(RuntimeError) as info:
+        horizontal_flow(grid, np.ones(grid.n), phi0, 0.2, 1e-3)
+    assert str(info.value) == ("horizontal flow reaches the apex or folds at "
+                               "t=0.196078 (label y=0.19635)")
+    res = horizontal_flow(grid, np.ones(grid.n), phi0, 0.196, 1e-3)
+    assert res.rho.min() > 0
+
+
+@pytest.mark.parametrize("n", [32, 64, 128, 256])
+def test_horizontal_flow_breaks_down_at_the_same_time_at_any_resolution(n):
+    # the apex time is a property of the data, not of n, and short of it
+    # the flow returns
+    grid = PeriodicGrid(n)
+    rho0, phi0 = 1.0 + 0.3 * np.sin(grid.x), -0.6 + 0.4 * np.cos(grid.x)
+    with pytest.raises(RuntimeError, match=r"at t=1 \(label y=3.14159\)$"):
+        horizontal_flow(grid, rho0, phi0, 1.0, 1e-3)
+    res = horizontal_flow(grid, rho0, phi0, 0.9, 1e-3)
+    assert np.all(res.rho > 0) and np.isfinite(res.alpha).all()
+    # the label pi stays at x = pi with lam^2 = (1 - t)^2 and
+    # phi_y = 1 + 0.2 t / (1 - t), so rho = 0.01 / 2.8 there at t = 0.9
+    assert res.rho[-1, n // 2] == pytest.approx(1.0 / 280.0, rel=1e-12)
+
+
+def test_horizontal_flow_inverts_labels_where_newton_cycles():
+    # at t = 0.4774 Newton kept inside its bracket alone cycles between
+    # y = 0.50 and 1.93 for the node x = 1.96, about an inflection of phi
+    grid = PeriodicGrid(32)
+    coeffs = [(-1.3555812394829843, -0.9445066229838364),
+              (-0.08738604602758097, -0.21109520578817678),
+              (0.10682149874930555, 0.10866096551128179)]
+    phi0 = sum(a * np.cos(k * grid.x) + b * np.sin(k * grid.x)
+               for k, (a, b) in enumerate(coeffs, 1))
+    res = horizontal_flow(grid, np.ones(32), phi0, 0.4774, 0.4774)
+    rho, v, alpha, _ = calibrated_pair(grid, np.ones(32), phi0, 0.4774)
+    for new, ref in zip((res.rho[-1], res.v[-1], res.alpha[-1]),
+                        (rho, v, alpha)):
+        assert np.max(np.abs(new - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("name, rho0, phi0", [
@@ -1028,15 +1114,20 @@ def test_horizontal_flow_names_a_bad_initial_field(name, rho0, phi0):
 
 @pytest.mark.parametrize("t_final", [0.499, 0.5, 0.501, 0.502])
 def test_horizontal_flow_ending_at_the_apex_raises(t_final):
-    # just before, at and just past the hit at t = 1/2 the state stays
-    # finite (rho = 3.2e6 at 0.501, 2.4e168 at 0.502 where (1 - 2t)^2 is
-    # tiny), but the conserved energy has drifted
+    # rho = (1 - 2t)^2 up to the hit at t = 1/2, which is named exactly from
+    # t_final = 0.5 on; one step short of it the flow returns
     grid = PeriodicGrid(16)
-    with pytest.raises(RuntimeError, match="energy drifted by") as info:
+    if t_final < 0.5:
+        res = horizontal_flow(grid, np.ones(grid.n), -2.0 * np.ones(grid.n),
+                              t_final, 1e-3)
+        exact = (1.0 - 2.0 * res.times[:, None]) ** 2
+        assert np.max(np.abs(res.rho - exact)) < 1e-15
+        assert res.rho[-1] == pytest.approx(4e-6, rel=1e-9)
+        return
+    with pytest.raises(RuntimeError) as info:
         horizontal_flow(grid, np.ones(grid.n), -2.0 * np.ones(grid.n),
                         t_final, 1e-3)
-    t = float(str(info.value).rsplit("t=", 1)[1])
-    assert 0.495 < t <= 0.499
+    assert str(info.value).endswith("at t=0.5 (label y=0)")
 
 
 def test_horizontal_flow_stays_horizontal():
@@ -1059,9 +1150,10 @@ def lift_defect(grid, v, alpha, rho):
 
 
 def reference_horizontal_flow(grid, rho0, phi0, t_final, dt):
-    """horizontal_flow with each quadratic product dealiased on its own
-    (seven filters per right-hand side) and the lift-based defect checked
-    every ten steps and at the end; returns (rho, v, alpha, action, defect)."""
+    """The Eulerian system of horizontal_flow stepped by RK4, each quadratic
+    product dealiased on its own (seven filters per right-hand side), and
+    the lift-based defect checked every ten steps and at the end; returns
+    (rho, v, alpha, action, defect)."""
     n_steps = int(round(t_final / dt))
     v, alpha, rho = 0.5 * grid.deriv(phi0), phi0.copy(), rho0.copy()
 
@@ -1088,8 +1180,8 @@ def reference_horizontal_flow(grid, rho0, phi0, t_final, dt):
 
 
 def test_horizontal_flow_matches_the_seven_dealias_reference():
-    # acceptance test 6's data: one filter per equation changes only the
-    # rounding, and v = alpha_x / 2 measures what the lift solve measures
+    # acceptance test 6's data: the closed form against the stepped PDE,
+    # and v = alpha_x / 2 measures what the lift solve measures
     grid = PeriodicGrid(64)
     rho0 = 1.0 + 0.3 * np.sin(grid.x)
     phi0 = 0.3 * np.cos(grid.x) + 0.2

@@ -36,8 +36,12 @@ class _Density:
         self.c = c[1:] * np.where(self.k == n / 2, 1.0, 2.0)
         # |F(x) - mean x| is at most twice the 1-norm of the c_k / k
         self.bound = 2.0 * float(np.sum(np.abs(self.c) / self.k))
-        if np.min(values) <= 0:
-            raise ValueError("circle_w2 needs positive densities")
+        # the midpoint rule in s divides by rho at the quantiles, and on
+        # near-vacuum data it converges too slowly to be a reference: two
+        # bumps with min/max 3.7e-6 gave a value above the translation cost
+        if not np.min(values) >= 1e-2 * np.max(values):
+            raise ValueError("circle_w2 needs densities with min rho >= "
+                             "1e-2 max rho")
 
     def __call__(self, x):
         return self.mean + (np.exp(1j * np.multiply.outer(x, self.k))
@@ -66,7 +70,8 @@ class _Density:
 
 
 def circle_w2(rho0, rho1, nodes: int = 2048) -> float:
-    """Squared W2 distance between positive densities of equal mass.
+    """Squared W2 distance between positive densities of equal mass,
+    each with min >= 1e-2 max (ValueError otherwise).
 
     rho0 and rho1 are nodal samples on a uniform grid of [0, 2 pi) of
     trigonometric polynomials that the grid resolves; nodes is the
