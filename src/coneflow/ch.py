@@ -7,31 +7,32 @@ The evolution is integrated in momentum form: with m = a^2 u - b^2 u_xx,
 which conserves the energy int a^2 u^2 + b^2 u_x^2 dx and the mean of m.
 Spatial derivatives are Fourier collocation, quadratic products are
 dealiased with the 2/3 rule, and time stepping is fixed-step RK4 over a
-whole number of steps (grid.rk4_blocks, grid.step_count) on the rfft
+whole number of steps (grid.rk4_step, grid.step_count) on the rfft
 coefficients of u.  A right-hand side makes two transforms, both
 through grid's pocketfft helpers: one batched irfft to u, 2 u_x, m and
 m_x, and one rfft of the products.  ch_solve builds it once per solve
 (_rhs_kernel), with its multipliers and scratch arrays, and ch_rhs is its
-one-shot form.  The solver's guards check every step, a block of steps
-at a time.
-The flow map is the group flow of (u, u_x/2) along the stored trajectory;
-its gauge factor squared must track d_x phi (isotropy residual).
+one-shot form.  The solver's guards check every step, a block of
+_BLOCK_STEPS steps at a time, whose slices one irfft stores.
+The flow map is the group flow of (u, u_x/2) along the stored trajectory,
+stepped by RK4 with one grid._evaluate a stage; its gauge factor squared
+must track d_x phi (isotropy residual).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .cone import ConeParams
-from .grid import (PeriodicGrid, _irfft, _rfft, fourier_multipliers,
-                   rk4_blocks, step_count)
-from .group import hdiv_energy, pair_flow
+from .grid import (PeriodicGrid, _evaluate, _irfft, _rfft,
+                   fourier_multipliers, rk4_step, step_count)
+from .group import hdiv_energy
 
 # fraction of spectral energy allowed above k = n/6 before declaring breaking
 _TAIL_FRACTION_LIMIT = 0.02
 _PHI_X_FLOOR = 1e-6
+_BLOCK_STEPS = 64  # RK4 steps per block of ch_solve: one irfft stores them
 
 
 class CHBlowupError(RuntimeError):
@@ -68,28 +69,19 @@ class FlowPath:
     min_phi_x: float
 
 
-@lru_cache(maxsize=16)
-def _rhs_multipliers(n: int, a: float, b: float) -> tuple:
-    """Read-only multipliers of ch_rhs: [1, 2ik, s, ik s] from uh to u,
-    2 u_x, m and m_x, and the filter -keep/s, for the symbol s of
-    a^2 - b^2 d_xx.  The factor 2 of 2 u_x m rides in the lift; scaling
-    by 2 is exact, so the products keep their bits."""
-    k, ik, keep = fourier_multipliers(n)
-    symbol = a ** 2 + b ** 2 * k * k
-    lift = np.array((np.ones_like(ik), 2.0 * ik, symbol, ik * symbol))
-    filt = -keep / symbol
-    for arr in (lift, filt):
-        arr.setflags(write=False)
-    return lift, filt
-
-
 def _rhs_kernel(n: int, params: ConeParams):
     """The right-hand side f(c, uh) of ch_rhs on n nodes, built once per
-    solve: it reads the multipliers once and owns its scratch, lift * uh
-    (4, n/2 + 1) and the fields u, 2 u_x, m, m_x (4, n), whose rows take
-    u m_x, 2 u_x m and their sum in place.  Each call returns a new array,
-    as RK4 holds its four stage derivatives at once."""
-    lift, filt = _rhs_multipliers(n, params.a, params.b)
+    solve with its multipliers: lift = [1, 2ik, s, ik s] takes uh to u,
+    2 u_x, m and m_x, for the symbol s of a^2 - b^2 d_xx, and the filter
+    is -keep/s.  The factor 2 of 2 u_x m rides in the lift; scaling by 2
+    is exact, so the products keep their bits.  It owns its scratch,
+    lift * uh (4, n/2 + 1) and the fields (4, n), whose rows take u m_x,
+    2 u_x m and their sum in place.  Each call returns a new array, as
+    RK4 holds its four stage derivatives at once."""
+    k, ik, keep = fourier_multipliers(n)
+    symbol = params.a ** 2 + params.b ** 2 * k * k
+    lift = np.array((np.ones_like(ik), 2.0 * ik, symbol, ik * symbol))
+    filt = -keep / symbol
     lifted = np.empty(lift.shape, complex)
     fields = np.empty((4, n))
     u, ux2, m, mx = fields
@@ -110,7 +102,7 @@ def ch_rhs(grid: PeriodicGrid, uh: np.ndarray,
            params: ConeParams = ConeParams()) -> np.ndarray:
     """d(uh)/dt of the momentum-form evolution (dealiased pseudospectral):
     uh and the result are the n/2 + 1 rfft coefficients of u and of du/dt.
-    The one-shot form of the kernel that ch_solve builds once per solve."""
+    The kernel that ch_solve builds once per solve, built for one call."""
     return _rhs_kernel(grid.n, params)(0.0, uh)
 
 
@@ -138,10 +130,15 @@ def ch_solve(grid: PeriodicGrid, u0: np.ndarray, t_final: float, dt: float,
     out[0] = u
     scale0 = np.max(np.abs(u)) + 1.0
 
-    rhs = _rhs_kernel(grid.n, params)
-    for i, uh, u in rk4_blocks(rhs, _rfft(u), dt, out[1:]):
+    rhs, uh = _rhs_kernel(grid.n, params), _rfft(u)
+    states = np.empty((_BLOCK_STEPS, len(uh)), complex)
+    for i in range(0, n_steps, _BLOCK_STEPS):
+        u = out[i + 1:i + 1 + _BLOCK_STEPS]
+        for j in range(len(u)):
+            uh = states[j] = rk4_step(rhs, uh, dt)
+        _irfft(states[:len(u)], grid.n, out=u)
         blown = ~np.isfinite(u).all(-1) | (np.abs(u).max(-1) > 100.0 * scale0)
-        tail = _tail_fraction(grid, uh)
+        tail = _tail_fraction(grid, states[:len(u)])
         bad = np.flatnonzero(blown | (tail > _TAIL_FRACTION_LIMIT))
         if bad.size:
             j = int(bad[0])
@@ -170,7 +167,8 @@ def ch_invariants(grid: PeriodicGrid, u: np.ndarray,
 
 def flow_map(traj: CHTrajectory) -> FlowPath:
     """Integrate the Lagrangian flow and gauge factor along a trajectory:
-    the group flow (group.pair_flow) of the isotropy pair (u, u_x/2).
+    phi' = u o phi, lam' = (u_x/2 o phi) lam from the identity, by RK4 on
+    the stacked state (phi, lam), each stage one evaluation at phi.
 
     u is interpolated in time with 4-point Lagrange stencils (order matched
     to RK4).  The RK4 stages at fractions 0 and 1 of a step are the stored
@@ -186,16 +184,22 @@ def flow_map(traj: CHTrajectory) -> FlowPath:
     pairs = np.stack((traj.u, 0.5 * grid.deriv(traj.u)), axis=1)  # (T, 2, n)
     mid_weights = np.array([[5, 15, -5, 1], [-1, 9, 9, -1],
                             [1, -5, 15, 5]]) / 16
-    end = [grid._trig_block(pairs[0])]
+    blocks = [None, None, grid._trig_block(pairs[0])]  # at c = 0, 1/2, 1
 
-    def stages(j):  # each slice's block and the midpoint's are built once
+    def rhs(c, y):
+        dy = _evaluate(blocks[int(2 * c)], np.broadcast_to(y[0], y.shape))
+        dy[1] *= y[1]
+        return dy
+
+    out = np.empty((2, n_steps + 1, grid.n))
+    out[0, 0], out[1, 0] = grid.x, 1.0
+    for j in range(n_steps):  # each slice's block and the midpoint's once
         j0 = min(max(j - 1, 0), n_steps - 3)
         mid = mid_weights[j - j0] @ pairs[j0:j0 + 4].reshape(4, -1)
-        start, end[0] = end[0], grid._trig_block(pairs[j + 1])
-        return start, grid._trig_block(mid.reshape(2, -1)), end[0]
-
-    steps = pair_flow(grid, stages, traj.dt, n_steps)
-    phi, lam_ode = map(np.array, zip((grid.x, np.ones(grid.n)), *steps))
+        blocks = [blocks[2], grid._trig_block(mid.reshape(2, -1)),
+                  grid._trig_block(pairs[j + 1])]
+        out[:, j + 1] = rk4_step(rhs, out[:, j], traj.dt)
+    phi, lam_ode = out
 
     phi_x = grid.lift_slope(phi)
     min_phi_x = np.min(phi_x, axis=-1)

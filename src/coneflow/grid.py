@@ -10,7 +10,7 @@ shape (..., n) is laid out once as one coefficient block and evaluated in
 the same pass, each row at its own row of points.
 Circle maps are handled through their monotone lifts, evaluated through
 the same interpolant and inverted by safeguarded Newton.  Fixed-step
-integrators use rk4_step; ch_solve, the only block stepper, rk4_blocks.
+integrators use rk4_step.
 Spectral operators read the rfft multipliers of fourier_multipliers,
 built once per n, so each costs one rfft and one irfft.
 Every transform of the package goes through _rfft and _irfft, which call
@@ -30,8 +30,7 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft  # numpy >= 2.0
 
 TWO_PI = 2.0 * np.pi
-_BLOCK = 512  # points per block in _horner, which bounds its temporaries
-_BLOCK_STEPS = 64  # RK4 steps per block in rk4_blocks
+_BLOCK = 512  # points per block in _evaluate, which bounds its temporaries
 
 
 def wrap(x):
@@ -112,7 +111,7 @@ class PeriodicGrid:
         convention, and contributes nothing to derivatives.
 
         The sum over the n/2 + 1 modes is a polynomial in z = exp(ix),
-        evaluated by baby-step giant-step (_horner): O(P*n) flops for P
+        evaluated by baby-step giant-step (_evaluate): O(P*n) flops for P
         points in about 2 sqrt(n/2) numpy rounds per block of 512 points,
         with O(sqrt(n)) complex temporaries per point of one block.  Rows
         of points broadcast with np.broadcast_to share those powers.
@@ -128,11 +127,11 @@ class PeriodicGrid:
         require_integer("derivative order", order)
         if order < 0:
             raise ValueError(f"derivative order must be >= 0, got {order!r}")
-        return _horner(self._trig_coeffs(values, order), points)
+        return _evaluate(self._trig_block(values, order), points)
 
     def _trig_coeffs(self, values: np.ndarray, order: int) -> np.ndarray:
         """Coefficients of z^0 .. z^(n/2) of the real interpolant's order-th
-        derivative, (..., n/2 + 1), for _horner."""
+        derivative, (..., n/2 + 1), for _giant_rows."""
         c = _rfft(values)
         if order > 0:
             c = c * fourier_multipliers(self.n)[1] ** order
@@ -140,9 +139,9 @@ class PeriodicGrid:
         weights[0] = weights[-1] = 1.0
         return weights * c / self.n
 
-    def _trig_block(self, values: np.ndarray) -> np.ndarray:
-        """The _giant_rows block of values' interpolant, for _evaluate."""
-        return _giant_rows(self._trig_coeffs(values, 0))
+    def _trig_block(self, values: np.ndarray, order: int = 0) -> np.ndarray:
+        """The _giant_rows block of _trig_coeffs, for _evaluate."""
+        return _giant_rows(self._trig_coeffs(values, order))
 
     # -- monotone circle-map lifts ------------------------------------------
 
@@ -155,7 +154,7 @@ class PeriodicGrid:
 
         phi is read through the trigonometric interpolant of its
         displacement d = phi - id, so phi(x + 2pi) = phi(x) + 2pi; the
-        coefficients of d and d' are computed once, and each Newton round
+        coefficient block of d and d' is built once, and each Newton round
         sums both at once.
         |d| is bounded by the 1-norm S of its Fourier coefficients, so each
         root lies in [x_i - S, x_i + S]; Newton steps that leave the
@@ -165,13 +164,14 @@ class PeriodicGrid:
         """
         disp = phi - self.x
         coeff = np.array([self._trig_coeffs(disp, k) for k in (0, 1)])
+        block = _giant_rows(coeff)
         bound = float(np.sum(np.abs(coeff[0])))
         lo = self.x - bound
         hi = self.x + bound
         y = self.x - disp
         tol = 1e-14 * (TWO_PI + bound)
         for _ in range(100):
-            d, d_x = _horner(coeff, np.broadcast_to(y, (2, self.n)))
+            d, d_x = _evaluate(block, np.broadcast_to(y, (2, self.n)))
             f = y + d - self.x
             if np.max(np.abs(f)) <= tol:
                 return y
@@ -219,12 +219,6 @@ def fourier_multipliers(n: int) -> tuple:
     return k, ik, keep
 
 
-def _horner(coeff: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Real part of sum_j coeff[..., j] exp(i j x) at x = points, batch rows
-    at rows of points, by baby-step giant-step: _evaluate of _giant_rows."""
-    return _evaluate(_giant_rows(coeff), points)
-
-
 def _giant_rows(coeff: np.ndarray) -> np.ndarray:
     """coeff (..., m) zero-padded to G*L, L = ceil(sqrt(m)), as the block
     (G, ..., L) whose [g, ..., l] is the coefficient of z^(g*L + l)."""
@@ -237,8 +231,9 @@ def _giant_rows(coeff: np.ndarray) -> np.ndarray:
 
 
 def _evaluate(block: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """_horner of a _giant_rows block: per _BLOCK points, one matmul by the
-    powers of z = exp(ix), then Horner in z^L on contiguous (rows, P) slices;
+    """Re sum_j coeff[..., j] exp(ijx) at x = points, batch rows at rows, for
+    block = _giant_rows(coeff): per _BLOCK points, one matmul by the powers
+    of z = exp(ix), then Horner in z^L on contiguous (rows, P) slices;
     shared (broadcast) points take one flat (G*rows, L) @ (L, P) matmul."""
     c = block.reshape(len(block), -1, block.shape[-1])
     (n_giant, n_rows, size), nb = c.shape, block.ndim - 2
@@ -301,20 +296,6 @@ def rk4_step(f, y: np.ndarray, dt: float) -> np.ndarray:
     k3 = f(0.5, y + 0.5 * dt * k2)
     k4 = f(1.0, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def rk4_blocks(f, yh: np.ndarray, dt: float, nodal: np.ndarray):
-    """RK4 steps of the rfft state yh (f as in rk4_step), _BLOCK_STEPS at a
-    time; ch_solve is the only block stepper.  Row k of nodal (n_steps,
-    ..., n) gets the irfft after step k + 1, one irfft per block; each block
-    yields (its first k, states, rows)."""
-    states = np.empty((_BLOCK_STEPS,) + yh.shape, dtype=complex)
-    for i in range(0, len(nodal), _BLOCK_STEPS):
-        rows = nodal[i:i + _BLOCK_STEPS]
-        for j in range(len(rows)):
-            yh = states[j] = rk4_step(f, yh, dt)
-        _irfft(states[:len(rows)], nodal.shape[-1], out=rows)
-        yield i, states[:len(rows)], rows
 
 
 def bump_density(grid: PeriodicGrid, center: float, width: float,

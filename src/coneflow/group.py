@@ -5,10 +5,12 @@ values of its monotone lift, lam a positive field.  The product is
 (phi1, lam1) * (phi2, lam2) = (phi1 o phi2, (lam1 o phi2) lam2) and the
 group acts on densities on the left by rho -> push-forward of lam^2 rho
 under phi.  The right-trivialized tangent at the identity is a velocity
-pair (v, alpha).  The package computes on the tangent side of this
-structure: the flow of a time-dependent pair (pair_flow, behind the flow
-map of ch), the infinitesimal action and the Lie bracket (the horizontal
-lift and O'Neill's curvature in submersion), and the two energies.
+pair (v, alpha).  This module holds the group algebra the package
+computes with on the tangent side: the infinitesimal action and the Lie
+bracket (the horizontal lift and O'Neill's curvature in submersion), and
+the two energies.  The flow of a time-dependent pair, from the identity,
+is stepped where it is used: ch.flow_map, for the isotropy pair
+(u, u_x/2) of a CH trajectory.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cone import ConeParams
-from .grid import PeriodicGrid, _evaluate, rk4_step
+from .grid import PeriodicGrid
 
 _MONOTONE_TOL = 1e-10
 
@@ -87,26 +89,6 @@ def lie_bracket(xi1: VelocityPair, xi2: VelocityPair) -> VelocityPair:
     v = grid.deriv(xi1.v) * xi2.v - grid.deriv(xi2.v) * xi1.v
     alpha = grid.deriv(xi1.alpha) * xi2.v - grid.deriv(xi2.alpha) * xi1.v
     return VelocityPair(grid, v, alpha)
-
-
-def pair_flow(grid: PeriodicGrid, stages, dt: float, n_steps: int):
-    """Yield the stack (phi, lam), shape (2, n), after each RK4 step of
-    phi' = v o phi, lam' = (alpha o phi) lam from the identity.  stages(j)
-    returns blocks (grid._trig_block) of (v, alpha), each built once, at
-    fractions 0, 1/2 and 1 of step j; each RK4 stage evaluates one at phi
-    broadcast to both rows."""
-    at = {}
-
-    def rhs(c, y):
-        dy = _evaluate(at[c], np.broadcast_to(y[0], y.shape))
-        dy[1] *= y[1]
-        return dy
-
-    y = np.array((grid.x, np.ones(grid.n)))
-    for j in range(n_steps):
-        at.update(zip((0.0, 0.5, 1.0), stages(j)))
-        y = rk4_step(rhs, y, dt)
-        yield y
 
 
 def hdiv_energy(grid: PeriodicGrid, v: np.ndarray,

@@ -503,16 +503,19 @@ def _flat_chart(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     overflows."""
     nodal = np.array((rho0, phi0, grid.deriv(phi0), grid.deriv(phi0, 2)))
     block, labels = grid._trig_block(nodal), np.arange(8 * grid.n) * grid.h / 8
-    _, p, p1, p2 = _evaluate(block, np.broadcast_to(labels, (4, 8 * grid.n)))
+    p = _evaluate(block, np.broadcast_to(labels, (4, 8 * grid.n)))[1:]
+    # in tau = sigma t, sigma a power of two >= max|p|: exact, and no overflow
+    sigma = np.ldexp(1.0, np.frexp(max(1.0, np.max(np.abs(p))))[1])
+    p, p1, p2 = p / sigma
     c1, c2 = 2 * p + 0.5 * p2, p * (p + 0.5 * p2) - 0.25 * p1 * p1
     # the first root 2/den if den > 0; near the minimum if disc < 0 (a touch)
     den = np.sqrt(np.maximum(c1 * c1 - 4.0 * c2, 0.0)) - c1
-    first = 2.0 / np.maximum(den, 2.0 / times[-1])  # at most times[-1]
-    bad = np.flatnonzero(1.0 + c1 * first + c2 * first ** 2 <= 1e-12)
+    tau = 2.0 / np.maximum(den, 2.0 / (sigma * times[-1]))  # t <= t_final
+    bad = np.flatnonzero(1.0 + c1 * tau + c2 * tau ** 2 <= 1e-12)
     if bad.size:
-        j = bad[np.argmin(first[bad])]
+        j = bad[np.argmin(tau[bad])]
         raise RuntimeError(f"horizontal flow reaches the apex or folds at "
-                           f"t={first[j]:.6g} (label y={labels[j]:.6g})")
+                           f"t={tau[j] / sigma:.6g} (label y={labels[j]:.6g})")
     x, out = grid.x, np.empty((3, len(times), grid.n))
     per = max(1, 2048 // grid.n)  # slices per chunk: bounds the temporaries
     for i in range(0, len(times), per):

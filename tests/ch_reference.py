@@ -1,5 +1,5 @@
 """Exact traveling waves of the two-parameter Camassa-Holm family, as an
-oracle for ch_solve that does not run its arithmetic.
+oracle for ch_solve and flow_map that does not run their arithmetic.
 
 A wave u(x, t) = U(x - c t) of m_t = -(u m_x + 2 u_x m), m = a^2 u - b^2 u_xx,
 satisfies ((U - c)^2 m)' = 0, so (U - c)^2 (a^2 U - b^2 U'') = K.  While
@@ -56,3 +56,51 @@ def shifted(U, distance):
     n = len(U)
     k = np.arange(n // 2 + 1)
     return np.fft.irfft(np.fft.rfft(U) * np.exp(-1j * k * distance), n=n)
+
+
+def _trig_sum(coeff, k, points):
+    """Real part of sum_k coeff_k exp(i k x) at x = points, summed densely;
+    coeff are np.fft.fft coefficients divided by their length."""
+    return (np.exp(1j * np.multiply.outer(points, k)) @ coeff).real
+
+
+def traveling_flow(U, c, times):
+    """(phi, lam): the Lagrangian flow phi' = u(phi, t) of u = U(x - c t)
+    from the identity and lam = sqrt(d_x phi), at the n nodes of the
+    profile U and the given times, (len(times), n) each; c > max U.
+
+    xi = phi - c t obeys xi' = U(xi) - c < 0, so F(xi) = int_0^xi ds/(c -
+    U(s)) falls at unit rate: F(xi(t)) = F(x) - t, solved for xi by Newton.
+    F is the mean of g = 1/(c - U) times xi plus the periodic antiderivative
+    of the rest, from the fft of g sampled on 8n points, and d_x phi =
+    d_x xi = g(x)/g(xi) = (c - U(xi))/(c - U(x)).  Raises RuntimeError
+    unless the Newton steps fall below 1e-14.
+    """
+    n = len(U)
+    x = 2.0 * np.pi * np.arange(n) / n
+    k = np.fft.fftfreq(n, 1.0 / n)
+    u_hat = np.fft.fft(U) / n
+
+    def gap(points):  # c - U at points
+        return c - _trig_sum(u_hat, k, points)
+
+    big = 8 * n
+    g_hat = np.fft.fft(1.0 / gap(2.0 * np.pi * np.arange(big) / big)) / big
+    freq = np.fft.fftfreq(big, 1.0 / big)
+    mean = g_hat[0].real
+    anti = np.zeros(big, complex)
+    inner = (freq != 0) & (np.abs(freq) < big // 2)
+    anti[inner] = g_hat[inner] / (1j * freq[inner])
+
+    def F(points):
+        return mean * points + _trig_sum(anti, freq, points)
+
+    t = np.asarray(times, dtype=float)[:, None]
+    target = F(x) - t
+    xi = x - t / mean
+    for _ in range(50):
+        step = (F(xi) - target) * gap(xi)
+        xi = xi - step
+        if np.max(np.abs(step)) < 1e-14:
+            return xi + c * t, np.sqrt(gap(xi) / gap(x))
+    raise RuntimeError("traveling flow labels did not converge")

@@ -88,7 +88,8 @@ def uncached_trig_eval(n, values, points, order):
         c[..., -1] = 0.0
     weights = np.full(n // 2 + 1, 2.0)
     weights[0] = weights[-1] = 1.0
-    return coneflow.grid._horner(weights * c / n, points)
+    return coneflow.grid._evaluate(
+        coneflow.grid._giant_rows(weights * c / n), points)
 
 
 def test_cached_multipliers_change_no_bit():
@@ -419,13 +420,13 @@ def test_invert_lift_converges_in_few_newton_rounds(monkeypatch):
     grid = PeriodicGrid(128)
     disp = random_trig(grid, np.random.default_rng(5), n_modes=3, scale=0.2)
     calls = []
-    horner = coneflow.grid._horner
+    evaluate = coneflow.grid._evaluate
 
     def counted(*args):
         calls.append(1)
-        return horner(*args)
+        return evaluate(*args)
 
-    monkeypatch.setattr(coneflow.grid, "_horner", counted)
+    monkeypatch.setattr(coneflow.grid, "_evaluate", counted)
     grid.invert_lift(grid.x + disp)
     assert 3 <= len(calls) <= 2 * 8 + 1
 
@@ -438,6 +439,23 @@ def test_invert_lift_transforms_the_displacement_once(monkeypatch):
     assert inversion_gap(grid, grid.x + disp) <= 1e-13
     # value and slope, then inversion_gap's check
     assert [name for name, _ in calls].count("rfft") == 3
+
+
+def test_invert_lift_builds_its_coefficient_block_once(monkeypatch):
+    # the block of d and d' is laid out before the Newton loop, and each
+    # round evaluates it at the new points
+    grid = PeriodicGrid(128)
+    disp = random_trig(grid, np.random.default_rng(5), n_modes=3, scale=0.2)
+    built = []
+    giant_rows = coneflow.grid._giant_rows
+
+    def counted(coeff):
+        built.append(coeff.shape)
+        return giant_rows(coeff)
+
+    monkeypatch.setattr(coneflow.grid, "_giant_rows", counted)
+    grid.invert_lift(grid.x + disp)
+    assert built == [(2, 65)]
 
 
 def test_invert_lift_raises_when_it_cannot_converge():
@@ -582,7 +600,7 @@ def test_spectral_rhs_makes_one_transform_each_way(monkeypatch, integrate):
         step_starts.append(len(calls))
         return rk4_step(counted_f, y, dt)
 
-    monkeypatch.setattr(coneflow.grid, "rk4_step", counting_step)
+    monkeypatch.setattr(coneflow.ch, "rk4_step", counting_step)
     integrate()
     assert per_stage == [["irfft", "rfft"]] * 12
     assert np.diff(step_starts).tolist() == [8, 8]
@@ -635,7 +653,7 @@ def per_step_horizontal_flow(grid, rho0, phi0, n_steps, dt):
     return out
 
 
-BLOCK = coneflow.grid._BLOCK_STEPS
+BLOCK = coneflow.ch._BLOCK_STEPS
 
 
 @pytest.mark.parametrize("n_steps", [1, BLOCK - 1, BLOCK, BLOCK + 1,
@@ -697,18 +715,18 @@ def test_ch_solve_builds_its_right_hand_side_once(monkeypatch):
     # the multipliers are read once per solve, not once per stage, and
     # ch_rhs, the one-shot form, reads them once per call
     lookups = []
-    real = coneflow.ch._rhs_multipliers
+    real = coneflow.ch.fourier_multipliers
 
     def counted(*key):
         lookups.append(key)
         return real(*key)
 
-    monkeypatch.setattr(coneflow.ch, "_rhs_multipliers", counted)
+    monkeypatch.setattr(coneflow.ch, "fourier_multipliers", counted)
     grid = PeriodicGrid(32)
     ch_solve(grid, 0.2 * np.sin(grid.x), 3e-3, 1e-3, ConeParams(1.5, 0.3))
-    assert lookups == [(32, 1.5, 0.3)]
+    assert lookups == [(32,)]
     ch_rhs(grid, np.fft.rfft(np.sin(grid.x)))
-    assert lookups == [(32, 1.5, 0.3), (32, 1.0, 0.5)]
+    assert lookups == [(32,), (32,)]
 
 
 @pytest.mark.parametrize("integrate", [

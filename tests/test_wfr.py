@@ -1055,6 +1055,18 @@ def test_horizontal_flow_loses_positivity_at_the_same_step_at_any_scale(
                                "t=1 (label y=3.14159)")
 
 
+@pytest.mark.parametrize("s", [1.0, 3.0, 1e100, 1e154, 1e160, 1e200, 1e300])
+def test_horizontal_flow_names_the_apex_of_a_huge_potential(s):
+    # Phi0 = s sin x: at y = 3 pi/2, 1 + t w = 1 - s t reaches the apex at
+    # t = 1/s.  The label quadratic's coefficients, of order s and s^2,
+    # would overflow unscaled (c1^2 - 4 c2 is inf - inf above s ~ 1e154)
+    grid = PeriodicGrid(16)
+    with pytest.raises(RuntimeError) as info:
+        horizontal_flow(grid, np.ones(16), s * np.sin(grid.x), 1.0, 1e-2)
+    assert str(info.value) == ("horizontal flow reaches the apex or folds at "
+                               f"t={1 / s:.6g} (label y=4.71239)")
+
+
 def test_horizontal_flow_finds_a_fold_between_the_nodes():
     # Phi0 = 0.3 cos 6(x - h/2) folds first at the label y = h/2, midway
     # between two nodes: c1 = -4.8 and c2 = -1.53 there, so t = 10/51.
