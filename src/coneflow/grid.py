@@ -184,14 +184,16 @@ class PeriodicGrid:
         raise RuntimeError("lift inversion failed to converge")
 
 
-def _rfft(values) -> np.ndarray:
+def _rfft(values, out=None) -> np.ndarray:
     """np.fft.rfft of values along the last axis, bit for bit: pocketfft's
-    rfft gufunc for the parity of n, with factor 1, into a new complex128
-    array.  Real input of any dtype is transformed in float64: ints as
-    np.fft casts them, float32 unlike np.fft, which keeps float32."""
+    rfft gufunc for the parity of n, with factor 1, into out (..., n/2 + 1)
+    of complex128 or a new array.  Real input of any dtype is transformed
+    in float64: ints as np.fft casts them, float32 unlike np.fft, which
+    keeps float32."""
     values = np.asarray(values)
     n = values.shape[-1]
-    out = np.empty(values.shape[:-1] + (n // 2 + 1,), complex)
+    if out is None:
+        out = np.empty(values.shape[:-1] + (n // 2 + 1,), complex)
     rfft = _pocketfft.rfft_n_odd if n % 2 else _pocketfft.rfft_n_even
     return rfft(values, 1, out=out)
 

@@ -14,7 +14,12 @@ onto the continuity constraint (real FFT in space, cosine transform in
 time by a closed-form matrix, operators cached per grid).
 Every operator works on plain arrays: rho (nt+1, nx) at the time slices,
 m and mu (nt, nx) at the space faces and the cell centers; solve_wfr
-updates them in place, in a workspace allocated once per solve.
+updates them in place, in a workspace allocated once per solve.  On
+that workspace it builds the prox (_prox_kernel) and the projection
+(_projection_kernel) once, as lists of ufunc calls bound to fixed
+views, so an iteration makes no allocation and no set-up;
+prox_action and continuity_project are the same kernels built for one
+call, and give the solver's bits.
 
 Two scalar conventions coexist in this corner of the code base and are
 never converted implicitly (see CONVENTIONS): the lift potential Phi of
@@ -23,7 +28,7 @@ horizontal pairs (Phi'/2, Phi) and the geodesic pressure p.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -131,22 +136,22 @@ def _adjoint_calls(z: np.ndarray, out: np.ndarray) -> list:
                (np.positive, (z[2], out[2 * nt + 1:]))])
 
 
-def _residual_into(g: StaggeredGrid, rho, m, mu, out: np.ndarray,
-                   work: np.ndarray) -> np.ndarray:
-    """continuity_residual written into out, with work as scratch."""
-    np.subtract(rho[1:], rho[:-1], out=out)
-    out /= g.dt
-    _run(_roll_calls(np.subtract, m, 1, work))
-    work /= g.h
-    out += work
-    out -= mu
-    return out
+def _residual_calls(g: StaggeredGrid, rho, m, mu, out: np.ndarray,
+                    work: np.ndarray) -> list:
+    """Calls that write continuity_residual into out, with work as
+    scratch."""
+    return ([(np.subtract, (rho[1:], rho[:-1], out)),
+             (np.divide, (out, g.dt, out))]
+            + _roll_calls(np.subtract, m, 1, work)
+            + [(np.divide, (work, g.h, work)), (np.add, (out, work, out)),
+               (np.subtract, (out, mu, out))])
 
 
 def continuity_residual(g: StaggeredGrid, rho, m, mu) -> np.ndarray:
     """d_t rho + d_x m - mu at the cell centers."""
     work = np.empty((2, g.nt, g.nx))
-    return _residual_into(g, rho, m, mu, work[0], work[1])
+    _run(_residual_calls(g, rho, m, mu, *work))
+    return work[0]
 
 
 def wfr_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
@@ -169,6 +174,78 @@ def wfr_action(grid: StaggeredGrid, rho_c, m_c, mu_c,
 # -- exact proximal map of the perspective integrand -------------------------
 
 
+def _prox_kernel(y: np.ndarray, gamma: float, params: ConeParams,
+                 out: np.ndarray):
+    """The prox of prox_action on the (3, ...) stack y = (rho, m, mu),
+    written into out of the same shape, which y must not overlap.  Built
+    once per solve: it checks gamma and params, lays out the per-flux
+    coefficients and the scratch, and binds every ufunc call to them, the
+    Newton round as two call lists split at the stopping test.  The two
+    fluxes run as one (2, ...) stack, each step one call for both.
+    prox(warm) reads y as it is then and returns out; it starts from out[0]
+    when warm, else from max(rho, 0) (see prox_action)."""
+    if not 0 < gamma < np.inf:
+        raise ValueError("prox weight gamma must be positive and finite")
+    a2, b2 = params.a ** 2, params.b ** 2
+    c1, c2 = 2.0 * gamma * a2, 2.0 * gamma * b2
+    if not max(c1 * c1, c2 * c2) < np.inf:  # c1 ** 2 would raise below
+        raise ValueError(f"prox coefficients 2 gamma a^2 = {c1:.3e} and "
+                         f"2 gamma b^2 = {c2:.3e} must have finite squares")
+    if not min(c1 * c1, c2 * c2) > 0.0:  # q / c_sq would divide by zero
+        raise ValueError(f"prox coefficients 2 gamma a^2 = {c1:.3e} and "
+                         f"2 gamma b^2 = {c2:.3e} must have squares that do "
+                         f"not underflow to zero")
+    rho, flux = y[0], y[1:]
+    # per-flux coefficients, shaped to broadcast over the (2, ...) stacks
+    c, weight, c_sq = np.reshape(((c1, c2), (a2, b2), (c1 ** 2, c2 ** 2)),
+                                 (3, 2) + (1,) * rho.ndim)
+    work = np.empty((8,) + rho.shape)
+    q, t = work[:2], work[2:4]
+    t1, t2, f, step, floor, rho_live = work[2:]
+    live = np.empty(rho.shape, bool)
+    r, s = out[0], out[1:]
+    # apex cells get rho = q = 0, so f = 0 at their floor r = 0 and every
+    # output there is 0; NaN cells stay live, as live = ~(f <= 0)
+    start = [(np.multiply, (flux, flux, q)), (np.multiply, (q, weight, q)),
+             (np.divide, (q, c_sq, t)), (np.add, (t1, t2, f)),
+             (np.multiply, (f, gamma, f)), (np.add, (f, rho, f)),
+             (np.less_equal, (f, 0.0, live)), (np.invert, (live, live)),
+             (np.multiply, (rho, live, rho_live)),
+             (np.multiply, (gamma, live, f)), (np.multiply, (q, f, q)),
+             (partial(np.maximum, out=floor), (rho_live, 0.0))]
+    residual = [(np.add, (r, c, s)), (np.multiply, (s, s, t)),
+                (np.divide, (q, t, t)), (np.subtract, (r, rho_live, f)),
+                (np.subtract, (f, t1, f)), (np.subtract, (f, t2, f)),
+                (np.absolute, (f, step))]
+    # df >= 1 everywhere, so |f(r)| bounds the distance to the root
+    newton = [(np.divide, (t, s, t)), (np.add, (t1, t2, step)),
+              (np.multiply, (step, 2.0, step)), (np.add, (step, 1.0, step)),
+              (np.divide, (f, step, step)), (np.subtract, (r, step, step)),
+              (partial(np.maximum, out=r), (step, floor))]
+    finish = [(np.divide, (r, s, s)), (np.multiply, (s, flux, s))]
+
+    def prox(warm_start: bool) -> np.ndarray:
+        _run(start)
+        if warm_start:
+            np.maximum(r, floor, out=r)
+            np.multiply(r, live, r)
+        else:
+            np.copyto(r, floor)
+        for _ in range(200):
+            _run(residual)
+            worst = _max(step, axis=None)
+            if worst < 1e-13 * (1.0 + _max(r, axis=None)):
+                break
+            _run(newton)
+        else:
+            raise RuntimeError(f"prox Newton stalled after 200 rounds "
+                               f"(max |f| = {worst:.3e})")
+        _run(finish)
+        return out
+
+    return prox
+
+
 def prox_action(rho, m, mu, gamma: float,
                 params: ConeParams = ConeParams(), guess=None, out=None):
     """Pointwise prox of gamma * (a^2 m^2 + b^2 mu^2)/rho on rho >= 0.
@@ -184,75 +261,19 @@ def prox_action(rho, m, mu, gamma: float,
     ValueError unless gamma > 0 and 2 gamma a^2, 2 gamma b^2 have finite
     squares that do not underflow to zero.
 
-    The two fluxes run as one (2, ...) stack, each step one call for both,
-    in one scratch block per call.  Returns the rows of a (3, ...) array:
-    out when it is given (guess may be its first row, the inputs may not
-    overlap it), else a new one.
+    The kernel that solve_wfr builds once per solve (_prox_kernel), built
+    for one call on a copy of the inputs.  Returns the rows of a (3, ...)
+    array: out when it is given (guess may be its first row, the inputs
+    may not overlap it), else a new one.
     """
-    rho, m, mu = (np.asarray(v, dtype=float) for v in (rho, m, mu))
-    if not 0 < gamma < np.inf:
-        raise ValueError("prox weight gamma must be positive and finite")
-    a2, b2 = params.a ** 2, params.b ** 2
-    c1, c2 = 2.0 * gamma * a2, 2.0 * gamma * b2
-    if not max(c1 * c1, c2 * c2) < np.inf:  # c1 ** 2 would raise below
-        raise ValueError(f"prox coefficients 2 gamma a^2 = {c1:.3e} and "
-                         f"2 gamma b^2 = {c2:.3e} must have finite squares")
-    if not min(c1 * c1, c2 * c2) > 0.0:  # q / c_sq would divide by zero
-        raise ValueError(f"prox coefficients 2 gamma a^2 = {c1:.3e} and "
-                         f"2 gamma b^2 = {c2:.3e} must have squares that do "
-                         f"not underflow to zero")
+    y = np.empty((3,) + np.shape(rho))
+    y[0], y[1], y[2] = rho, m, mu
     if out is None:
-        out = np.empty((3,) + rho.shape)
-    # per-flux coefficients, shaped to broadcast over the (2, ...) stacks
-    c, weight, c_sq = np.reshape(((c1, c2), (a2, b2), (c1 ** 2, c2 ** 2)),
-                                 (3, 2) + (1,) * rho.ndim)
-    work = np.empty((8,) + rho.shape)
-    q, t = work[:2], work[2:4]
-    q1, q2, t1, t2, f, step, floor, rho_live = work
-    r, s = out[0], out[1:]
-    np.multiply(m, m, out=q1)
-    np.multiply(mu, mu, out=q2)
-    q *= weight
-    np.divide(q, c_sq, out=t)
-    np.add(t1, t2, out=f)
-    f *= gamma
-    f += rho
-    # apex cells get rho = q = 0, so f = 0 at their floor r = 0 and every
-    # output there is 0; NaN cells stay live
-    live = ~(f <= 0.0)
-    np.multiply(rho, live, out=rho_live)
-    np.multiply(gamma, live, out=f)
-    q *= f
-    np.maximum(rho_live, 0.0, out=floor)
-    if guess is None:
-        r[...] = floor
-    else:
-        np.maximum(guess, floor, out=r)
-        r *= live
-    # df >= 1 everywhere, so |f(r)| bounds the distance to the root
-    for _ in range(200):
-        np.add(r, c, out=s)
-        np.multiply(s, s, out=t)
-        np.divide(q, t, out=t)
-        np.subtract(r, rho_live, out=f)
-        f -= t1
-        f -= t2
-        worst = _max(np.abs(f, out=step), axis=None)
-        if worst < 1e-13 * (1.0 + _max(r, axis=None)):
-            break
-        np.divide(t, s, out=t)
-        np.add(t1, t2, out=step)
-        step *= 2.0
-        step += 1.0
-        np.divide(f, step, out=step)
-        np.subtract(r, step, out=step)
-        np.maximum(step, floor, out=r)
-    else:
-        raise RuntimeError(f"prox Newton stalled after 200 rounds "
-                           f"(max |f| = {worst:.3e})")
-    np.divide(r, s, out=s)
-    s[0] *= m
-    s[1] *= mu
+        out = np.empty_like(y)
+    prox = _prox_kernel(y, gamma, params, out)
+    if guess is not None:
+        out[0] = guess
+    prox(guess is not None)
     return out[0], out[1], out[2]
 
 
@@ -284,6 +305,39 @@ def _projection_operators(g: StaggeredGrid, balanced: bool):
     return c, ci, inv
 
 
+def _projection_kernel(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
+                       mu: np.ndarray, rho0: np.ndarray, rho1: np.ndarray,
+                       balanced: bool) -> list:
+    """The calls of continuity_project bound to rho, m and mu, built once
+    per solve: it checks the masses (balanced mode), pins the end rows of
+    rho, which the calls never write, and binds the residual, both
+    transforms and the update to its scratch, a (2, nt, nx) work array and
+    the (nt, nx//2 + 1) coefficients."""
+    if balanced:
+        mass_gap = g.h * float(np.sum(rho1) - np.sum(rho0))
+        scale = g.h * float(np.sum(rho0) + np.sum(rho1)) + 1.0
+        if abs(mass_gap) > 1e-9 * scale:
+            raise ValueError(
+                "balanced projection is infeasible: mass mismatch "
+                f"{mass_gap:.3e}")
+    rho[0] = rho0
+    rho[-1] = rho1
+    c, ci, inv = _projection_operators(g, balanced)
+    q, d = np.empty((2, g.nt, g.nx))
+    r_hat = np.empty(inv.shape, complex)
+    calls = [(mu.fill, (0.0,))] if balanced else []
+    # the residual into q, then q = ci irfft(inv rfft(c q)) through d
+    calls += _residual_calls(g, rho, m, mu, q, d) + [
+        (np.matmul, (c, q, d)), (_rfft, (d, r_hat)),
+        (np.multiply, (r_hat, inv, r_hat)), (_irfft, (r_hat, g.nx, d)),
+        (np.matmul, (ci, d, q)), (np.subtract, (q[:-1], q[1:], d[:-1])),
+        (np.divide, (d[:-1], g.dt, d[:-1])),
+        (np.subtract, (rho[1:-1], d[:-1], rho[1:-1]))]
+    calls += _roll_calls(np.subtract, q, -1, d) + [
+        (np.divide, (d, g.h, d)), (np.subtract, (m, d, m))]
+    return calls if balanced else calls + [(np.add, (mu, q, mu))]
+
+
 def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
                        mu: np.ndarray, rho0: np.ndarray, rho1: np.ndarray,
                        balanced: bool = False):
@@ -296,36 +350,10 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     (real FFT) plus the identity from the source term, with both operators
     cached per grid; balanced mode zeroes mu, requires matching
     masses (checked before any write), and treats the constant mode as the
-    pseudo-inverse does.  The residual and the update are computed in one
-    (2, nt, nx) work array.
+    pseudo-inverse does.  The call list that solve_wfr builds once per
+    solve (_projection_kernel), built for one call.
     """
-    if balanced:
-        mass_gap = g.h * float(np.sum(rho1) - np.sum(rho0))
-        scale = g.h * float(np.sum(rho0) + np.sum(rho1)) + 1.0
-        if abs(mass_gap) > 1e-9 * scale:
-            raise ValueError(
-                "balanced projection is infeasible: mass mismatch "
-                f"{mass_gap:.3e}")
-        mu.fill(0.0)
-    rho[0] = rho0
-    rho[-1] = rho1
-    work = np.empty((2, g.nt, g.nx))
-    r = _residual_into(g, rho, m, mu, work[0], work[1])
-
-    c, ci, inv = _projection_operators(g, balanced)
-    r_hat = _rfft(np.matmul(c, r, out=work[1]))
-    r_hat *= inv
-    q = np.matmul(ci, _irfft(r_hat, g.nx, out=work[1]), out=work[0])
-
-    d = work[1]
-    np.subtract(q[:-1], q[1:], out=d[:-1])
-    d[:-1] /= g.dt
-    rho[1:-1] -= d[:-1]
-    _run(_roll_calls(np.subtract, q, -1, d))
-    d /= g.h
-    m -= d
-    if not balanced:
-        mu += q
+    _run(_projection_kernel(g, rho, m, mu, rho0, rho1, balanced))
     return rho, m, mu
 
 
@@ -384,7 +412,10 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     z, K u at the last two iterates, y and the prox output are (3, nt, nx)
     stacks, so each dual update is one operation.  The mu row of K u is a
     copy of u's mu row (mu already lives at the cell centers, and u
-    changes in place).
+    changes in place).  The projection and the prox are built once per
+    solve on this workspace (_projection_kernel, _prox_kernel), so an
+    iteration is one list of bound ufunc calls and one prox run, and the
+    iterates are those of continuity_project and prox_action bit for bit.
     The result holds views of this workspace, which no later solve touches.
     """
     require_integer("max_iters", max_iters)
@@ -426,26 +457,27 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     action_prev = np.inf
     converged = False
     # the dual is kept scaled, z = w / _SIGMA, and K u is carried over in
-    # k0 and k1 by turns.  The loop's in-place updates are ufunc calls on
-    # fixed views of the workspace: u -= step K^T z, then K u into one
-    # buffer, its mu row a copy as u_mu changes in place, and
-    # y = z + 2 K u_new - K u_old.
+    # k0 and k1 by turns.  An iteration is one call list on fixed views of
+    # the workspace: u -= step K^T z, the projection (its kernel pins the
+    # end rows once, and K^T z's are zero), then K u into one buffer, its
+    # mu row a copy as u_mu changes in place, and y = z + 2 K u_new -
+    # K u_old; then the prox kernel on y, warm from its last density.
     _run(_centers_calls(u_rho, u_m, k0[:2]))
     k0[2] = u_mu
     p[0] = k0[0]
     primal = _adjoint_calls(z, kt_z) + [(np.multiply, (kt_z, step, kt_z)),
                                         (np.subtract, (u, kt_z, u))]
-    dual = [_centers_calls(u_rho, u_m, new[:2])
-            + [(np.positive, (u_mu, new[2])), (np.multiply, (new, 2.0, y)),
-               (np.add, (y, z, y)), (np.subtract, (y, old, y))]
-            for new, old in ((k0, k1), (k1, k0))]
-    y_rows, p_rho = tuple(y), p[0]
+    primal += _projection_kernel(g, u_rho, u_m, u_mu, rho0, rho1, balanced)
+    iteration = [primal + _centers_calls(u_rho, u_m, new[:2])
+                 + [(np.positive, (u_mu, new[2])),
+                    (np.multiply, (new, 2.0, y)), (np.add, (y, z, y)),
+                    (np.subtract, (y, old, y))]
+                 for new, old in ((k0, k1), (k1, k0))]
+    prox = _prox_kernel(y, gamma, params, p)
     for iterations in range(1, max_iters + 1):
-        _run(primal)
-        continuity_project(g, u_rho, u_m, u_mu, rho0, rho1, balanced=balanced)
-        _run(dual[iterations % 2])
-        prox_action(*y_rows, gamma, params, p_rho, out=p)
-        np.subtract(y, p, out=z)
+        _run(iteration[iterations % 2])
+        prox(True)
+        np.subtract(y, p, z)
         if iterations % _CHECK_EVERY == 0 or iterations == max_iters:
             action = wfr_action(g, *p, params)
             rel_change = abs(action - action_prev) / max(abs(action), noise)

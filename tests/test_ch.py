@@ -257,7 +257,8 @@ def test_flow_map_advects_with_the_velocity():
     assert np.max(np.abs(dphi - u_at)) < 1e-6
 
 
-@pytest.mark.parametrize("n, amplitude", [(64, 0.1), (64, 0.3), (32, 0.1)])
+@pytest.mark.parametrize("n, amplitude", [(64, 0.1), (64, 0.3), (32, 0.1),
+                                          (128, 0.3)])
 def test_flow_map_converges_at_fourth_order_to_the_traveling_flow(n,
                                                                   amplitude):
     # the exact Lagrangian flow of the wave U(x - c t), which runs none of

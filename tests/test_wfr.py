@@ -468,6 +468,37 @@ def test_prox_raises_on_nan_input():
         prox_action(np.ones(3), np.array([0.0, np.nan, 1.0]), zero, 0.7)
 
 
+@pytest.mark.parametrize("params", [ConeParams(), ConeParams(1.5, 0.3)],
+                         ids=["default", "a1.5-b0.3"])
+def test_prox_kernel_keeps_no_state_between_runs(params):
+    # one kernel, built once on its stack as solve_wfr builds it, run on
+    # inputs that change every time (apex, near-vacuum and vacuum cells at
+    # changing places and scales) from cold starts, from what the last run
+    # left in out[0] and from new guesses: each run gives the bits of a
+    # fresh prox_action
+    rng = np.random.default_rng(72)
+    shape, gamma = (6, 9), 1.0 / 0.95
+    y, out = np.full((2, 3) + shape, np.nan)
+    prox = wfr._prox_kernel(y, gamma, params, out)
+    for k in range(15):
+        rho = rng.uniform(-1.0, 3.0, shape) * 10.0 ** rng.integers(-6, 2)
+        m, mu = rng.normal(0.0, 1.5, (2,) + shape)
+        rho.flat[k % 5::5] = -5.0  # apex cells
+        rho.flat[k % 7::7] = 1e-9  # near vacuum, with small fluxes
+        m.flat[k % 7::7] *= 1e-5
+        mu.flat[k % 7::7] *= 1e-5
+        rho.flat[k % 11::11], m.flat[k % 11::11] = 0.0, 0.0  # vacuum
+        y[0], y[1], y[2] = rho, m, mu
+        warm = k % 3 > 0
+        if k % 3 == 2:
+            out[0] = rng.uniform(0.0, 3.0, shape)
+        guess = out[0].copy() if warm else None
+        want = prox_action(rho, m, mu, gamma, params, guess)
+        assert np.sum(want[0] == 0.0) > 0 and np.sum(rho < 0) > 0
+        assert prox(warm) is out
+        assert all(same_bits(o, w) for o, w in zip(out, want))
+
+
 # -- continuity projection ------------------------------------------------------
 
 
@@ -526,6 +557,30 @@ def test_projection_matches_dense_kkt_at_odd_nx(balanced):
     assert np.max(np.abs(continuity_residual(*fast))) < 1e-12
 
 
+@pytest.mark.parametrize("balanced", [False, True])
+@pytest.mark.parametrize("nt, nx", [(6, 8), (5, 7)])
+def test_projection_kernel_keeps_no_state_between_runs(nt, nx, balanced):
+    # the call list, built once on its arrays as solve_wfr builds it, run
+    # on new interior values each time, gives the bits of a fresh
+    # continuity_project; it pins the end rows when it is built
+    g = StaggeredGrid(nt, nx)
+    rng = np.random.default_rng(73)
+    rho0 = 1.0 + 0.3 * np.sin(g.x)
+    rho1 = np.roll(rho0, 3) if balanced else 1.5 + 0.2 * np.cos(g.x)
+    rho, m, mu = np.zeros((nt + 1, nx)), np.zeros((nt, nx)), np.ones((nt, nx))
+    calls = wfr._projection_kernel(g, rho, m, mu, rho0, rho1, balanced)
+    assert same_bits(rho[0], rho0) and same_bits(rho[-1], rho1)
+    assert np.all(mu == 1.0)  # written only when the calls run
+    for _ in range(5):
+        rho[1:-1] = rng.normal(1.0, 0.5, (nt - 1, nx))
+        m[...] = rng.normal(0.0, 1.0, (nt, nx))
+        mu[...] = rng.normal(0.0, 1.0, (nt, nx))
+        want = continuity_project(g, rho.copy(), m.copy(), mu.copy(), rho0,
+                                  rho1, balanced=balanced)
+        wfr._run(calls)
+        assert all(same_bits(a, w) for a, w in zip((rho, m, mu), want))
+
+
 def test_projection_symbol_cache_across_grids_and_modes():
     # alternating grids and modes must never hand one case another's symbol
     rng = np.random.default_rng(69)
@@ -568,31 +623,46 @@ def test_cosine_matrices_are_cached_read_only_transforms():
                 a[0, 0] = 1.0
 
 
+def bracketed_projections(monkeypatch, before, after):
+    """Make every projection call list, the solver's and continuity_project's,
+    call before() first and after() last; returns the list of kernels
+    built, as (g, balanced)."""
+    built = []
+    kernel = wfr._projection_kernel
+
+    def bracketed(g, *args):
+        built.append((g, args[-1]))
+        return [(before, ())] + kernel(g, *args) + [(after, ())]
+
+    monkeypatch.setattr(wfr, "_projection_kernel", bracketed)
+    return built
+
+
 def test_projection_makes_one_transform_each_way(monkeypatch):
     # space: one rfft and one irfft through grid's pocketfft gufuncs; time:
-    # the cached cosine matrices, in every projection of a solve
+    # the cached cosine matrices, in every projection of a solve, and no
+    # other transform in the solve
     pg = PeriodicGrid(16)
     # the operators are built once, before counting
     _projection_operators(StaggeredGrid(8, 16), False)
     calls = count_transforms(monkeypatch)
-    per_call = []
-    project_fn = wfr.continuity_project
+    per_call, start = [], []
 
-    def counting_project(*args, **kwargs):
-        before = len(calls)
-        out = project_fn(*args, **kwargs)
-        names = [name for name, _ in calls[before:]]
+    def after():
+        names = [name for name, _ in calls[start.pop():]]
         per_call.append({k: names.count(k) for k in ("rfft", "irfft")})
-        return out
 
-    monkeypatch.setattr(wfr, "continuity_project", counting_project)
+    bracketed_projections(monkeypatch, lambda: start.append(len(calls)),
+                          after)
     b1 = bump_density(pg, 2.0, 0.8, 1.0)
     for kw, setup in (({"rho1": bump_density(pg, 4.0, 0.6, 1.5)}, 0),
                       ({"rho1": np.roll(b1, 3), "balanced": True}, 1)):
         per_call.clear()
+        calls.clear()
         with pytest.raises(WFRConvergenceError):
             solve_wfr(b1, nt=8, tol=1e-300, max_iters=50, **kw)
         assert per_call == [dict(rfft=1, irfft=1)] * (50 + setup)
+        assert calls == [("rfft", (8, 16)), ("irfft", (8, 9))] * (50 + setup)
 
 
 def test_projection_idempotent_and_pins_ends():
@@ -802,32 +872,79 @@ def test_solver_results_own_their_arrays():
     assert same_bits(b1, ends[0]) and same_bits(b2, ends[1])
 
 
-def test_solver_calls_each_layer_once_per_iteration(monkeypatch):
+def test_interleaved_solves_equal_the_solves_run_alone(monkeypatch):
+    # two solves started inside a third, at its first two action checks,
+    # share no kernel, scratch or workspace with it: all three give the
+    # bits of the same solves run alone
     pg = PeriodicGrid(16)
     b1 = bump_density(pg, 2.0, 0.8, 1.0)
     b2 = bump_density(pg, 4.0, 0.6, 1.5)
-    counts = dict(continuity_project=0, prox_action=0)
+    x = StaggeredGrid(5, 7).x
+    outer = ((b1, b2, 8), {"tol": 1e-6})
+    inner = [((b1, np.roll(b1, 3), 8), {"tol": 1e-6, "balanced": True}),
+             ((1.0 + 0.6 * np.cos(x - 1.0), 1.5 + 0.8 * np.sin(2.0 * x), 5),
+              {"tol": 1e-6})]
+    alone = [solve_wfr(*args, **kw) for args, kw in [outer] + inner]
+    action, pending, nested, running = wfr.wfr_action, list(inner), [], []
 
-    def counting(name, func):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return func(*args, **kwargs)
+    def interleaving(*args):
+        if pending and not running:  # at the outer solve's checks only
+            inner_args, kw = pending.pop(0)
+            running.append(True)
+            nested.append(solve_wfr(*inner_args, **kw))
+            running.pop()
+        return action(*args)
+
+    monkeypatch.setattr(wfr, "wfr_action", interleaving)
+    together = [solve_wfr(*outer[0], **outer[1])] + nested
+    assert not pending
+    fields = ("rho", "m", "mu", "rho_c", "m_c", "mu_c")
+    for got, want in zip(together, alone):
+        for f in ("distance", "action", "iterations", "converged",
+                  "constraint_residual", "rel_change", "grid"):
+            assert getattr(got, f) == getattr(want, f)
+        assert all(same_bits(getattr(got, f), getattr(want, f))
+                   for f in fields)
+
+
+def test_solver_calls_each_layer_once_per_iteration(monkeypatch):
+    # each layer's kernel is built once per solve and run once per
+    # iteration: one prox run and one whole projection, in that order
+    pg = PeriodicGrid(16)
+    b1 = bump_density(pg, 2.0, 0.8, 1.0)
+    b2 = bump_density(pg, 4.0, 0.6, 1.5)
+    events = []
+    prox_kernel = wfr._prox_kernel
+
+    def counting_prox_kernel(*args):
+        events.append("prox built")
+        prox = prox_kernel(*args)
+
+        def counted(warm):
+            events.append("prox")
+            return prox(warm)
         return counted
 
-    for name in ("continuity_project", "prox_action"):
-        monkeypatch.setattr(wfr, name, counting(name, getattr(wfr, name)))
+    monkeypatch.setattr(wfr, "_prox_kernel", counting_prox_kernel)
+    built = bracketed_projections(monkeypatch,
+                                  lambda: events.append("project"),
+                                  lambda: events.append("projected"))
     # (kwargs, set-up projections): balanced mode projects its starting
-    # point once before the loop
+    # point once before the loop, with continuity_project
     cases = [({}, 0), ({"balanced": True, "rho1": np.roll(b1, 3)}, 1)]
     for kw, setup in cases:
         for max_iters in (200, 975):
-            counts.update(continuity_project=0, prox_action=0)
+            events.clear()
+            built.clear()
             args = dict({"rho1": b2, "tol": 1e-300}, **kw)
             with pytest.raises(WFRConvergenceError) as info:
                 solve_wfr(b1, nt=8, max_iters=max_iters, **args)
             assert info.value.result.iterations == max_iters
-            assert counts["prox_action"] == max_iters
-            assert counts["continuity_project"] == max_iters + setup
+            assert events == (["project", "projected"] * setup
+                              + ["prox built"]
+                              + ["project", "projected", "prox"] * max_iters)
+            balanced = kw.get("balanced", False)
+            assert built == [(StaggeredGrid(8, 16), balanced)] * (1 + setup)
 
 
 @pytest.mark.parametrize("scale", [1e-14, 1e-20])
