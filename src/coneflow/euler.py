@@ -10,9 +10,10 @@ r^-3 dr dtheta exactly when lam^2 = d_x phi.
 
 The pressure comes from u alone (pressure_from_state, the isotropy orbit's
 second-fundamental-form pressure), so both momentum residuals are checks.
-The trajectory diagnostics make no per-slice loops: polar fields carry the
-time slices as a batch axis, and the pressure-free balances are composed
-with the flow map by one batched PeriodicGrid.trig_eval call each.
+The trajectory diagnostics make no per-slice loops: polar fields are held
+by their angular profiles (u, u_x/2), with the time slices as a batch axis,
+and the pressure-free balances are composed with the flow map by one
+batched PeriodicGrid.trig_eval call each.
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ import numpy as np
 from .ch import CHTrajectory, FlowPath
 from .cone import ConeParams
 from .grid import PeriodicGrid
-
-_HOMOGENEITY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -49,66 +48,33 @@ class AnnulusGrid:
 
 @dataclass(frozen=True)
 class PolarVectorField:
-    """Physical polar components (n_radii, ..., n); middle axes are a batch."""
+    """Polar field V = (r w_theta, r w_r), held by its angular profiles of
+    shape (..., n), so radially 1-homogeneous; leading axes are a batch."""
 
     agrid: AnnulusGrid
-    v_theta: np.ndarray
-    v_r: np.ndarray
+    w_theta: np.ndarray
+    w_r: np.ndarray
 
     def __post_init__(self):
-        n_radii, n = len(self.agrid.radii), self.agrid.grid.n
-        v_theta = np.asarray(self.v_theta, dtype=float)
-        v_r = np.asarray(self.v_r, dtype=float)
-        if v_theta.ndim < 2 or v_r.shape != v_theta.shape \
-                or (v_theta.shape[0], v_theta.shape[-1]) != (n_radii, n):
-            raise ValueError(f"polar components must have shape "
-                             f"({n_radii}, ..., {n})")
-        object.__setattr__(self, "v_theta", v_theta)
-        object.__setattr__(self, "v_r", v_r)
+        n = self.agrid.grid.n
+        w_theta = np.asarray(self.w_theta, dtype=float)
+        w_r = np.asarray(self.w_r, dtype=float)
+        if w_r.shape != w_theta.shape or w_theta.shape[-1:] != (n,):
+            raise ValueError(f"angular profiles must have shape (..., {n})")
+        object.__setattr__(self, "w_theta", w_theta)
+        object.__setattr__(self, "w_r", w_r)
 
 
 def polar_velocity(agrid: AnnulusGrid, u: np.ndarray) -> PolarVectorField:
-    """Polar field (v_theta, v_r) = (r u, (r/2) u_x) of u, shape (..., n)."""
+    """Polar field (r u, (r/2) u_x) of u (..., n): profiles (u, u_x/2)."""
     u = np.asarray(u, dtype=float)
-    ux = agrid.grid.deriv(u)
-    r = agrid.radii.reshape((-1,) + (1,) * u.ndim)
-    return PolarVectorField(agrid, r * u, 0.5 * r * ux)
-
-
-def _homogeneous_profiles(field: PolarVectorField) -> tuple[np.ndarray, np.ndarray]:
-    """Extract w = V/r, checking each slice's radial 1-homogeneity.
-
-    Slices are checked at their own scale, so a large slice cannot hide an
-    inhomogeneous small one.
-    """
-    r = field.agrid.radii.reshape((-1,) + (1,) * (field.v_theta.ndim - 1))
-
-    def sup(w):  # max |w| over the radius and angle axes, with no |w| copy
-        return np.maximum(np.max(w, axis=(0, -1)), -np.min(w, axis=(0, -1)))
-
-    # one component at a time, so one (n_radii, ..., n) temporary is alive:
-    # this pass sets euler check's peak memory, and stacking both raises it
-    profiles, scale, spread = [], 0.0, 0.0
-    for v in (field.v_theta, field.v_r):
-        w = v / r
-        scale = np.maximum(scale, sup(w))
-        profiles.append(w[0].copy())
-        w -= profiles[-1]
-        spread = np.maximum(spread, sup(w))
-    if np.any(spread > _HOMOGENEITY_RTOL * np.maximum(scale, 1e-300)):
-        raise ValueError("field is not radially 1-homogeneous")
-    return profiles[0], profiles[1]
+    return PolarVectorField(agrid, u, 0.5 * agrid.grid.deriv(u))
 
 
 def weighted_divergence(field: PolarVectorField) -> np.ndarray:
-    """div(rho V) against rho = r^-4 Leb for radially 1-homogeneous fields.
-
-    With V = (r w_theta(theta), r w_r(theta)) the radial derivative is
-    analytic and the result is r^-4 (d_theta w_theta - 2 w_r), with the
-    shape of the components.
-    """
-    w_theta, w_r = _homogeneous_profiles(field)
-    profile = field.agrid.grid.deriv(w_theta) - 2.0 * w_r
+    """div(rho V) against rho = r^-4 Leb, (n_radii, ..., n): the radial
+    derivative of r w is analytic, so it is r^-4 (d_theta w_theta - 2 w_r)."""
+    profile = field.agrid.grid.deriv(field.w_theta) - 2.0 * field.w_r
     r = field.agrid.radii.reshape((-1,) + (1,) * profile.ndim)
     return profile / r ** 4
 
@@ -177,7 +143,6 @@ def euler_residual(traj: CHTrajectory, agrid: AnnulusGrid) -> EulerResidualRepor
     p = pressure_from_state(traj.grid, traj.u[1:-1])
     res_theta = np.max(np.abs(angular + 0.5 * traj.grid.deriv(p)), axis=1)
     res_r = np.max(np.abs(radial + p), axis=1)
-    del angular, radial, p  # freed before the (n_radii, T, n) divergence
     max_div = float(np.max(np.abs(weighted_divergence(
         polar_velocity(agrid, traj.u[1:-1])))))
     r_max = float(np.max(agrid.radii))

@@ -183,22 +183,29 @@ def grid_from_x(x) -> PeriodicGrid:
     return grid
 
 
+_SPEC_FORMS = {"const": "c", "sin": "amp", "bump": "center,width,mass"}
+
+
 def parse_field_spec(spec: str, grid: PeriodicGrid) -> np.ndarray:
     """Field mini-language: const:c | sin:amp | bump:center,width,mass | file:path."""
     if not isinstance(spec, str) or ":" not in spec:
         raise ValueError(f"bad field spec '{spec}'")
     kind, _, arg = spec.partition(":")
-    if kind in ("const", "sin", "bump"):
-        nums = [float(p) for p in arg.split(",")]
+    if kind in _SPEC_FORMS:
+        form = _SPEC_FORMS[kind]
+        try:
+            nums = [float(p) for p in arg.split(",")]
+        except ValueError:
+            nums = []
+        if len(nums) != form.count(",") + 1:
+            raise ValueError(f"{kind} spec needs {form}: '{spec}'")
         if not np.all(np.isfinite(nums)):
             raise ValueError(f"non-finite number in field spec '{spec}'")
     if kind == "const":
-        return np.full(grid.n, float(arg))
+        return np.full(grid.n, nums[0])
     if kind == "sin":
-        return float(arg) * np.sin(grid.x)
+        return nums[0] * np.sin(grid.x)
     if kind == "bump":
-        if len(nums) != 3:
-            raise ValueError(f"bump spec needs center,width,mass: '{spec}'")
         return bump_density(grid, *nums)
     if kind == "file":
         x, values = read_density_csv(arg)

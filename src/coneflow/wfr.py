@@ -247,7 +247,7 @@ def _prox_kernel(y: np.ndarray, gamma: float, params: ConeParams,
 
 
 def prox_action(rho, m, mu, gamma: float,
-                params: ConeParams = ConeParams(), guess=None, out=None):
+                params: ConeParams = ConeParams(), guess=None):
     """Pointwise prox of gamma * (a^2 m^2 + b^2 mu^2)/rho on rho >= 0.
 
     Eliminating m and mu leaves one equation f(r) = 0 (cubic when a = b,
@@ -262,14 +262,12 @@ def prox_action(rho, m, mu, gamma: float,
     squares that do not underflow to zero.
 
     The kernel that solve_wfr builds once per solve (_prox_kernel), built
-    for one call on a copy of the inputs.  Returns the rows of a (3, ...)
-    array: out when it is given (guess may be its first row, the inputs
-    may not overlap it), else a new one.
+    for one call on a copy of the inputs.  Returns the rows of a new
+    (3, ...) array.
     """
     y = np.empty((3,) + np.shape(rho))
     y[0], y[1], y[2] = rho, m, mu
-    if out is None:
-        out = np.empty_like(y)
+    out = np.empty_like(y)
     prox = _prox_kernel(y, gamma, params, out)
     if guess is not None:
         out[0] = guess
@@ -377,12 +375,12 @@ class WFRResult:
     mu_c: np.ndarray
 
 
-def _validate_endpoint(rho, nx_name="rho"):
+def _validate_endpoint(rho, name):
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 1:
-        raise ValueError(f"{nx_name} must be a 1d nodal array")
+        raise ValueError(f"{name} must be a 1d nodal array")
     if not np.all(np.isfinite(rho)) or np.min(rho) < 0:
-        raise ValueError(f"{nx_name} must be finite and nonnegative")
+        raise ValueError(f"{name} must be finite and nonnegative")
     return rho
 
 

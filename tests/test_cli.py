@@ -469,6 +469,13 @@ def test_non_finite_field_specs_exit_one(capsys, argv):
     assert "non-finite" in body["error"]["message"]
 
 
+def test_field_spec_with_a_wrong_count_of_numbers_exits_one(capsys):
+    code, body = run_json(capsys, "wfr", "hellinger", "--rho0", "const:1,2",
+                          "--rho1", "const:1")
+    assert code == 1
+    assert body["error"]["message"] == "const spec needs c: 'const:1,2'"
+
+
 @pytest.mark.parametrize("argv", [
     ("cone", "dist", "--x0", "0", "--m0", "1", "--x1", "1", "--m1", "1",
      "--a", "nan"),

@@ -352,6 +352,13 @@ def test_parse_field_spec_errors(tmp_path):
                 "bump:1.0,inf,2.0"):
         with pytest.raises(ValueError):
             parse_field_spec(bad, grid)
+    # a wrong count of numbers names the spec and the expected form
+    for bad, form in (("const:1,2", "const spec needs c"),
+                      ("sin:1,2", "sin spec needs amp"),
+                      ("const:", "const spec needs c"),
+                      ("bump:", "bump spec needs center,width,mass")):
+        with pytest.raises(ValueError, match=f"^{form}: '{bad}'$"):
+            parse_field_spec(bad, grid)
     other = PeriodicGrid(16)
     path = tmp_path / "mismatch.csv"
     write_density_csv(path, other.x, np.ones(16))

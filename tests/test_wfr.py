@@ -397,8 +397,7 @@ def same_bits(got, want):
                          ids=["default", "cubic", "a1.5-b0.3"])
 def test_prox_equals_the_per_component_oracle(params):
     # the stacked Newton rounds repeat the per-component arithmetic bit for
-    # bit, with and without a guess or an output array, and leave the
-    # inputs as they were
+    # bit, with and without a guess, and leave the inputs as they were
     rng = np.random.default_rng(71)
     for shape in ((16, 24), (7,), (1,)):
         rho = rng.uniform(-1.0, 3.0, shape)
@@ -416,17 +415,9 @@ def test_prox_equals_the_per_component_oracle(params):
                           2.0 * root + 1.0, root):
                 want = per_component_prox(rho, m, mu, gamma, params, guess)
                 got = prox_action(rho, m, mu, gamma, params, guess)
-                out = np.full((3,) + shape, np.nan)
-                if guess is not None:
-                    out[0] = guess  # a guess may be out's own first row
-                written = prox_action(rho, m, mu, gamma, params,
-                                      None if guess is None else out[0],
-                                      out=out)
-                for g_row, w_row, o_row, view in zip(got, want, written, out):
+                for g_row, w_row in zip(got, want):
                     assert np.array_equal(g_row, w_row)
                     assert same_bits(g_row, w_row)
-                    assert same_bits(o_row, w_row)
-                    assert np.shares_memory(o_row, view)
                 assert all(same_bits(v, b) for v, b in zip(inputs, before))
 
 
