@@ -25,10 +25,10 @@ from .submersion import (IIResult, LiftResult, MinimalityReport, SplitResult,
                          minimality_test, oneill_curvature, pair_inner,
                          path_action, second_fundamental_form,
                          vertical_horizontal_split)
-from .wfr import (CONVENTIONS, HorizontalFlowResult, StaggeredGrid,
-                  WFRConvergenceError, WFRResult, continuity_project,
-                  continuity_residual, hellinger_distance, horizontal_flow,
-                  prox_action, solve_wfr, wfr_action)
+from .wfr import (HorizontalFlowResult, StaggeredGrid, WFRConvergenceError,
+                  WFRResult, continuity_project, continuity_residual,
+                  hellinger_distance, horizontal_flow, prox_action, solve_wfr,
+                  wfr_action)
 
 __version__ = "0.1.0"
 

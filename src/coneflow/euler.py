@@ -166,7 +166,8 @@ def lagrangian_measure_check(path: FlowPath,
     Jacobian against its isotropy value).  pushforward_residual: sup of
     |d_x phi / lam^2 - 1|, the exact condition for preserving r^-3 dr dtheta.
     equivalence_gap: the same condition recomputed with the r^-4 Leb weights
-    at explicit radii; it must agree with the r-free form to rounding.
+    at explicit radii.  It is radius-free by algebra, so like max_div it is
+    a formula check: it agrees with the r-free form to rounding.
     """
     grid = path.grid
     if radii is None:
@@ -177,12 +178,12 @@ def lagrangian_measure_check(path: FlowPath,
     det_residual = float(np.max(np.abs(phi_x * lam - phi_x ** 1.5)))
     res_polar = phi_x / lam ** 2 - 1.0
     pushforward_residual = float(np.max(np.abs(res_polar)))
-    # density ratio of the push-forward of r^-4 Leb, radii kept explicit;
-    # scalar r^4, as numpy's vectorised pow may round the last bit otherwise
-    r = radii[:, None, None]
-    r4 = np.array([x ** 4.0 for x in radii.tolist()])[:, None, None]
-    res_leb = phi_x * lam ** 2 * (lam * r) ** -4.0 * r4 - 1.0
-    gap = float(np.max(np.abs(res_leb - res_polar)))
+    # density ratio of the push-forward of r^-4 Leb, one radius at a time,
+    # so the temporaries are (T, n); scalar r^4, as numpy's vectorised pow
+    # may round the last bit otherwise
+    weight = phi_x * lam ** 2
+    gap = max(float(np.max(np.abs(weight * (lam * r) ** -4.0 * r ** 4.0 - 1.0
+                                  - res_polar))) for r in radii.tolist())
     return MeasureReport(det_residual, pushforward_residual, gap)
 
 

@@ -11,7 +11,7 @@ first-order primal-dual iteration on a scaled dual that alternates the
 exact pointwise proximal map of the action integrand (monotone Newton,
 warm-started from the previous iterate) with the Euclidean projection
 onto the continuity constraint (real FFT in space, cosine transform in
-time by a closed-form matrix, operators cached per grid).
+time by a closed-form matrix).
 Every operator works on plain arrays: rho (nt+1, nx) at the time slices,
 m and mu (nt, nx) at the space faces and the cell centers; solve_wfr
 updates them in place, in a workspace allocated once per solve.  On
@@ -20,29 +20,16 @@ that workspace it builds the prox (_prox_kernel) and the projection
 views, so an iteration makes no allocation and no set-up;
 prox_action and continuity_project are the same kernels built for one
 call, and give the solver's bits.
-
-Two scalar conventions coexist in this corner of the code base and are
-never converted implicitly (see CONVENTIONS): the lift potential Phi of
-horizontal pairs (Phi'/2, Phi) and the geodesic pressure p.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
 
 import numpy as np
 
 from .cone import ConeParams
 from .grid import (PeriodicGrid, TWO_PI, _evaluate, _irfft, _rfft,
                    require_integer, step_count)
-
-CONVENTIONS = {
-    "lift-potential": "horizontal pairs are (Phi'/2, Phi) with the potential "
-                      "solving -(rho Phi')'/2 + 2 Phi rho = X",
-    "pressure": "geodesic forcing is (-p'/2, -lam p); p solves "
-                "(1 - d_xx/4) p = u^2 + 3/4 u_x^2 + 1/2 u u_xx",
-}
-
 
 _SIGMA = 0.95  # dual and primal step sizes of solve_wfr
 _TAU = 0.95
@@ -111,18 +98,20 @@ def _roll_calls(op, a: np.ndarray, s: int, out: np.ndarray) -> list:
 
 
 def _run(calls: list) -> None:
-    """Make the calls (ufunc, operands), each with its output last; a call
-    of np.positive is a copy."""
+    """Make the calls (ufunc, operands), each with its output last and
+    positional; a call of np.positive is a copy."""
     for op, args in calls:
         op(*args)
 
 
-def _centers_calls(rho, m, out: np.ndarray) -> list:
-    """Calls that write rho and m averaged to the cell centers (mu already
-    lives there) into the (2, nt, nx) array out."""
+def _centers_calls(rho, m, mu, out: np.ndarray) -> list:
+    """Calls that write K u into the (3, nt, nx) array out: rho and m
+    averaged to the cell centers, and a copy of mu, which lives there (a
+    view would follow u, which solve_wfr changes in place)."""
     return ([(np.add, (rho[:-1], rho[1:], out[0]))]
             + _roll_calls(np.add, m, 1, out[1])
-            + [(np.multiply, (out, 0.5, out))])
+            + [(np.multiply, (out[:2], 0.5, out[:2])),
+               (np.positive, (mu, out[2]))])
 
 
 def _adjoint_calls(z: np.ndarray, out: np.ndarray) -> list:
@@ -182,8 +171,8 @@ def _prox_kernel(y: np.ndarray, gamma: float, params: ConeParams,
     coefficients and the scratch, and binds every ufunc call to them, the
     Newton round as two call lists split at the stopping test.  The two
     fluxes run as one (2, ...) stack, each step one call for both.
-    prox(warm) reads y as it is then and returns out; it starts from out[0]
-    when warm, else from max(rho, 0) (see prox_action)."""
+    prox() reads y as it is then and returns out; it starts from
+    max(out[0], max(rho, 0)) (see prox_action)."""
     if not 0 < gamma < np.inf:
         raise ValueError("prox weight gamma must be positive and finite")
     a2, b2 = params.a ** 2, params.b ** 2
@@ -211,8 +200,7 @@ def _prox_kernel(y: np.ndarray, gamma: float, params: ConeParams,
              (np.multiply, (f, gamma, f)), (np.add, (f, rho, f)),
              (np.less_equal, (f, 0.0, live)), (np.invert, (live, live)),
              (np.multiply, (rho, live, rho_live)),
-             (np.multiply, (gamma, live, f)), (np.multiply, (q, f, q)),
-             (partial(np.maximum, out=floor), (rho_live, 0.0))]
+             (np.multiply, (gamma, live, f)), (np.multiply, (q, f, q))]
     residual = [(np.add, (r, c, s)), (np.multiply, (s, s, t)),
                 (np.divide, (q, t, t)), (np.subtract, (r, rho_live, f)),
                 (np.subtract, (f, t1, f)), (np.subtract, (f, t2, f)),
@@ -220,23 +208,22 @@ def _prox_kernel(y: np.ndarray, gamma: float, params: ConeParams,
     # df >= 1 everywhere, so |f(r)| bounds the distance to the root
     newton = [(np.divide, (t, s, t)), (np.add, (t1, t2, step)),
               (np.multiply, (step, 2.0, step)), (np.add, (step, 1.0, step)),
-              (np.divide, (f, step, step)), (np.subtract, (r, step, step)),
-              (partial(np.maximum, out=r), (step, floor))]
+              (np.divide, (f, step, step)), (np.subtract, (r, step, step))]
     finish = [(np.divide, (r, s, s)), (np.multiply, (s, flux, s))]
 
-    def prox(warm_start: bool) -> np.ndarray:
+    def prox() -> np.ndarray:
         _run(start)
-        if warm_start:
-            np.maximum(r, floor, out=r)
-            np.multiply(r, live, r)
-        else:
-            np.copyto(r, floor)
+        # out by keyword: numpy deprecates a positional out for np.maximum
+        np.maximum(rho_live, 0.0, out=floor)
+        np.maximum(r, floor, out=r)
+        np.multiply(r, live, r)
         for _ in range(200):
             _run(residual)
             worst = _max(step, axis=None)
             if worst < 1e-13 * (1.0 + _max(r, axis=None)):
                 break
             _run(newton)
+            np.maximum(step, floor, out=r)
         else:
             raise RuntimeError(f"prox Newton stalled after 200 rounds "
                                f"(max |f| = {worst:.3e})")
@@ -262,25 +249,25 @@ def prox_action(rho, m, mu, gamma: float,
     squares that do not underflow to zero.
 
     The kernel that solve_wfr builds once per solve (_prox_kernel), built
-    for one call on a copy of the inputs.  Returns the rows of a new
-    (3, ...) array.
+    for one call on a copy of the inputs; no guess is a guess of 0, as
+    max(0, max(rho, 0)) is max(rho, 0).  Returns the rows of a new (3, ...)
+    array.
     """
     y = np.empty((3,) + np.shape(rho))
     y[0], y[1], y[2] = rho, m, mu
-    out = np.empty_like(y)
+    out = np.zeros_like(y)
     prox = _prox_kernel(y, gamma, params, out)
     if guess is not None:
         out[0] = guess
-    prox(guess is not None)
+    prox()
     return out[0], out[1], out[2]
 
 
 # -- projection onto the continuity constraint --------------------------------
 
 
-@lru_cache(maxsize=16)
 def _projection_operators(g: StaggeredGrid, balanced: bool):
-    """Read-only (c, ci, inv) of continuity_project on the grid g.
+    """(c, ci, inv) of continuity_project on the grid g.
 
     c @ r is dct(r, type=2, axis=0) and ci @ r its idct:
     c[j, k] = 2 cos(pi (j (2k + 1) mod 4 nt) / (2 nt)), reduced in integers,
@@ -297,10 +284,7 @@ def _projection_operators(g: StaggeredGrid, balanced: bool):
     denom = lam_t[:, None] + lam_x[None, :] + (0.0 if balanced else 1.0)
     if balanced:
         denom[0, 0] = np.inf  # the Laplacian's kernel, as the pseudo-inverse
-    inv = 1.0 / denom
-    for a in (c, ci, inv):
-        a.setflags(write=False)
-    return c, ci, inv
+    return c, ci, 1.0 / denom
 
 
 def _projection_kernel(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
@@ -323,7 +307,7 @@ def _projection_kernel(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     c, ci, inv = _projection_operators(g, balanced)
     q, d = np.empty((2, g.nt, g.nx))
     r_hat = np.empty(inv.shape, complex)
-    calls = [(mu.fill, (0.0,))] if balanced else []
+    calls = [(np.positive, (0.0, mu))] if balanced else []
     # the residual into q, then q = ci irfft(inv rfft(c q)) through d
     calls += _residual_calls(g, rho, m, mu, q, d) + [
         (np.matmul, (c, q, d)), (_rfft, (d, r_hat)),
@@ -345,11 +329,11 @@ def continuity_project(g: StaggeredGrid, rho: np.ndarray, m: np.ndarray,
     on the grid g are overwritten and returned, so pass copies of arrays
     that must survive.  The normal equations decouple as a Neumann
     Laplacian in time (cosine transform) plus a periodic Laplacian in space
-    (real FFT) plus the identity from the source term, with both operators
-    cached per grid; balanced mode zeroes mu, requires matching
-    masses (checked before any write), and treats the constant mode as the
-    pseudo-inverse does.  The call list that solve_wfr builds once per
-    solve (_projection_kernel), built for one call.
+    (real FFT) plus the identity from the source term; balanced mode
+    zeroes mu, requires matching masses (checked before any write), and
+    treats the constant mode as the pseudo-inverse does.  The call list
+    that solve_wfr builds once per solve (_projection_kernel), built for
+    one call.
     """
     _run(_projection_kernel(g, rho, m, mu, rho0, rho1, balanced))
     return rho, m, mu
@@ -398,23 +382,22 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     to the larger of |action| and eps times the squared total-mass bound
     (2b (sqrt m0 + sqrt m1))^2, drops below tol, after at least
     _MIN_ITERS iterations (tol finite and > 0, max_iters an integer >= 1);
-    raises WFRConvergenceError at max_iters.  In balanced mode the start
-    is projected once before the loop, and continuity_project rejects
-    endpoints of unequal mass.  Each prox starts from the last prox
-    density: fewer rounds, same iterates.  Endpoints whose largest value
-    is positive but at most _MIN_PEAK raise ValueError; a pair that is
-    zero at both ends has distance 0.
+    raises WFRConvergenceError at max_iters.  In balanced mode the loop's
+    projection also runs once on the start, and rejects endpoints of
+    unequal mass.  Each prox starts from the last prox density: fewer
+    rounds, same iterates.  Endpoints whose largest value is positive but
+    at most _MIN_PEAK raise ValueError; a pair that is zero at both ends
+    has distance 0.
 
     The workspace: the primal state is one (3 nt + 1, nx) array with rho,
     m and mu as row views, so u -= step K^T z is one operation; the dual
     z, K u at the last two iterates, y and the prox output are (3, nt, nx)
-    stacks, so each dual update is one operation.  The mu row of K u is a
-    copy of u's mu row (mu already lives at the cell centers, and u
-    changes in place).  The projection and the prox are built once per
-    solve on this workspace (_projection_kernel, _prox_kernel), so an
-    iteration is one list of bound ufunc calls and one prox run, and the
-    iterates are those of continuity_project and prox_action bit for bit.
-    The result holds views of this workspace, which no later solve touches.
+    stacks, so each dual update is one operation.  The projection and the
+    prox are built once per solve on this workspace (_projection_kernel,
+    _prox_kernel), so an iteration is one list of bound ufunc calls and one
+    prox run, and the iterates are those of continuity_project and
+    prox_action bit for bit.  The result holds views of this workspace,
+    which no later solve touches.
     """
     require_integer("max_iters", max_iters)
     if not (np.isfinite(tol) and tol > 0 and max_iters >= 1):
@@ -442,8 +425,9 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     # start: linear density interpolation, mu absorbing growth unless balanced
     frac = g.t_slices[:, None]
     u_rho[...] = (1.0 - frac) * rho0[None, :] + frac * rho1[None, :]
+    project = _projection_kernel(g, u_rho, u_m, u_mu, rho0, rho1, balanced)
     if balanced:
-        continuity_project(g, u_rho, u_m, u_mu, rho0, rho1, balanced=True)
+        _run(project)
     else:
         u_mu[...] = rho1 - rho0
 
@@ -457,24 +441,21 @@ def solve_wfr(rho0: np.ndarray, rho1: np.ndarray, nt: int,
     # the dual is kept scaled, z = w / _SIGMA, and K u is carried over in
     # k0 and k1 by turns.  An iteration is one call list on fixed views of
     # the workspace: u -= step K^T z, the projection (its kernel pins the
-    # end rows once, and K^T z's are zero), then K u into one buffer, its
-    # mu row a copy as u_mu changes in place, and y = z + 2 K u_new -
-    # K u_old; then the prox kernel on y, warm from its last density.
-    _run(_centers_calls(u_rho, u_m, k0[:2]))
-    k0[2] = u_mu
+    # end rows once, and K^T z's are zero), then K u into one buffer and
+    # y = z + 2 K u_new - K u_old; then the prox kernel on y, warm from its
+    # last density.
+    _run(_centers_calls(u_rho, u_m, u_mu, k0))
     p[0] = k0[0]
     primal = _adjoint_calls(z, kt_z) + [(np.multiply, (kt_z, step, kt_z)),
                                         (np.subtract, (u, kt_z, u))]
-    primal += _projection_kernel(g, u_rho, u_m, u_mu, rho0, rho1, balanced)
-    iteration = [primal + _centers_calls(u_rho, u_m, new[:2])
-                 + [(np.positive, (u_mu, new[2])),
-                    (np.multiply, (new, 2.0, y)), (np.add, (y, z, y)),
+    iteration = [primal + project + _centers_calls(u_rho, u_m, u_mu, new)
+                 + [(np.multiply, (new, 2.0, y)), (np.add, (y, z, y)),
                     (np.subtract, (y, old, y))]
                  for new, old in ((k0, k1), (k1, k0))]
     prox = _prox_kernel(y, gamma, params, p)
     for iterations in range(1, max_iters + 1):
         _run(iteration[iterations % 2])
-        prox(True)
+        prox()
         np.subtract(y, p, z)
         if iterations % _CHECK_EVERY == 0 or iterations == max_iters:
             action = wfr_action(g, *p, params)

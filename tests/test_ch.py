@@ -116,11 +116,14 @@ def test_invariants_of_a_stack_equal_the_per_slice_values():
 
 
 def test_time_reversibility():
+    # the right-hand side is quadratic in u, so the backward run from u is
+    # the negation of the forward run from -u: run back from the end of a
+    # forward run, it returns to u0
     grid = PeriodicGrid(128)
     u0 = 0.2 * np.sin(grid.x) + 0.05 * np.cos(2 * grid.x)
     fwd = ch_solve(grid, u0, 0.5, 1e-3)
-    back = ch_solve(grid, fwd.u[-1], -0.5, -1e-3)
-    assert np.max(np.abs(back.u[-1] - u0)) < 1e-9
+    back = ch_solve(grid, -fwd.u[-1], 0.5, 1e-3)
+    assert np.max(np.abs(-back.u[-1] - u0)) < 1e-9
 
 
 def test_spectral_self_convergence():
@@ -376,6 +379,8 @@ def test_solver_input_validation():
         ch_solve(grid, np.zeros(grid.n), 1.0, -1e-2)
     with pytest.raises(ValueError):
         ch_solve(grid, np.zeros(grid.n), 0.0, 1e-2)
+    with pytest.raises(ValueError):  # no backward runs: negate u0 instead
+        ch_solve(grid, np.zeros(grid.n), -1.0, -1e-2)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

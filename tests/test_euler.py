@@ -6,7 +6,9 @@ import pytest
 
 from coneflow import (
     AnnulusGrid,
+    CHTrajectory,
     ConeParams,
+    FlowPath,
     GroupElement,
     PeriodicGrid,
     PolarVectorField,
@@ -24,6 +26,7 @@ from coneflow import (
     second_fundamental_form,
     weighted_divergence,
 )
+from ch_reference import shifted, traveling_flow, traveling_wave
 
 GRID = PeriodicGrid(128)
 ANNULUS = AnnulusGrid(GRID, np.array([0.5, 1.0, 2.0]))
@@ -203,6 +206,33 @@ def test_lagrangian_measure_preservation():
     for radii in ([], [np.nan], [-1.0]):
         with pytest.raises(ValueError, match="radii"):
             lagrangian_measure_check(path, radii)
+
+
+@pytest.mark.parametrize("amplitude", [0.1, 0.3])
+def test_euler_diagnostics_on_the_exact_traveling_wave(amplitude):
+    # the exact wave U(x - c t) and its exact Lagrangian flow, which run
+    # none of the package's arithmetic: the momentum residual and both form
+    # gaps are the centered differences' alone, falling 4x per halving of
+    # dt, and the flow preserves the measure to rounding
+    grid = PeriodicGrid(64)
+    annulus = AnnulusGrid(grid, np.array([0.5, 1.0, 2.0]))
+    U, c, _ = traveling_wave(grid.n, amplitude)
+    errors = []
+    for dt in (0.02, 0.01, 0.005):
+        times = np.arange(round(0.2 / dt) + 1) * dt
+        traj = CHTrajectory(grid, ConeParams(), dt, times,
+                            np.array([shifted(U, c * t) for t in times]))
+        phi, lam = traveling_flow(U, c, times)
+        path = FlowPath(grid, times, phi, lam, lam, 0.0, np.min(lam) ** 2)
+        forms = geodesic_form_consistency(traj, path)
+        errors.append((euler_residual(traj, annulus).max_momentum_residual,
+                       forms.angular_gap, forms.radial_gap))
+        measure = lagrangian_measure_check(path)
+        assert measure.det_residual <= 1e-12
+        assert measure.pushforward_residual <= 1e-12
+    errors = np.array(errors)
+    ratios = errors[:-1] / errors[1:]
+    assert np.all((3.9 <= ratios) & (ratios <= 4.1)), (errors, ratios)
 
 
 def test_geodesic_form_consistency_gap_is_time_discretization():

@@ -1,10 +1,10 @@
 """Every public name in src/coneflow must have a user outside its own tests.
 
-A public top-level function or class, or a public method or property of a
-public class, stays only if another src/coneflow module (the CLI included,
-__init__ excluded), a perfbench/*.py file or tests/test_acceptance.py
-refers to it by name.  References inside the name's own definition do not
-count.  The scan reads source text with ast only; nothing is imported.
+A public top-level function, class or assigned name (a constant such as
+TWO_PI), or a public method or property of a public class, stays only if
+another src/coneflow module (the CLI included, __init__ excluded), a
+perfbench/*.py file or tests/test_acceptance.py refers to it by name.
+References inside the name's own definition or assignment do not count.  The scan reads source text with ast only; nothing is imported.
 
 Names are matched, not resolved, with two refinements that keep unrelated
 names apart: attributes of external modules (np.mean) are not references,
@@ -18,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "coneflow"
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ASSIGNS = (ast.Assign, ast.AnnAssign)
 
 
 def class_of_calls(modules) -> dict:
@@ -69,10 +70,10 @@ def references(tree: ast.AST, calls: dict, strings: bool) -> list:
     found = []
 
     def visit(node, chain, types):
-        if isinstance(node, DEFS):
+        if isinstance(node, DEFS + ASSIGNS):
             chain = chain | {id(node)}
-            if not isinstance(node, ast.ClassDef):
-                types = {**types, **local_types(node, calls)}
+        if isinstance(node, DEFS[:2]):
+            types = {**types, **local_types(node, calls)}
         keys = ()
         if isinstance(node, ast.Name):
             keys = (node.id,)
@@ -100,9 +101,17 @@ def references(tree: ast.AST, calls: dict, strings: bool) -> list:
 
 def public_definitions(tree: ast.Module):
     """(qualified name, the keys that refer to it, node) of public top-level
-    functions and classes, and of public methods and properties of public
-    classes."""
+    functions, classes and assigned names, and of public methods and
+    properties of public classes."""
     for node in tree.body:
+        if isinstance(node, ASSIGNS):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) \
+                            and not name.id.startswith("_"):
+                        yield name.id, {name.id, "." + name.id}, node
         if not isinstance(node, DEFS) or node.name.startswith("_"):
             continue
         yield node.name, {node.name, "." + node.name}, node
