@@ -3,7 +3,8 @@
 Every subcommand prints one JSON object to stdout with a fixed field
 order and 17-significant-digit floats, so identical inputs produce
 byte-identical output.  CSV artifacts are written next to the current
-directory unless CONEFLOW_OUTDIR points elsewhere.  Exit codes: 0 on
+directory unless CONEFLOW_OUTDIR points elsewhere; a trajectory file is
+read and checked by formats.read_trajectory_csv alone.  Exit codes: 0 on
 success, 1 on invalid input (machine-readable error object), including
 a horizon with more steps than memory can hold, 2 when a solver breaks
 down (blow-up, non-convergence, apex hit or fold).
@@ -21,8 +22,8 @@ from .cone import (ConeParams, ConePoint, ConeTangent, cone_distance,
 from .ch import CHTrajectory, ch_invariants, ch_solve, flow_map
 from .euler import (AnnulusGrid, euler_residual, geodesic_form_consistency,
                     lagrangian_measure_check)
-from .formats import (grid_from_x, parse_field_spec, read_trajectory_csv,
-                      to_json, write_columns_csv, write_density_csv,
+from .formats import (parse_field_spec, read_trajectory_csv, to_json,
+                      write_columns_csv, write_density_csv,
                       write_time_major_csv, write_trajectory_csv,
                       write_wfr_csv)
 from .grid import PeriodicGrid
@@ -148,17 +149,8 @@ def cmd_ch_solve(args):
 
 
 def _load_trajectory(path, params) -> CHTrajectory:
-    times, x, u = read_trajectory_csv(path)
-    grid = grid_from_x(x)
-    if len(times) < 2:
-        raise ValueError(f"{path}: need at least two time slices")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    # relative to dt, with a floor for the rounding of the t column
-    tol = 1e-9 * dt + 4 * np.finfo(float).eps * np.max(np.abs(times))
-    if dt <= 0 or np.max(np.abs(steps - dt)) > tol:
-        raise ValueError(f"{path}: time column is not uniformly spaced")
-    return CHTrajectory(grid, params, dt, times, u)
+    grid, times, u = read_trajectory_csv(path)
+    return CHTrajectory(grid, params, times[1] - times[0], times, u)
 
 
 def cmd_ch_invariants(args):

@@ -3,7 +3,8 @@
 Floats are rendered with 17 significant digits so that values round-trip
 bit-exactly through text and identical runs produce identical bytes.
 CSV bodies are parsed by np.loadtxt; a line-by-line loop rereads a body
-it rejects, to name the first bad row or take what float() takes.
+it rejects, to name the first bad row or take what float() takes.  Only
+read_trajectory_csv knows what a trajectory file must hold, and checks it.
 """
 from __future__ import annotations
 
@@ -123,25 +124,6 @@ def read_density_csv(path):
     return x, values
 
 
-def _grid_layout(t_col, x_col):
-    """Infer (times, x) from flattened time-major columns."""
-    x0 = x_col[0]
-    n = 1
-    while n < len(x_col) and abs(x_col[n] - x0) > 1e-12:
-        n += 1
-    if n < 4 or len(x_col) % n != 0:
-        raise ValueError("csv rows do not form a time-major grid")
-    n_times = len(x_col) // n
-    x = x_col[:n]
-    times = t_col[::n]
-    if not np.allclose(np.tile(x, n_times), x_col, rtol=0, atol=1e-12):
-        raise ValueError("csv space column varies between time blocks")
-    rep = np.repeat(times, n)
-    if not np.allclose(rep, t_col, rtol=0, atol=1e-12):
-        raise ValueError("csv time column varies within a time block")
-    return times, x, n_times, n
-
-
 def write_time_major_csv(path, header, times, x, fields) -> None:
     """Rows (t, x, *fields) of (len(times), len(x)) fields, time-major.
 
@@ -165,9 +147,29 @@ def write_trajectory_csv(path, times, x, u) -> None:
 
 
 def read_trajectory_csv(path):
+    """Checked (grid, times, u) of a trajectory file: time-major rows on a
+    uniform periodic grid, at least two slices, evenly spaced times."""
     t_col, x_col, u_col = _read_table(path, "t,x,u")
-    times, x, n_times, n = _grid_layout(t_col, x_col)
-    return times, x, u_col.reshape(n_times, n)
+    # n nodes a slice: the first node recurs at row n, or never
+    repeats = np.flatnonzero(np.abs(x_col[1:] - x_col[0]) <= 1e-12)
+    n = int(repeats[0]) + 1 if len(repeats) else len(x_col)
+    if n < 4 or len(x_col) % n != 0:
+        raise ValueError("csv rows do not form a time-major grid")
+    x, times = x_col[:n], t_col[::n]
+    if not np.allclose(np.tile(x, len(times)), x_col, rtol=0, atol=1e-12):
+        raise ValueError("csv space column varies between time blocks")
+    if not np.allclose(np.repeat(times, n), t_col, rtol=0, atol=1e-12):
+        raise ValueError("csv time column varies within a time block")
+    grid = PeriodicGrid(n)
+    _check_nodes(path, x, grid)
+    if len(times) < 2:
+        raise ValueError(f"{path}: need at least two time slices")
+    steps = np.diff(times)
+    # relative to the first step, with a floor for the rounding of the t column
+    tol = 1e-9 * steps[0] + 4 * np.finfo(float).eps * np.max(np.abs(times))
+    if steps[0] <= 0 or np.max(np.abs(steps - steps[0])) > tol:
+        raise ValueError(f"{path}: time column is not uniformly spaced")
+    return grid, times, u_col.reshape(len(times), n)
 
 
 def write_wfr_csv(path, t_cells, x, rho_c, m_c, mu_c) -> None:
@@ -175,12 +177,11 @@ def write_wfr_csv(path, t_cells, x, rho_c, m_c, mu_c) -> None:
     write_time_major_csv(path, "t,x,rho,m,mu", t_cells, x, [rho_c, m_c, mu_c])
 
 
-def grid_from_x(x) -> PeriodicGrid:
-    x = np.asarray(x, dtype=float)
-    grid = PeriodicGrid(len(x))
+def _check_nodes(path, x, grid: PeriodicGrid) -> None:
+    if len(x) != grid.n:
+        raise ValueError(f"{path}: {len(x)} nodes, grid has {grid.n}")
     if np.max(np.abs(x - grid.x)) > 1e-9:
-        raise ValueError("csv nodes are not the uniform periodic grid")
-    return grid
+        raise ValueError(f"{path}: nodes do not match the grid")
 
 
 _SPEC_FORMS = {"const": "c", "sin": "amp", "bump": "center,width,mass"}
@@ -209,9 +210,6 @@ def parse_field_spec(spec: str, grid: PeriodicGrid) -> np.ndarray:
         return bump_density(grid, *nums)
     if kind == "file":
         x, values = read_density_csv(arg)
-        if len(x) != grid.n:
-            raise ValueError(f"{arg}: {len(x)} nodes, grid has {grid.n}")
-        if np.max(np.abs(x - grid.x)) > 1e-9:
-            raise ValueError(f"{arg}: nodes do not match the grid")
+        _check_nodes(arg, x, grid)
         return values
     raise ValueError(f"unknown field spec kind '{kind}'")

@@ -234,7 +234,7 @@ def _prox_kernel(y: np.ndarray, gamma: float, params: ConeParams,
 
 
 def prox_action(rho, m, mu, gamma: float,
-                params: ConeParams = ConeParams(), guess=None):
+                params: ConeParams = ConeParams()):
     """Pointwise prox of gamma * (a^2 m^2 + b^2 mu^2)/rho on rho >= 0.
 
     Eliminating m and mu leaves one equation f(r) = 0 (cubic when a = b,
@@ -248,18 +248,13 @@ def prox_action(rho, m, mu, gamma: float,
     ValueError unless gamma > 0 and 2 gamma a^2, 2 gamma b^2 have finite
     squares that do not underflow to zero.
 
-    The kernel that solve_wfr builds once per solve (_prox_kernel), built
-    for one call on a copy of the inputs; no guess is a guess of 0, as
-    max(0, max(rho, 0)) is max(rho, 0).  Returns the rows of a new (3, ...)
-    array.
+    Runs the kernel solve_wfr builds once per solve (_prox_kernel) once,
+    on a copy of the inputs, from a guess of 0; returns new (3, ...) rows.
     """
     y = np.empty((3,) + np.shape(rho))
     y[0], y[1], y[2] = rho, m, mu
     out = np.zeros_like(y)
-    prox = _prox_kernel(y, gamma, params, out)
-    if guess is not None:
-        out[0] = guess
-    prox()
+    _prox_kernel(y, gamma, params, out)()
     return out[0], out[1], out[2]
 
 
@@ -483,7 +478,10 @@ def hellinger_distance(grid: PeriodicGrid, rho0: np.ndarray, rho1: np.ndarray,
     rho0 = grid.field("rho0", _validate_endpoint(rho0, "rho0"))
     rho1 = grid.field("rho1", _validate_endpoint(rho1, "rho1"))
     gap = np.sqrt(rho1) - np.sqrt(rho0)
-    return float(2.0 * params.b * np.sqrt(grid.integrate(gap ** 2)))
+    # gap / sigma, sigma = 2^k >= max(1, max|gap|), is exact and squares finite
+    sigma = np.ldexp(1.0, max(0, np.frexp(np.max(np.abs(gap)))[1]))
+    return float(2.0 * params.b * np.sqrt(grid.integrate((gap / sigma) ** 2))
+                 * sigma)
 
 
 # -- geodesic flows of the fibration ------------------------------------------

@@ -66,8 +66,14 @@ def shifted(U, distance):
 
 def _trig_sum(coeff, k, points):
     """Real part of sum_k coeff_k exp(i k x) at x = points, summed densely;
-    coeff are np.fft.fft coefficients divided by their length."""
-    return (np.exp(1j * np.multiply.outer(points, k)) @ coeff).real
+    coeff are np.fft.fft coefficients divided by their length.  A 2-d
+    (times, n) points array is summed 8 times at a time, which bounds the
+    exponentials held at once and keeps every sum's bits."""
+    points = np.asarray(points)
+    blocks = ([points] if points.ndim < 2 else
+              [points[i:i + 8] for i in range(0, len(points), 8)])
+    return np.concatenate([(np.exp(1j * np.multiply.outer(p, k)) @ coeff).real
+                           for p in blocks])
 
 
 def traveling_flow(U, c, times):

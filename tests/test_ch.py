@@ -359,7 +359,7 @@ def test_flow_map_is_bit_identical_to_the_tuple_state_flow(readme_run, source,
     if source == "csv":
         path = tmp_path / "run.csv"
         write_trajectory_csv(path, traj.times, traj.grid.x, traj.u)
-        times, _, u = read_trajectory_csv(path)
+        _, times, u = read_trajectory_csv(path)
         traj = CHTrajectory(traj.grid, traj.params, traj.dt, times, u)
     phi, lam_ode = reference_flow(traj)
     path = flow_map(traj)

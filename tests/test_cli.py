@@ -142,6 +142,14 @@ def test_wfr_hellinger_uniform_value(capsys):
     assert body["distance"] == pytest.approx(np.sqrt(2 * np.pi), abs=1e-12)
 
 
+def test_wfr_hellinger_of_huge_densities_is_finite(capsys):
+    code, body = run_json(capsys, "wfr", "hellinger", "--rho0", "const:1e308",
+                          "--rho1", "const:1", "--n", "16")
+    assert code == 0
+    assert body["distance"] == pytest.approx(np.sqrt(2 * np.pi) * 1e154,
+                                             rel=1e-15)
+
+
 def test_flow_horizontal_growth_action(capsys, tmp_path):
     out = tmp_path / "flow.csv"
     code, body = run_json(capsys, "flow", "horizontal",
@@ -194,6 +202,15 @@ def test_flow_horizontal_names_the_same_apex_at_any_resolution(capsys,
     assert body["error"]["message"].endswith("at t=1 (label y=3.14159)")
     code, body = run_json(capsys, *argv, "--t-final", "0.9")
     assert code == 0 and body["mass_final"] > 0
+
+
+def test_flow_horizontal_overflow_exits_two(capsys):
+    code, body = run_json(capsys, "flow", "horizontal", "--rho0",
+                          "const:1.7e308", "--phi0", "const:0.5", "--n", "16",
+                          "--t-final", "0.5", "--dt", "0.1")
+    assert code == 2
+    assert body["error"] == {"type": "RuntimeError",
+                             "message": "horizontal flow overflowed"}
 
 
 def test_flow_horizontal_past_the_apex_prints_no_warnings():

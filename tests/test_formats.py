@@ -10,7 +10,6 @@ from coneflow import (CHTrajectory, PeriodicGrid, bump_density, ch_solve,
                       flow_map)
 from coneflow.formats import (
     fmt_float,
-    grid_from_x,
     parse_field_spec,
     read_density_csv,
     read_trajectory_csv,
@@ -90,9 +89,9 @@ def test_trajectory_csv_round_trip(tmp_path):
     u = rng.normal(0, 1, (6, 16))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, times, grid.x, u)
-    t2, x2, u2 = read_trajectory_csv(path)
+    grid2, t2, u2 = read_trajectory_csv(path)
+    assert grid2 == grid
     assert np.array_equal(t2, times)
-    assert np.array_equal(x2, grid.x)
     assert np.array_equal(u2, u)
 
 
@@ -103,9 +102,9 @@ def test_trajectory_csv_round_trip_full_size(tmp_path):
     u = rng.normal(0, 1, (251, 256)) * np.exp(rng.normal(0, 30, (251, 256)))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, times, grid.x, u)
-    t2, x2, u2 = read_trajectory_csv(path)
+    grid2, t2, u2 = read_trajectory_csv(path)
+    assert grid2 == grid
     assert np.array_equal(t2, times)
-    assert np.array_equal(x2, grid.x)
     assert np.array_equal(u2, u)
 
 
@@ -116,7 +115,7 @@ def test_trajectory_csv_round_trip_gives_the_same_flow_map(tmp_path):
     traj = ch_solve(grid, 0.2 * np.sin(grid.x), 1.0, 1e-3)
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, traj.times, grid.x, traj.u)
-    times, _, u = read_trajectory_csv(path)
+    _, times, u = read_trajectory_csv(path)
     assert u.flags.c_contiguous
     path_mem = flow_map(traj)
     path_csv = flow_map(CHTrajectory(grid, traj.params, traj.dt, times, u))
@@ -325,11 +324,38 @@ def test_write_columns_requires_equal_lengths(tmp_path):
         write_columns_csv(tmp_path / "c.csv", "a,b", [[1.0, 2.0], [1.0]])
 
 
-def test_grid_from_x_accepts_uniform_and_rejects_other(tmp_path):
-    grid = PeriodicGrid(16)
-    assert grid_from_x(grid.x).n == 16
-    with pytest.raises(ValueError):
-        grid_from_x(grid.x + 0.01)
+def write_zero_trajectory(path, times, x):
+    path.write_text("t,x,u\n" + "".join(
+        f"{t!r},{v!r},0.0\n" for t in times for v in np.asarray(x).tolist()))
+
+
+def test_trajectory_reader_accepts_the_uniform_grid_only(tmp_path):
+    path = tmp_path / "traj.csv"
+    write_zero_trajectory(path, [0.0, 0.1], PeriodicGrid(16).x)
+    grid, times, u = read_trajectory_csv(path)
+    assert grid == PeriodicGrid(16)
+    assert times.tolist() == [0.0, 0.1]
+    assert np.array_equal(u, np.zeros((2, 16)))
+    for x, error in ((PeriodicGrid(16).x + 0.01, "nodes do not match"),
+                     (np.arange(9) * (2 * np.pi / 9), "grid size must be")):
+        write_zero_trajectory(path, [0.0, 0.1], x)
+        with pytest.raises(ValueError, match=error):
+            read_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("times, shift, error", [
+    ([0.0], 0.0, "need at least two time slices"),
+    ([0.0, 0.1, 0.3], 0.0, "time column is not uniformly spaced"),
+    ([0.0, 0.1], 1e-8, "nodes do not match the grid")],
+    ids=["one-slice", "uneven", "off-grid"])
+def test_trajectory_reader_checks_slices_spacing_and_nodes(
+        tmp_path, times, shift, error):
+    # the reader, not its callers, holds a trajectory file to the grid
+    path = tmp_path / "traj.csv"
+    write_zero_trajectory(path, times, PeriodicGrid(16).x + shift)
+    with pytest.raises(ValueError) as err:
+        read_trajectory_csv(path)
+    assert str(err.value) == f"{path}: {error}"
 
 
 def test_parse_field_spec_forms(tmp_path):

@@ -361,6 +361,19 @@ def test_prox_fixed_points_and_apex():
         prox_action(rho, zero, zero, 0.0)
 
 
+def kernel_prox(rho, m, mu, gamma, params, guess=None):
+    """A fresh prox kernel, as solve_wfr builds it, run once from
+    out[0] = guess (from a zeroed out[0], as prox_action runs it, when
+    there is no guess)."""
+    y = np.empty((3,) + np.shape(rho))
+    y[0], y[1], y[2] = rho, m, mu
+    out = np.zeros_like(y)
+    prox = wfr._prox_kernel(y, gamma, params, out)
+    if guess is not None:
+        out[0] = guess
+    return tuple(prox())
+
+
 @pytest.mark.parametrize("params", [ConeParams(), ConeParams(1.0, 1.0)],
                          ids=["quintic", "cubic"])
 def test_prox_guess_changes_only_the_round_count(params):
@@ -379,7 +392,7 @@ def test_prox_guess_changes_only_the_round_count(params):
                    np.max(np.abs(ub - cold[2]))) < 1e-6
         for guess in (0.0, 0.5 * root, root - 0.1, root + 0.1,
                       2.0 * root + 1.0, 1e6 * root, root):
-            warm = prox_action(rho, m, mu, gamma, params, guess=guess)
+            warm = kernel_prox(rho, m, mu, gamma, params, guess)
             for w, c in zip(warm, cold):
                 assert np.max(np.abs(w - c)) < 1e-12
 
@@ -412,7 +425,9 @@ def test_prox_equals_the_per_component_oracle(params):
             for guess in (None, 0.0, 0.5 * root, root - 0.1, root + 0.1,
                           2.0 * root + 1.0, root):
                 want = per_component_prox(rho, m, mu, gamma, params, guess)
-                got = prox_action(rho, m, mu, gamma, params, guess)
+                got = (prox_action(rho, m, mu, gamma, params)
+                       if guess is None else
+                       kernel_prox(rho, m, mu, gamma, params, guess))
                 for g_row, w_row in zip(got, want):
                     assert np.array_equal(g_row, w_row)
                     assert same_bits(g_row, w_row)
@@ -464,7 +479,7 @@ def test_prox_kernel_keeps_no_state_between_runs(params):
     # inputs that change every time (apex, near-vacuum and vacuum cells at
     # changing places and scales) from cold starts (a zeroed out[0]), from
     # what the last run left in out[0] and from new guesses: each run gives
-    # the bits of a fresh prox_action
+    # the bits of a fresh kernel from the same start
     rng = np.random.default_rng(72)
     shape, gamma = (6, 9), 1.0 / 0.95
     y, out = np.full((2, 3) + shape, np.nan)
@@ -483,7 +498,7 @@ def test_prox_kernel_keeps_no_state_between_runs(params):
         elif k % 3 == 2:
             out[0] = rng.uniform(0.0, 3.0, shape)
         guess = out[0].copy() if k % 3 else None
-        want = prox_action(rho, m, mu, gamma, params, guess)
+        want = kernel_prox(rho, m, mu, gamma, params, guess)
         assert np.sum(want[0] == 0.0) > 0 and np.sum(rho < 0) > 0
         assert prox() is out
         assert all(same_bits(o, w) for o, w in zip(out, want))
@@ -1024,6 +1039,14 @@ def test_hellinger_distance_values():
             hellinger_distance(pg, rho0, rho1)
 
 
+def test_hellinger_distance_of_huge_densities_is_finite():
+    # the gap 1e154 - 1 squares to 1e308, and 16 of them overflowed the sum;
+    # the distance itself, 2b sqrt(2 pi) (1e154 - 1), is a float
+    pg = PeriodicGrid(16)
+    d = hellinger_distance(pg, np.full(16, 1e308), np.ones(16))
+    assert d == pytest.approx(np.sqrt(2 * np.pi) * (1e154 - 1), rel=1e-15)
+
+
 # -- geodesic flows ---------------------------------------------------------------
 
 
@@ -1062,6 +1085,14 @@ def test_horizontal_flow_past_the_apex_overflows():
                         1.0, 1e-3)
     assert str(info.value) == ("horizontal flow reaches the apex or folds at "
                                "t=0.5 (label y=0)")
+
+
+def test_horizontal_flow_reports_an_overflowing_field():
+    # no label reaches the apex, but rho = 1.7e308 (1 + t/2)^2 overflows
+    grid = PeriodicGrid(16)
+    with pytest.raises(RuntimeError, match="^horizontal flow overflowed$"):
+        horizontal_flow(grid, np.full(16, 1.7e308), np.full(16, 0.5), 0.5,
+                        0.1)
 
 
 def test_calibrated_pair_refuses_a_path_through_the_apex():
