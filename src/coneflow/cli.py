@@ -2,12 +2,14 @@
 
 Every subcommand prints one JSON object to stdout with a fixed field
 order and 17-significant-digit floats, so identical inputs produce
-byte-identical output.  CSV artifacts are written next to the current
-directory unless CONEFLOW_OUTDIR points elsewhere; a trajectory file is
-read and checked by formats.read_trajectory_csv alone.  Exit codes: 0 on
-success, 1 on invalid input (machine-readable error object), including
-a horizon with more steps than memory can hold, 2 when a solver breaks
-down (blow-up, non-convergence, apex hit or fold).
+byte-identical output.  main builds each command's coefficients,
+positivity check and grid, in that order (None without --a or --n).
+CSV artifacts are written next to the current directory unless
+CONEFLOW_OUTDIR points elsewhere; a trajectory file is read and checked
+by formats.read_trajectory_csv alone.  Exit codes: 0 on success, 1 on
+invalid input (machine-readable error object), including a horizon with
+more steps than memory can hold, 2 when a solver breaks down (blow-up,
+non-convergence, apex hit or fold).
 """
 from __future__ import annotations
 
@@ -89,17 +91,14 @@ def _float_list(text: str) -> list[float]:
 # -- cone ---------------------------------------------------------------------
 
 
-def cmd_cone_dist(args):
-    params = ConeParams(args.a, args.b)
+def cmd_cone_dist(args, grid, params):
     d = cone_distance(ConePoint(args.x0, args.m0), ConePoint(args.x1, args.m1),
                       params)
     return {"x0": args.x0, "m0": args.m0, "x1": args.x1, "m1": args.m1,
             "a": params.a, "b": params.b, "distance": d}
 
 
-def cmd_cone_geodesic(args):
-    params = ConeParams(args.a, args.b)
-    _require_positive(args, ["t_final", "dt"])
+def cmd_cone_geodesic(args, grid, params):
     geo = cone_geodesic(ConePoint(args.x0, args.m0),
                         ConeTangent(args.dx0, args.dm0),
                         args.t_final, args.dt, params)
@@ -118,15 +117,18 @@ def cmd_cone_geodesic(args):
 
 def _drift_report(grid: PeriodicGrid, u: np.ndarray,
                   params: ConeParams) -> dict:
-    """Energy and momentum at the first and last of the slices u (T, n),
-    with the largest relative drift from the first over all of them."""
-    values = ch_invariants(grid, u, params)
+    """Energy and momentum at the first and last slice of u (T, n), with the
+    largest relative drift over all slices; ValueError if one overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        values = ch_invariants(grid, u, params)
     report = {}
     # zero-mean data has a roundoff-level momentum baseline; drift is then
     # reported against the unit scale instead of amplified noise
     for name, key, floor in (("energy", "energy", 1e-30),
                              ("momentum", "momentum_mean", 1.0)):
         q = np.array(values[key])
+        if not np.isfinite(q).all():
+            raise ValueError(f"the {name} of the run overflows a float")
         report[f"{name}_initial"] = float(q[0])
         report[f"{name}_final"] = float(q[-1])
         report[f"{name}_rel_drift"] = float(np.max(np.abs(q - q[0]))
@@ -134,10 +136,7 @@ def _drift_report(grid: PeriodicGrid, u: np.ndarray,
     return report
 
 
-def cmd_ch_solve(args):
-    params = ConeParams(args.a, args.b)
-    _require_positive(args, ["n", "t_final", "dt"])
-    grid = PeriodicGrid(args.n)
+def cmd_ch_solve(args, grid, params):
     u0 = parse_field_spec(args.init, grid)
     traj = ch_solve(grid, u0, args.t_final, args.dt, params)
     out = _out_path(args.out)
@@ -153,8 +152,7 @@ def _load_trajectory(path, params) -> CHTrajectory:
     return CHTrajectory(grid, params, times[1] - times[0], times, u)
 
 
-def cmd_ch_invariants(args):
-    params = ConeParams(args.a, args.b)
+def cmd_ch_invariants(args, grid, params):
     traj = _load_trajectory(args.traj, params)
     return {"traj": args.traj, "a": params.a, "b": params.b,
             **_drift_report(traj.grid, traj.u, params)}
@@ -163,7 +161,7 @@ def cmd_ch_invariants(args):
 # -- euler correspondence -------------------------------------------------------
 
 
-def cmd_euler_check(args):
+def cmd_euler_check(args, grid, params):
     traj = _load_trajectory(args.traj, ConeParams())
     agrid = AnnulusGrid(traj.grid, _float_list(args.radii))
     report = euler_residual(traj, agrid)
@@ -184,19 +182,15 @@ def cmd_euler_check(args):
 # -- wfr ------------------------------------------------------------------------
 
 
-def cmd_wfr_solve(args):
-    params = ConeParams(args.a, args.b)
-    _require_positive(args, ["n", "nt", "tol", "max_iters"])
-    grid = PeriodicGrid(args.n)
+def cmd_wfr_solve(args, grid, params):
     rho0 = parse_field_spec(args.rho0, grid)
     rho1 = parse_field_spec(args.rho1, grid)
     result = solve_wfr(rho0, rho1, args.nt, params, balanced=args.balanced,
                        tol=args.tol, max_iters=args.max_iters)
     out = _out_path(args.csv)
     if out:
-        g = result.grid
-        write_wfr_csv(out, g.t_cells, g.x, result.rho_c, result.m_c,
-                      result.mu_c)
+        write_wfr_csv(out, result.grid.t_cells, result.grid.x, result.rho_c,
+                      result.m_c, result.mu_c)
     return {"distance": result.distance, "action": result.action,
             "iterations": result.iterations,
             "constraint_residual": result.constraint_residual,
@@ -206,23 +200,17 @@ def cmd_wfr_solve(args):
             "out": out}
 
 
-def cmd_wfr_hellinger(args):
-    params = ConeParams(args.a, args.b)
-    _require_positive(args, ["n"])
-    grid = PeriodicGrid(args.n)
+def cmd_wfr_hellinger(args, grid, params):
     rho0 = parse_field_spec(args.rho0, grid)
     rho1 = parse_field_spec(args.rho1, grid)
-    d = hellinger_distance(grid, rho0, rho1, params)
-    return {"distance": d,
+    return {"distance": hellinger_distance(grid, rho0, rho1, params),
             "params": {"a": params.a, "b": params.b, "n": args.n}}
 
 
 # -- geodesic flows ---------------------------------------------------------------
 
 
-def cmd_flow_horizontal(args):
-    _require_positive(args, ["n", "t_final", "dt"])
-    grid = PeriodicGrid(args.n)
+def cmd_flow_horizontal(args, grid, params):
     rho0 = parse_field_spec(args.rho0, grid)
     phi0 = parse_field_spec(args.phi0, grid)
     flow = horizontal_flow(grid, rho0, phi0, args.t_final, args.dt)
@@ -241,12 +229,9 @@ def cmd_flow_horizontal(args):
 # -- submersion reports -----------------------------------------------------------
 
 
-def cmd_lift(args):
-    _require_positive(args, ["n"])
-    grid = PeriodicGrid(args.n)
+def cmd_lift(args, grid, params):
     rho = DensityField(grid, parse_field_spec(args.rho, grid))
-    x_rho = parse_field_spec(args.x, grid)
-    lift = horizontal_lift(rho, x_rho)
+    lift = horizontal_lift(rho, parse_field_spec(args.x, grid))
     out = _out_path(args.out)
     if out:
         write_density_csv(out, grid.x, lift.potential)
@@ -256,9 +241,7 @@ def cmd_lift(args):
             "potential_max": float(np.max(lift.potential)), "out": out}
 
 
-def cmd_curvature(args):
-    _require_positive(args, ["n"])
-    grid = PeriodicGrid(args.n)
+def cmd_curvature(args, grid, params):
     rho = DensityField(grid, parse_field_spec(args.rho, grid))
     pairs = []
     for spec in (args.phi1, args.phi2):
@@ -269,12 +252,10 @@ def cmd_curvature(args):
             "phi2": args.phi2, "oneill": k}
 
 
-def cmd_minimality(args):
-    _require_positive(args, ["n", "t_final", "dt", "members"])
+def cmd_minimality(args, grid, params):
     amplitudes = tuple(_float_list(args.amplitudes))
     if not amplitudes or min(amplitudes) <= 0:
         raise CLIInputError("--amplitudes must be positive")
-    grid = PeriodicGrid(args.n)
     u0 = parse_field_spec(args.init, grid)
     traj = ch_solve(grid, u0, args.t_final, args.dt)
     members = make_perturbation_family(grid, traj.times, args.members,
@@ -317,7 +298,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--csv", default=None, help="write t,x,m series")
     _add_params(p)
-    p.set_defaults(func=cmd_cone_geodesic)
+    p.set_defaults(func=cmd_cone_geodesic, positive=("t_final", "dt"))
 
     ch = sub.add_parser("ch", help="geodesic PDE on the group")
     ch_sub = ch.add_subparsers(dest="subcommand", required=True,
@@ -330,7 +311,7 @@ def build_parser() -> _Parser:
                    help="const:c | sin:amp | bump:c,w,m | file:path")
     p.add_argument("--out", default=None, help="trajectory csv path")
     _add_params(p)
-    p.set_defaults(func=cmd_ch_solve)
+    p.set_defaults(func=cmd_ch_solve, positive=("n", "t_final", "dt"))
     p = ch_sub.add_parser("invariants", help="conservation report for a run")
     p.add_argument("--traj", required=True)
     _add_params(p)
@@ -357,13 +338,14 @@ def build_parser() -> _Parser:
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--csv", default=None, help="write t,x,rho,m,mu series")
     _add_params(p)
-    p.set_defaults(func=cmd_wfr_solve)
+    p.set_defaults(func=cmd_wfr_solve,
+                   positive=("n", "nt", "tol", "max_iters"))
     p = wfr_sub.add_parser("hellinger", help="zero-transport upper bound")
     p.add_argument("--rho0", required=True)
     p.add_argument("--rho1", required=True)
     p.add_argument("--n", type=int, default=64)
     _add_params(p)
-    p.set_defaults(func=cmd_wfr_hellinger)
+    p.set_defaults(func=cmd_wfr_hellinger, positive=("n",))
 
     flow = sub.add_parser("flow", help="geodesic flows on densities")
     flow_sub = flow.add_subparsers(dest="subcommand", required=True,
@@ -376,21 +358,22 @@ def build_parser() -> _Parser:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-final", type=float, default=1.0)
     p.add_argument("--csv", default=None, help="write t,x,rho,v,alpha series")
-    p.set_defaults(func=cmd_flow_horizontal)
+    p.set_defaults(func=cmd_flow_horizontal,
+                   positive=("n", "t_final", "dt"))
 
     p = sub.add_parser("lift", help="horizontal lift of a density change")
     p.add_argument("--rho", required=True)
     p.add_argument("--x", required=True, help="density perturbation spec")
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--out", default=None, help="potential csv path")
-    p.set_defaults(func=cmd_lift)
+    p.set_defaults(func=cmd_lift, positive=("n",))
 
     p = sub.add_parser("curvature", help="sectional curvature of a plane")
     p.add_argument("--rho", default="const:1")
     p.add_argument("--phi1", required=True)
     p.add_argument("--phi2", required=True)
     p.add_argument("--n", type=int, default=128)
-    p.set_defaults(func=cmd_curvature)
+    p.set_defaults(func=cmd_curvature, positive=("n",))
 
     p = sub.add_parser("minimality", help="action comparison on a window")
     p.add_argument("--n", type=int, default=64)
@@ -400,7 +383,8 @@ def build_parser() -> _Parser:
     p.add_argument("--members", type=int, default=100)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--amplitudes", default="0.01,0.1")
-    p.set_defaults(func=cmd_minimality)
+    p.set_defaults(func=cmd_minimality,
+                   positive=("n", "t_final", "dt", "members"))
 
     return parser
 
@@ -409,7 +393,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload = args.func(args)
+        params = ConeParams(args.a, args.b) if "a" in args else None
+        _require_positive(args, getattr(args, "positive", ()))
+        grid = PeriodicGrid(args.n) if "n" in args else None
+        payload = args.func(args, grid, params)
     except RuntimeError as exc:
         body = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         diag = getattr(exc, "diagnostics", None)

@@ -555,6 +555,7 @@ def _flat_chart(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # reported below
 def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
                     t_final: float, dt: float) -> HorizontalFlowResult:
     """Geodesic flow launched horizontally from the potential phi0: the
@@ -563,13 +564,19 @@ def horizontal_flow(grid: PeriodicGrid, rho0: np.ndarray, phi0: np.ndarray,
     closed form (_flat_chart), so dt only spaces the stored slices.  The
     defect is the sup of |v - alpha_x/2|, as horizontal pairs are (Phi'/2,
     Phi); the action is E t_final, E = int (phi0_x^2/4 + phi0^2) rho0.
-    RuntimeError at the exact first apex or fold time of a label."""
+    RuntimeError at the exact first apex or fold time of a label, or if
+    a reported value overflows."""
     rho0 = grid.field("rho0", _validate_endpoint(rho0, "rho0"))
     phi0 = grid.field("phi0", phi0)
     times = np.arange(step_count(t_final, dt) + 1) * dt
     rho, v, alpha = _flat_chart(grid, rho0, phi0, times)
-    energy = grid.integrate((0.25 * grid.deriv(phi0) ** 2 + phi0 ** 2) * rho0)
-    return HorizontalFlowResult(
-        times, rho, v, alpha, float(energy * times[-1]),
-        float(np.max(np.abs(v - 0.5 * grid.deriv(alpha)))),
-        grid.h * np.sum(rho, axis=1))
+    # sums in units of sigma = 2^k, rho / sigma < 2: exact, and no overflow
+    sigma = np.ldexp(1.0, max(0, np.frexp(np.max(rho))[1] - 1))
+    energy = grid.integrate((0.25 * grid.deriv(phi0) ** 2 + phi0 ** 2)
+                            * (rho0 / sigma))
+    action = float(energy * times[-1] * sigma)
+    defect = float(np.max(np.abs(v - 0.5 * grid.deriv(alpha))))
+    mass = grid.integrate(rho / sigma) * sigma
+    if not np.isfinite([action, defect, *mass]).all():
+        raise RuntimeError("horizontal flow overflowed")
+    return HorizontalFlowResult(times, rho, v, alpha, action, defect, mass)

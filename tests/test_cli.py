@@ -1,5 +1,6 @@
 """Command-line interface: JSON payloads, CSV artifacts, exit codes."""
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -213,6 +214,28 @@ def test_flow_horizontal_overflow_exits_two(capsys):
                              "message": "horizontal flow overflowed"}
 
 
+@pytest.mark.parametrize("rho0, code, mass", [
+    # 2 pi 2e307 and its growth by |1 + 0.1 t|^2 are floats, though the
+    # nodal sum 16 * 2e307 is not
+    ("2e307", 0, (2 * np.pi * 2e307, 2 * np.pi * 2e307 * 1.05 ** 2)),
+    ("1e308", 2, None),  # 2 pi 1e308 is not a float
+])
+def test_flow_horizontal_mass_near_the_float_limit(capsys, rho0, code, mass):
+    # runs with warnings as errors: an overflow warning fails the test
+    status, body = run_json(capsys, "flow", "horizontal", "--rho0",
+                            f"const:{rho0}", "--phi0", "const:0.1", "--n",
+                            "16", "--t-final", "0.5", "--dt", "0.1")
+    assert status == code
+    if mass is None:
+        assert body["error"] == {"type": "RuntimeError",
+                                 "message": "horizontal flow overflowed"}
+    else:
+        assert body["mass_initial"] == pytest.approx(mass[0], rel=1e-15)
+        assert body["mass_final"] == pytest.approx(mass[1], rel=1e-14)
+        assert body["action"] == pytest.approx(0.01 * mass[0] * 0.5,
+                                               rel=1e-14)
+
+
 def test_flow_horizontal_past_the_apex_prints_no_warnings():
     # the exit-2 line reports the overflow; numpy must not add warnings
     result = subprocess.run(
@@ -233,6 +256,26 @@ def test_ch_solve_blow_up_prints_no_warnings():
     assert result.returncode == 2
     assert "solution blew up at t=0.001" in result.stdout
     assert result.stderr == ""
+
+
+def test_ch_energy_beyond_the_float_range_exits_one(tmp_path, capsys):
+    # 2 pi (1e200)^2 is not a float: an error naming the energy, not an
+    # Infinity and a NaN drift with exit 0, and no numpy warning
+    result = subprocess.run(
+        [sys.executable, "-m", "coneflow.cli", "ch", "solve", "--init",
+         "const:1e200", "--n", "16", "--t-final", "0.01", "--dt", "0.01"],
+        capture_output=True, text=True)
+    error = {"type": "ValueError",
+             "message": "the energy of the run overflows a float"}
+    assert result.returncode == 1
+    assert json.loads(result.stdout) == {"error": error}
+    assert result.stderr == ""
+    grid, path = PeriodicGrid(16), tmp_path / "huge.csv"
+    write_trajectory_csv(path, np.array([0.0, 0.01]), grid.x,
+                         np.full((2, 16), 1e200))
+    code, body = run_json(capsys, "ch", "invariants", "--traj", str(path))
+    assert code == 1
+    assert body == {"error": error}
 
 
 def test_lift_solves_symbol_equation(capsys, tmp_path):
@@ -596,14 +639,6 @@ def test_bad_inputs_exit_one(capsys):
                           "--dt", "0.3")
     assert code == 1
     assert "whole number of steps" in body["error"]["message"]
-    # stopping parameters that could never stop are refused up front
-    for flag, value in (("--max-iters", "0"), ("--tol", "nan")):
-        code, body = run_json(capsys, "wfr", "solve", "--rho0", "const:1",
-                              "--rho1", "const:2", "--n", "16", "--nt", "8",
-                              flag, value)
-        assert code == 1
-        assert body["error"]["type"] == "CLIInputError"
-        assert flag in body["error"]["message"]
     # (2 gamma a^2)^2 overflows in the prox: a JSON line, not a traceback
     code, body = run_json(capsys, "wfr", "solve", "--rho0", "const:1",
                           "--rho1", "const:2", "--n", "16", "--nt", "8",
@@ -611,6 +646,65 @@ def test_bad_inputs_exit_one(capsys):
     assert code == 1
     assert body["error"]["type"] == "ValueError"
     assert "finite squares" in body["error"]["message"]
+
+
+# each command with a positivity check, and the options it checks
+_POSITIVE = {
+    ("cone", "geodesic", "--x0", "0", "--m0", "1", "--dx0", "0.3", "--dm0",
+     "-0.1"): ("--t-final", "--dt"),
+    ("ch", "solve", "--init", "sin:0.2"): ("--n", "--t-final", "--dt"),
+    ("wfr", "solve", "--rho0", "const:1", "--rho1", "const:2"):
+        ("--n", "--nt", "--tol", "--max-iters"),
+    ("wfr", "hellinger", "--rho0", "const:1", "--rho1", "const:4"): ("--n",),
+    ("flow", "horizontal", "--rho0", "const:1", "--phi0", "const:0.5"):
+        ("--n", "--t-final", "--dt"),
+    ("lift", "--rho", "const:1", "--x", "sin:1"): ("--n",),
+    ("curvature", "--phi1", "sin:1", "--phi2", "sin:2"): ("--n",),
+    ("minimality", "--init", "const:1", "--seed", "7"):
+        ("--n", "--t-final", "--dt", "--members"),
+}
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (argv, flag, value) for argv, flags in _POSITIVE.items()
+    for flag in flags for value in ("0", "-1", "nan", "7")
+    if value != "7" or flag == "--n"])
+def test_invalid_options_exit_one_and_name_the_flag(capsys, argv, flag,
+                                                    value):
+    code, body = run_json(capsys, *argv, flag, value)
+    assert code == 1
+    if value == "7":  # an odd grid size
+        assert body["error"] == {
+            "type": "ValueError",
+            "message": "grid size must be even and >= 8, got 7"}
+    else:  # an integer option reads nan as a usage error
+        assert body["error"]["type"] == "CLIInputError"
+        assert body["error"]["message"] in (
+            f"{flag} must be positive",
+            f"argument {flag}: invalid int value: '{value}'")
+
+
+def _readme_commands():
+    """The `coneflow ...` lines of the README's Command line block, with
+    backslash continuations joined, as argv lists without the program."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("coneflow ")]
+
+
+def test_readme_commands_exit_zero(capsys, tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) == 11
+    monkeypatch.setenv("CONEFLOW_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    x = PeriodicGrid(128).x
+    write_density_csv(tmp_path / "cosine.csv", x, np.cos(x))
+    for argv in commands:
+        code, out = run_cli(capsys, *argv)
+        assert code == 0, (argv, out)
 
 
 def test_control_character_in_an_error_gives_a_json_line(capsys, tmp_path):
